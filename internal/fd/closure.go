@@ -114,6 +114,20 @@ func CandidateKeys(t *relation.Table) []relation.AttrSet {
 	return keys
 }
 
+// dedupeSets drops repeated attribute sets in place, keeping first
+// occurrences in order.
+func dedupeSets(sets []relation.AttrSet) []relation.AttrSet {
+	seen := make(map[relation.AttrSet]bool, len(sets))
+	out := sets[:0]
+	for _, s := range sets {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // IsBCNF reports whether t is in Boyce-Codd normal form with respect to
 // its witnessed FDs: every non-trivial dependency's LHS must be a
 // superkey. Violating FDs are returned for the schema-refinement use case.

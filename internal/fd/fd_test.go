@@ -1,9 +1,11 @@
 package fd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"f2/internal/obs"
 	"f2/internal/relation"
 )
 
@@ -163,6 +165,56 @@ func TestTANEEdgeCases(t *testing.T) {
 	got = Discover(dup)
 	if !got.Has(FD{LHS: relation.NewAttrSet(0), RHS: 1}) || !got.Has(FD{LHS: relation.NewAttrSet(1), RHS: 0}) {
 		t.Errorf("identical columns: %v", got)
+	}
+}
+
+// TestTANEFreesPrunedPartitions checks that a finished run holds only the
+// single-attribute partitions and those of the last level's survivors:
+// candidates PRUNE dropped (superkeys, empty C⁺) must not keep their
+// partitions until the run ends.
+func TestTANEFreesPrunedPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 100; trial++ {
+		tbl := randomTable(rng, 3+rng.Intn(4), 5+rng.Intn(60), 2+rng.Intn(4))
+		ta, err := runTANE(context.Background(), tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 0
+		for x, p := range ta.parts {
+			if x.Size() == 1 {
+				continue
+			}
+			if size == 0 {
+				size = x.Size()
+			}
+			if x.Size() != size {
+				t.Fatalf("trial %d: partitions of %d- and %d-attribute sets both retained", trial, size, x.Size())
+			}
+			if ta.cplus[x].IsEmpty() || !p.HasDuplicate() {
+				t.Fatalf("trial %d: pruned candidate %v still holds its partition", trial, x)
+			}
+		}
+	}
+}
+
+// TestDiscoverSpan checks that a traced discovery records an fd.discover
+// span with the run's shape. Name is a key, so level 1 prunes it and
+// level 2 holds the single candidate {Zip,City}.
+func TestDiscoverSpan(t *testing.T) {
+	tbl := zipTable()
+	ctx, tr := obs.NewTrace(context.Background(), "", "fds")
+	if _, err := DiscoverWitnessedCtx(ctx, tbl); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.Snapshot().Root
+	if len(root.Children) != 1 || root.Children[0].Name != "fd.discover" {
+		t.Fatalf("spans = %+v, want one fd.discover", root.Children)
+	}
+	attrs := root.Children[0].Attrs
+	if attrs["rows"] != 5 || attrs["attrs"] != 3 || attrs["levels"] != 2 || attrs["products"] != 1 {
+		t.Errorf("fd.discover attrs = %v", attrs)
 	}
 }
 

@@ -47,63 +47,3 @@ func TestFDEPEdgeCases(t *testing.T) {
 		t.Errorf("single row: fdep %v, tane %v", got, want)
 	}
 }
-
-func TestErrorMeasure(t *testing.T) {
-	tbl := zipTable()
-	zipCity := FD{LHS: relation.NewAttrSet(0), RHS: 1}
-	if e := Error(tbl, zipCity); e != 0 {
-		t.Errorf("exact FD has error %v", e)
-	}
-	cityZip := FD{LHS: relation.NewAttrSet(1), RHS: 0}
-	// JerseyCity maps to two zips (1× 07302, 2× 07310): one removal out
-	// of five rows.
-	if e := Error(tbl, cityZip); e != 0.2 {
-		t.Errorf("City→Zip error = %v, want 0.2", e)
-	}
-	if e := Error(tbl, FD{LHS: relation.NewAttrSet(0, 1), RHS: 0}); e != 0 {
-		t.Errorf("trivial FD error = %v", e)
-	}
-}
-
-func TestDiscoverApproximate(t *testing.T) {
-	tbl := zipTable()
-	exact := DiscoverApproximate(tbl, 0)
-	if !exact.Equal(Discover(tbl)) {
-		t.Fatalf("maxErr=0 should equal exact discovery:\n approx: %v\n tane: %v", exact, Discover(tbl))
-	}
-	// With a 20% budget, City→Zip becomes an approximate dependency.
-	loose := DiscoverApproximate(tbl, 0.2)
-	if !loose.Has(FD{LHS: relation.NewAttrSet(1), RHS: 0}) {
-		t.Errorf("City→Zip missing at maxErr=0.2: %v", loose)
-	}
-	// Approximate sets are supersets (minimal-LHS-wise weaker) of exact:
-	// every exact FD is implied at any threshold.
-	for _, f := range Discover(tbl).Slice() {
-		if !Implies(loose, f) {
-			t.Errorf("exact FD %v not implied by approximate set", f)
-		}
-	}
-}
-
-func TestDiscoverApproximateMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	tbl := randomTable(rng, 4, 60, 3)
-	prev := -1
-	for _, maxErr := range []float64{0, 0.05, 0.15, 0.4} {
-		got := DiscoverApproximate(tbl, maxErr)
-		// Count distinct implied singleton-LHS dependencies as a monotone
-		// proxy: larger budgets admit more dependencies.
-		count := 0
-		for a := 0; a < tbl.NumAttrs(); a++ {
-			for b := 0; b < tbl.NumAttrs(); b++ {
-				if a != b && Implies(got, FD{LHS: relation.SingleAttr(a), RHS: b}) {
-					count++
-				}
-			}
-		}
-		if count < prev {
-			t.Fatalf("implied dependencies shrank as budget grew (%d → %d at %v)", prev, count, maxErr)
-		}
-		prev = count
-	}
-}

@@ -3,7 +3,9 @@ package fd
 import (
 	"context"
 	"fmt"
+	"math"
 
+	"f2/internal/obs"
 	"f2/internal/partition"
 	"f2/internal/relation"
 )
@@ -33,6 +35,10 @@ type TANE struct {
 	// FD is validated. Collecting it here makes DiscoverWitnessed free of
 	// the re-encode + re-probe pass it used to run afterwards.
 	wit *Set
+
+	// levels and products count lattice levels visited and partition
+	// products computed, for the fd.discover span.
+	levels, products int
 }
 
 // Discover runs TANE on t and returns the set of minimal non-trivial FDs
@@ -77,6 +83,12 @@ func DiscoverWitnessedCtx(ctx context.Context, t *relation.Table) (*Set, error) 
 }
 
 func runTANE(ctx context.Context, t *relation.Table) (*TANE, error) {
+	if t.NumRows() > math.MaxInt32 {
+		return nil, fmt.Errorf("fd: discovery: %d rows exceed the stripped-partition bound of %d", t.NumRows(), math.MaxInt32)
+	}
+	ctx, sp := obs.Start(ctx, "fd.discover")
+	sp.SetAttr("rows", t.NumRows())
+	sp.SetAttr("attrs", t.NumAttrs())
 	tane := &TANE{
 		table: t,
 		m:     t.NumAttrs(),
@@ -86,7 +98,11 @@ func runTANE(ctx context.Context, t *relation.Table) (*TANE, error) {
 		out:   NewSet(),
 		wit:   NewSet(),
 	}
-	if err := tane.run(); err != nil {
+	err := tane.run()
+	sp.SetAttr("levels", tane.levels)
+	sp.SetAttr("products", tane.products)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
 	return tane, nil
@@ -107,6 +123,7 @@ func (ta *TANE) run() error {
 		ta.cplus[x] = all
 		level = append(level, x)
 	}
+	ta.levels = 1
 	// No dependency checks at level 1: that would test ∅→A (constant
 	// columns), which we deliberately exclude.
 	level = ta.prune(level)
@@ -120,6 +137,7 @@ func (ta *TANE) run() error {
 		if len(next) == 0 {
 			break
 		}
+		ta.levels++
 		// Compute partitions for the next level via products of subsets.
 		for _, x := range next {
 			a := x.First()
@@ -130,12 +148,13 @@ func (ta *TANE) run() error {
 				py = partition.StrippedOf(ta.table, y)
 			}
 			ta.parts[x] = partition.Product(py, px, ws)
+			ta.products++
 		}
 		ta.computeDependencies(next)
 		next = ta.prune(next)
-		// Free partitions of the previous level to bound memory. Singleton
-		// partitions are kept: every product at level ℓ+1 joins a level-ℓ
-		// partition with a singleton.
+		// Free the partitions of the previous level's survivors; prune
+		// already freed the rest. Singleton partitions are kept: every
+		// product at level ℓ+1 joins a level-ℓ partition with a singleton.
 		for _, x := range level {
 			if x.Size() > 1 {
 				delete(ta.parts, x)
@@ -210,35 +229,50 @@ func (ta *TANE) lookupPartition(x relation.AttrSet) *partition.Stripped {
 }
 
 // prune implements PRUNE(Lℓ): drop X with empty C+(X); for superkeys X,
-// emit the key-implied dependencies and drop X.
+// emit the key-implied dependencies and drop X. A dropped X's partition is
+// freed on the spot (singletons excepted): level ℓ+1 only generates
+// candidates whose every immediate subset survived, so nothing reads it
+// again.
 func (ta *TANE) prune(level []relation.AttrSet) []relation.AttrSet {
 	out := level[:0]
 	for _, x := range level {
-		c := ta.cplus[x]
-		if c.IsEmpty() {
-			continue
-		}
-		if ta.isSuperkey(x) {
-			for _, a := range c.Diff(x).Attrs() {
-				// A ∈ ∩_{B∈X} C+(X ∪ {A} \ {B}) ?
-				in := true
-				for _, b := range x.Attrs() {
-					if !ta.cplusOf(x.Add(a).Remove(b)).Has(a) {
-						in = false
-						break
-					}
-				}
-				if in && !x.IsEmpty() {
-					// Superkey LHS ⇒ unique projection ⇒ never witnessed,
-					// so key-implied FDs skip ta.wit.
-					ta.out.Add(FD{LHS: x, RHS: a})
-				}
+		if ta.prunable(x) {
+			if x.Size() > 1 {
+				delete(ta.parts, x)
 			}
 			continue
 		}
 		out = append(out, x)
 	}
 	return out
+}
+
+// prunable reports whether PRUNE drops X, emitting X's key-implied
+// dependencies when X is a superkey.
+func (ta *TANE) prunable(x relation.AttrSet) bool {
+	c := ta.cplus[x]
+	if c.IsEmpty() {
+		return true
+	}
+	if ta.isSuperkey(x) {
+		for _, a := range c.Diff(x).Attrs() {
+			// A ∈ ∩_{B∈X} C+(X ∪ {A} \ {B}) ?
+			in := true
+			for _, b := range x.Attrs() {
+				if !ta.cplusOf(x.Add(a).Remove(b)).Has(a) {
+					in = false
+					break
+				}
+			}
+			if in && !x.IsEmpty() {
+				// Superkey LHS ⇒ unique projection ⇒ never witnessed,
+				// so key-implied FDs skip ta.wit.
+				ta.out.Add(FD{LHS: x, RHS: a})
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func (ta *TANE) isSuperkey(x relation.AttrSet) bool {

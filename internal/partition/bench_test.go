@@ -1,0 +1,30 @@
+package partition
+
+import (
+	"testing"
+
+	"f2/internal/workload"
+)
+
+// BenchmarkProduct times TANE's second lattice level on a 3,000-row
+// customer table: one product per pair of single-attribute stripped
+// partitions, all through one warmed workspace.
+func BenchmarkProduct(b *testing.B) {
+	tbl, err := workload.Generate(workload.NameCustomer, 3000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	singles := make([]*Stripped, tbl.NumAttrs())
+	for a := range singles {
+		singles[a] = StrippedSingle(tbl, a)
+	}
+	ws := NewWorkspace(tbl.NumRows())
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range singles {
+			for j := i + 1; j < len(singles); j++ {
+				Product(singles[i], singles[j], ws)
+			}
+		}
+	}
+}

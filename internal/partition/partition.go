@@ -17,7 +17,10 @@
 //     *before* every appended row inside a grown class, and reports the
 //     grown/born class indices as a Delta. The incremental encryptor's
 //     positional old/new split (core.appendedSuffix) is correct only
-//     because of that ordering guarantee.
+//     because of that ordering guarantee;
+//   - stripped partitions store row indices as int32, so they cover
+//     tables of at most math.MaxInt32 rows; the constructors panic past
+//     that bound and fd's TANE refuses such tables with an error.
 package partition
 
 import (

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestProductMatchesDirect(t *testing.T) {
 		direct := StrippedOf(tbl, x.Union(y))
 		if !sameStripped(prod, direct) {
 			t.Fatalf("trial %d: Product(%v,%v) ≠ direct\nprod: %v\ndirect: %v",
-				trial, x, y, prod.Classes, direct.Classes)
+				trial, x, y, classesOf(prod), classesOf(direct))
 		}
 	}
 }
@@ -198,14 +199,21 @@ func sameStripped(a, b *Stripped) bool {
 	return true
 }
 
-func canonClasses(s *Stripped) [][]int {
-	out := make([][]int, 0, len(s.Classes))
-	for _, c := range s.Classes {
-		cc := append([]int(nil), c...)
-		sort.Ints(cc)
-		out = append(out, cc)
+func canonClasses(s *Stripped) [][]int32 {
+	out := classesOf(s)
+	for _, c := range out {
+		slices.Sort(c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// classesOf copies the classes of s out of its flat layout, in order.
+func classesOf(s *Stripped) [][]int32 {
+	out := make([][]int32, 0, s.NumClasses())
+	for i := 0; i < s.NumClasses(); i++ {
+		out = append(out, slices.Clone(s.Class(i)))
+	}
 	return out
 }
 

@@ -91,56 +91,3 @@ func (p *Partition) Refine(t *relation.Table, oldRows int) (*Partition, Delta, e
 	out.index = index
 	return out, d, nil
 }
-
-// Refine extends the stripped partition s — computed over the first
-// oldRows rows of t — with the appended rows t[oldRows:]. Because a
-// stripped partition does not represent singleton classes, detecting a
-// singleton→pair promotion needs one hashing pass over the old rows; that
-// is still far cheaper than the partition products the result feeds
-// (and, like Partition.Refine, s itself is never modified).
-func (s *Stripped) Refine(t *relation.Table, oldRows int) (*Stripped, error) {
-	if s.numRows != oldRows {
-		return nil, fmt.Errorf("partition: refine: stripped partition covers %d rows, caller says %d", s.numRows, oldRows)
-	}
-	if t.NumRows() < oldRows {
-		return nil, fmt.Errorf("partition: refine: table has %d rows, fewer than the %d already partitioned", t.NumRows(), oldRows)
-	}
-	out := &Stripped{Attrs: s.Attrs, numRows: t.NumRows()}
-	out.Classes = append(make([][]int, 0, len(s.Classes)), s.Classes...)
-	index := make(map[string]int, len(s.Classes))
-	inClass := make([]bool, oldRows)
-	for i, c := range s.Classes {
-		index[t.ProjectKey(c[0], s.Attrs)] = i
-		for _, r := range c {
-			inClass[r] = true
-		}
-	}
-	single := make(map[string]int)
-	for r := 0; r < oldRows; r++ {
-		if !inClass[r] {
-			single[t.ProjectKey(r, s.Attrs)] = r
-		}
-	}
-	cloned := make(map[int]bool)
-	for r := oldRows; r < t.NumRows(); r++ {
-		k := t.ProjectKey(r, s.Attrs)
-		if ci, ok := index[k]; ok {
-			if ci < len(s.Classes) && !cloned[ci] {
-				out.Classes[ci] = append(append(make([]int, 0, len(s.Classes[ci])+1), s.Classes[ci]...), r)
-				cloned[ci] = true
-			} else {
-				out.Classes[ci] = append(out.Classes[ci], r)
-			}
-			continue
-		}
-		if prev, ok := single[k]; ok {
-			// Promotion: an old singleton and an appended row now pair up.
-			delete(single, k)
-			index[k] = len(out.Classes)
-			out.Classes = append(out.Classes, []int{prev, r})
-			continue
-		}
-		single[k] = r
-	}
-	return out, nil
-}

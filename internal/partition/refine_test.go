@@ -108,51 +108,10 @@ func TestPartitionRefineMatchesRecompute(t *testing.T) {
 	}
 }
 
-func TestStrippedRefineMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 200; trial++ {
-		attrs := 1 + rng.Intn(4)
-		tbl := randomRefineTable(rng, attrs, 3+rng.Intn(25), 1+rng.Intn(3))
-		set := relation.AttrSet(rng.Intn(1 << attrs))
-		if set.IsEmpty() {
-			set = relation.SingleAttr(0)
-		}
-		old := tbl.NumRows()
-		s := StrippedOf(tbl, set)
-		extra := randomRefineTable(rng, attrs, 1+rng.Intn(5), 1+rng.Intn(3))
-		for i := 0; i < extra.NumRows(); i++ {
-			tbl.AppendRow(extra.Row(i))
-		}
-		ns, err := s.Refine(tbl, old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := StrippedOf(tbl, set)
-		if !reflect.DeepEqual(classSets(ns.Classes), classSets(want.Classes)) {
-			t.Fatalf("trial %d: refined stripped ≠ recomputed for %v\n got: %v\nwant: %v",
-				trial, set, classSets(ns.Classes), classSets(want.Classes))
-		}
-		if s.NumRows() != old {
-			t.Fatal("Refine mutated the source stripped partition")
-		}
-		for _, c := range s.Classes {
-			for _, r := range c {
-				if r >= old {
-					t.Fatalf("trial %d: appended row leaked into source stripped partition", trial)
-				}
-			}
-		}
-	}
-}
-
 func TestRefineRejectsMismatchedRowCount(t *testing.T) {
 	tbl := randomRefineTable(rand.New(rand.NewSource(1)), 2, 6, 2)
 	p := Of(tbl, relation.SingleAttr(0))
 	if _, _, err := p.Refine(tbl, 4); err == nil {
 		t.Error("Partition.Refine accepted a wrong oldRows")
-	}
-	s := StrippedOf(tbl, relation.SingleAttr(0))
-	if _, err := s.Refine(tbl, 4); err == nil {
-		t.Error("Stripped.Refine accepted a wrong oldRows")
 	}
 }

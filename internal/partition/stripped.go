@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"fmt"
+	"math"
+
 	"f2/internal/relation"
 )
 
@@ -9,9 +12,18 @@ import (
 // products and FD validity checks run in time linear in ||π|| (the number
 // of rows appearing in non-singleton classes), which shrinks rapidly as X
 // grows.
+//
+// The layout is flat and pointer-free: rows holds the members of every
+// class back to back, class after class, and ends[i] is the offset in rows
+// one past the last member of class i. A stripped partition is therefore
+// two allocations however many classes it has, the garbage collector never
+// scans it, and ||π|| and the class count are slice lengths. Product
+// builds its result in a caller-owned workspace of scratch arrays, reused
+// across every product of a TANE run, and copies it out at its exact size.
 type Stripped struct {
 	Attrs   relation.AttrSet
-	Classes [][]int // each class has ≥ 2 row indices
+	rows    []int32 // class members, class by class; each class has ≥ 2
+	ends    []int32 // ends[i] is the end offset of class i in rows
 	numRows int
 }
 
@@ -21,36 +33,78 @@ func StrippedOf(t *relation.Table, attrs relation.AttrSet) *Stripped {
 	return StripPartition(full)
 }
 
-// StripPartition converts a full partition into stripped form.
+// StripPartition converts a full partition into stripped form, keeping
+// the order of its classes and of the rows within each.
 func StripPartition(p *Partition) *Stripped {
-	s := &Stripped{Attrs: p.Attrs, numRows: p.numRows}
+	checkRows(p.numRows)
+	n, k := 0, 0
 	for _, c := range p.Classes {
 		if c.Size() > 1 {
-			s.Classes = append(s.Classes, c.Rows)
+			n += c.Size()
+			k++
+		}
+	}
+	s := &Stripped{Attrs: p.Attrs, numRows: p.numRows, rows: make([]int32, 0, n), ends: make([]int32, 0, k)}
+	for _, c := range p.Classes {
+		if c.Size() > 1 {
+			for _, r := range c.Rows {
+				s.rows = append(s.rows, int32(r))
+			}
+			s.ends = append(s.ends, int32(len(s.rows)))
 		}
 	}
 	return s
 }
 
 // StrippedSingle computes the stripped partition of a single column without
-// materializing a full Partition, as TANE does at level 1.
+// materializing a full Partition, as TANE does at level 1: every value gets
+// a dictionary id in first-occurrence order, ids are counted, and each row
+// is placed at its class's next free slot. Classes come out in
+// first-occurrence order with ascending rows, exactly as StrippedOf orders
+// them.
 func StrippedSingle(t *relation.Table, a int) *Stripped {
-	groups := make(map[string][]int)
-	order := make([]string, 0)
+	checkRows(t.NumRows())
 	col := t.Column(a)
+	ids := make([]int32, len(col))
+	dict := make(map[string]int32, len(col))
+	var count []int32 // count[id] = rows holding value id
 	for i, v := range col {
-		if _, ok := groups[v]; !ok {
-			order = append(order, v)
+		id, ok := dict[v]
+		if !ok {
+			id = int32(len(count))
+			dict[v] = id
+			count = append(count, 0)
 		}
-		groups[v] = append(groups[v], i)
+		ids[i] = id
+		count[id]++
 	}
-	s := &Stripped{Attrs: relation.SingleAttr(a), numRows: t.NumRows()}
-	for _, v := range order {
-		if rows := groups[v]; len(rows) > 1 {
-			s.Classes = append(s.Classes, rows)
+	// Turn counts into start offsets; -1 marks a singleton value.
+	var ends []int32
+	off := int32(0)
+	for id, c := range count {
+		if c < 2 {
+			count[id] = -1
+			continue
+		}
+		count[id] = off
+		off += c
+		ends = append(ends, off)
+	}
+	rows := make([]int32, off)
+	for i, id := range ids {
+		if p := count[id]; p >= 0 {
+			rows[p] = int32(i)
+			count[id]++
 		}
 	}
-	return s
+	return &Stripped{Attrs: relation.SingleAttr(a), rows: rows, ends: ends, numRows: t.NumRows()}
+}
+
+// checkRows panics if a table is too large for int32 row indices.
+func checkRows(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: %d rows exceed the stripped-partition bound of %d", n, math.MaxInt32))
+	}
 }
 
 // NumRows returns the number of rows of the underlying table.
@@ -58,84 +112,140 @@ func (s *Stripped) NumRows() int { return s.numRows }
 
 // Cardinality returns ||π||: the total number of rows in non-singleton
 // classes.
-func (s *Stripped) Cardinality() int {
-	n := 0
-	for _, c := range s.Classes {
-		n += len(c)
-	}
-	return n
-}
+func (s *Stripped) Cardinality() int { return len(s.rows) }
 
 // NumClasses returns the number of non-singleton classes.
-func (s *Stripped) NumClasses() int { return len(s.Classes) }
+func (s *Stripped) NumClasses() int { return len(s.ends) }
+
+// Class returns the rows of class i, in class order. The slice aliases the
+// partition and must not be modified.
+func (s *Stripped) Class(i int) []int32 {
+	start := int32(0)
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.rows[start:s.ends[i]]
+}
 
 // HasDuplicate reports whether the underlying attribute set is non-unique.
-func (s *Stripped) HasDuplicate() bool { return len(s.Classes) > 0 }
+func (s *Stripped) HasDuplicate() bool { return len(s.ends) > 0 }
 
 // ErrorMeasure returns e(X)·|r| as used by TANE's key pruning:
 // ||π|| - |π stripped classes|, the number of rows that must be removed for
 // X to become a superkey.
-func (s *Stripped) ErrorMeasure() int {
-	return s.Cardinality() - s.NumClasses()
-}
+func (s *Stripped) ErrorMeasure() int { return len(s.rows) - len(s.ends) }
 
-// workspace holds scratch arrays reused across Product calls to avoid
-// re-allocating O(n) slices for every lattice edge.
+// workspace holds scratch arrays reused across Product calls, so a product
+// allocates only its result. Class ids are 1-based; 0 in probe means the
+// row is in no class of the left operand.
 type workspace struct {
-	probe  []int   // row -> class id in lhs (+1), 0 = singleton
-	bucket [][]int // class id in lhs -> rows collected for current rhs class
-	touch  []int
+	probe []int32 // row -> class id in x
+	count []int32 // class id in x -> members seen in the current y class
+	pos   []int32 // class id in x -> next free slot of its output class
+	touch []int32 // class ids of x met in the current y class, first-met order
+	rows  []int32 // the product's rows, before the exact-size copy
+	ends  []int32 // the product's class ends, likewise
 }
 
 // NewWorkspace allocates scratch space for Product over tables with n rows.
 func NewWorkspace(n int) *workspace {
-	return &workspace{probe: make([]int, n)}
+	return &workspace{probe: make([]int32, n)}
+}
+
+// fit grows the workspace for a product of x with a partition of
+// cardinality at least bound, which caps the product's cardinality.
+func (ws *workspace) fit(x *Stripped, bound int) {
+	if len(ws.probe) < x.numRows {
+		ws.probe = make([]int32, x.numRows)
+	}
+	if k := x.NumClasses() + 1; len(ws.count) < k {
+		ws.count = make([]int32, k)
+		ws.pos = make([]int32, k)
+	}
+	if len(ws.rows) < bound {
+		ws.rows = make([]int32, bound)
+		ws.ends = make([]int32, 0, bound/2)
+	}
 }
 
 // Product computes the stripped partition of X ∪ Y from stripped π_X and
-// π_Y using TANE's linear-time PRODUCT procedure. ws may be nil, in which
-// case temporary space is allocated.
+// π_Y using TANE's linear-time PRODUCT procedure. Each class of y is split
+// by x in two passes: the first counts how many of its rows fall in each
+// class of x, the second places every row that lands in a class of at
+// least two at its slot in the output. Output classes come in y's class
+// order, then in the order their first row appears in the y class; rows
+// keep y's order. ws may be nil, in which case temporary space is
+// allocated; with a warmed workspace the result — header, rows and ends,
+// each at its exact size — is the only allocation.
 func Product(x, y *Stripped, ws *workspace) *Stripped {
+	out := &Stripped{Attrs: x.Attrs.Union(y.Attrs), numRows: x.numRows}
+	bound := min(len(x.rows), len(y.rows))
+	if bound < 2 {
+		return out
+	}
 	if ws == nil {
 		ws = NewWorkspace(x.numRows)
 	}
-	out := &Stripped{Attrs: x.Attrs.Union(y.Attrs), numRows: x.numRows}
-
-	probe := ws.probe
-	// Mark rows with their class id (1-based) in x.
-	for ci, c := range x.Classes {
-		for _, r := range c {
-			probe[r] = ci + 1
+	ws.fit(x, bound)
+	probe, count, pos := ws.probe, ws.count, ws.pos
+	start := int32(0)
+	for i, end := range x.ends {
+		for _, r := range x.rows[start:end] {
+			probe[r] = int32(i + 1)
 		}
+		start = end
 	}
-	if cap(ws.bucket) < len(x.Classes) {
-		ws.bucket = make([][]int, len(x.Classes))
-	}
-	bucket := ws.bucket[:len(x.Classes)]
 
-	for _, c := range y.Classes {
-		ws.touch = ws.touch[:0]
+	rows, ends := ws.rows, ws.ends[:0]
+	off := int32(0)
+	touch := ws.touch[:0]
+	start = 0
+	for _, end := range y.ends {
+		c := y.rows[start:end]
+		start = end
+		if len(c) == 2 {
+			// Most classes of a wide table are pairs; a pair survives
+			// whole or not at all.
+			if id := probe[c[0]]; id != 0 && id == probe[c[1]] {
+				rows[off], rows[off+1] = c[0], c[1]
+				off += 2
+				ends = append(ends, off)
+			}
+			continue
+		}
 		for _, r := range c {
 			if id := probe[r]; id != 0 {
-				if bucket[id-1] == nil {
-					ws.touch = append(ws.touch, id-1)
+				if count[id] == 0 {
+					touch = append(touch, id)
 				}
-				bucket[id-1] = append(bucket[id-1], r)
+				count[id]++
 			}
 		}
-		for _, id := range ws.touch {
-			if len(bucket[id]) > 1 {
-				out.Classes = append(out.Classes, append([]int(nil), bucket[id]...))
+		for _, id := range touch {
+			if count[id] > 1 {
+				pos[id] = off
+				off += count[id]
+				ends = append(ends, off)
 			}
-			bucket[id] = nil
 		}
-	}
-	// Clear probe marks.
-	for _, c := range x.Classes {
 		for _, r := range c {
-			probe[r] = 0
+			if id := probe[r]; id != 0 && count[id] > 1 {
+				rows[pos[id]] = r
+				pos[id]++
+			}
 		}
+		for _, id := range touch {
+			count[id] = 0
+		}
+		touch = touch[:0]
 	}
+	ws.touch = touch
+
+	for _, r := range x.rows {
+		probe[r] = 0
+	}
+	out.rows = append(make([]int32, 0, off), rows[:off]...)
+	out.ends = append(make([]int32, 0, len(ends)), ends...)
 	return out
 }
 
@@ -143,13 +253,15 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 // column, i.e. whether X → A holds. col must be the values of column A.
 // Linear in ||π_X||.
 func (s *Stripped) RefinesAttr(col []string) bool {
-	for _, c := range s.Classes {
-		v := col[c[0]]
-		for _, r := range c[1:] {
+	start := int32(0)
+	for _, end := range s.ends {
+		v := col[s.rows[start]]
+		for _, r := range s.rows[start+1 : end] {
 			if col[r] != v {
 				return false
 			}
 		}
+		start = end
 	}
 	return true
 }

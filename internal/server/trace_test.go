@@ -131,6 +131,51 @@ func TestTraceAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFDsTraceAttributesTANE: GET /fds records TANE as an fd.discover span
+// inside job.run, and the span feeds the stage histogram.
+func TestFDsTraceAttributesTANE(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	id := createDataset(t, ts.URL, []string{"G", "ID"},
+		[][]string{{"a", "1"}, {"a", "2"}, {"b", "3"}, {"b", "4"}})
+	if resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+id+"/fds", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fds: status %d, body %s", resp.StatusCode, body)
+	}
+
+	_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/traces", nil)
+	var listing struct {
+		Recent []traceJSON `json:"recent"`
+	}
+	if err := json.Unmarshal(body, &listing); err != nil {
+		t.Fatalf("traces: %v in %s", err, body)
+	}
+	var discover *spanJSON
+	for _, tr := range listing.Recent {
+		if tr.Root.Name != "discover_fds" {
+			continue
+		}
+		for _, job := range tr.Root.Children {
+			for i, c := range job.Children {
+				if job.Name == "job.run" && c.Name == "fd.discover" {
+					discover = &job.Children[i]
+				}
+			}
+		}
+	}
+	if discover == nil {
+		t.Fatalf("no discover_fds trace with job.run > fd.discover in %s", body)
+	}
+	for _, attr := range []string{"rows", "attrs", "levels", "products"} {
+		if _, ok := discover.Attrs[attr]; !ok {
+			t.Errorf("fd.discover lacks attribute %q: %v", attr, discover.Attrs)
+		}
+	}
+
+	_, body = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
+	if want := `f2_stage_duration_seconds_count{stage="fd.discover"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
 // TestInlineTraceOptIn: mutation responses carry the span tree only when
 // the client asked with ?trace=1.
 func TestInlineTraceOptIn(t *testing.T) {
