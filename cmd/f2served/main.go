@@ -57,7 +57,7 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "workers per pipeline run (0: GOMAXPROCS, 1: serial); output is identical at every setting")
 		maxBody     = flag.Int64("max-body", 32<<20, "maximum request body bytes")
 		maxPending  = flag.Int64("max-pending", 0, "per-dataset ingest queue bound in bytes before appends get 429 (0: 64 MiB default, negative: unlimited)")
-		trials      = flag.Int("trials", 1000, "default attack-game trials for /report")
+		trials      = flag.Int("trials", 1000, "trial count /report echoes when the request sets none (the attack verdict is exact)")
 		dataDir     = flag.String("data-dir", "", "durable dataset store directory (empty: in-memory only)")
 		chunkRows   = flag.Int("chunk-rows", 0, "rows per snapshot chunk (0: store default); smaller chunks dedup better across rotations, larger ones hydrate faster")
 		pprofAddr   = flag.String("pprof-addr", "", "OPT-IN net/http/pprof listener (e.g. 127.0.0.1:6060); unsafe to expose publicly, keep it off or loopback-bound")

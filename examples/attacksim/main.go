@@ -12,7 +12,7 @@
 //     floor — no encryption can push an adversary that guesses among the
 //     five real values below blind guessing — and F²'s achievement is
 //     erasing the frequency signal entirely (success ≈ blind guess,
-//     compared to ~100% against deterministic encryption). See DESIGN.md
+//     compared to ~100% against deterministic encryption). See docs/DESIGN.md
 //     on how this floor relates to the paper's |G(e)| ≥ k argument.
 package main
 

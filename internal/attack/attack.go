@@ -8,6 +8,7 @@
 package attack
 
 import (
+	"math/big"
 	"math/rand"
 	"sort"
 
@@ -25,12 +26,27 @@ type Knowledge struct {
 }
 
 // Adversary guesses the plaintext behind a ciphertext value, given the
-// target's observed frequency and the Knowledge.
+// target's observed frequency and the Knowledge. Both adversaries of §4
+// narrow the plaintexts to a candidate set and guess uniformly within it
+// (Guess), which is what lets SuccessProbability compute their success
+// rate exactly.
 type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
-	// Guess returns the adversary's plaintext guess for ciphertext e.
-	Guess(k *Knowledge, e string, rng *rand.Rand) string
+	// Candidates returns the sorted plaintexts the adversary considers
+	// for ciphertext e. It may depend on e only through its ciphertext
+	// frequency k.CipherFreq[e].
+	Candidates(k *Knowledge, e string) []string
+}
+
+// Guess returns adv's plaintext guess for ciphertext e: a uniform draw
+// from its candidates, or "" when it has none.
+func Guess(adv Adversary, k *Knowledge, e string, rng *rand.Rand) string {
+	c := adv.Candidates(k, e)
+	if len(c) == 0 {
+		return ""
+	}
+	return c[rng.Intn(len(c))]
 }
 
 // Oracle reveals the true plaintext of a ciphertext cell (the game referee
@@ -98,13 +114,61 @@ func runGame(plain, cipher *relation.Table, attr int, adv Adversary, oracle Orac
 	}
 	for t := 0; t < trials; t++ {
 		e := targets[rng.Intn(len(targets))]
-		guess := adv.Guess(k, e, rng)
+		guess := Guess(adv, k, e, rng)
 		truth, real := oracle(e)
 		if real && guess == truth {
 			res.Successes++
 		}
 	}
 	return res
+}
+
+// SuccessProbability returns the exact success probability that RunGame
+// estimates by sampling: over the N ciphertext cells of column attr,
+//
+//	Σ_e freq(e)/N · [truth(e) ∈ C(e)] / |C(e)|
+//
+// where C(e) is adv's candidate set and only real targets count (a fake
+// target is unwinnable, as in RunGame). Candidate sets are computed once
+// per ciphertext frequency. The result is an exact rational, so a bound
+// check on it needs no sampling slack.
+func SuccessProbability(plain, cipher *relation.Table, attr int, adv Adversary, oracle Oracle) *big.Rat {
+	p := new(big.Rat)
+	if cipher.NumRows() == 0 {
+		return p
+	}
+	k := &Knowledge{
+		PlainFreq:  plain.Freq(attr),
+		CipherFreq: cipher.Freq(attr),
+	}
+	type class struct {
+		candidates map[string]bool
+		hits       int64 // cells whose truth is a candidate
+	}
+	byFreq := make(map[int]*class)
+	for e, f := range k.CipherFreq {
+		truth, real := oracle(e)
+		if !real {
+			continue
+		}
+		c := byFreq[f]
+		if c == nil {
+			c = &class{candidates: make(map[string]bool)}
+			for _, p := range adv.Candidates(k, e) {
+				c.candidates[p] = true
+			}
+			byFreq[f] = c
+		}
+		if c.candidates[truth] {
+			c.hits += int64(f)
+		}
+	}
+	for _, c := range byFreq {
+		if c.hits > 0 {
+			p.Add(p, big.NewRat(c.hits, int64(len(c.candidates))))
+		}
+	}
+	return p.Quo(p, big.NewRat(int64(cipher.NumRows()), 1))
 }
 
 // FrequencyMatcher is the classic frequency-analysis adversary: map the
@@ -117,8 +181,8 @@ type FrequencyMatcher struct{}
 // Name implements Adversary.
 func (FrequencyMatcher) Name() string { return "frequency-matcher" }
 
-// Guess implements Adversary.
-func (FrequencyMatcher) Guess(k *Knowledge, e string, rng *rand.Rand) string {
+// Candidates implements Adversary.
+func (FrequencyMatcher) Candidates(k *Knowledge, e string) []string {
 	fe := k.CipherFreq[e]
 	best := -1
 	var candidates []string
@@ -136,11 +200,8 @@ func (FrequencyMatcher) Guess(k *Knowledge, e string, rng *rand.Rand) string {
 			candidates = append(candidates, p)
 		}
 	}
-	if len(candidates) == 0 {
-		return ""
-	}
 	sort.Strings(candidates)
-	return candidates[rng.Intn(len(candidates))]
+	return candidates
 }
 
 // Kerckhoffs is the 4-step adversary of §4.2: it knows the F² algorithm
@@ -158,8 +219,8 @@ type Kerckhoffs struct{}
 // Name implements Adversary.
 func (Kerckhoffs) Name() string { return "kerckhoffs-4step" }
 
-// Guess implements Adversary.
-func (Kerckhoffs) Guess(k *Knowledge, e string, rng *rand.Rand) string {
+// Candidates implements Adversary.
+func (Kerckhoffs) Candidates(k *Knowledge, e string) []string {
 	// Step 1: ϖ' = max plaintext frequency / max ciphertext frequency,
 	// rounded up (splitting divides frequencies; scaling only adds).
 	maxP, maxE := 0, 0
@@ -194,7 +255,7 @@ func (Kerckhoffs) Guess(k *Knowledge, e string, rng *rand.Rand) string {
 			candidates = append(candidates, p)
 		}
 	}
-	// Step 4: uniform choice among consistent mappings.
+	// Step 4 (Guess): uniform choice among consistent mappings.
 	sort.Strings(candidates)
-	return candidates[rng.Intn(len(candidates))]
+	return candidates
 }

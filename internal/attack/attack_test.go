@@ -2,6 +2,8 @@ package attack
 
 import (
 	"context"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -108,7 +110,7 @@ func TestF2DefeatsFrequencyMatcher(t *testing.T) {
 func TestF2DefeatsKerckhoffs(t *testing.T) {
 	tbl := skewedTable()
 	// Column A has 4 distinct values: the information-theoretic floor is
-	// 1/4, so the operative bound is max(α, 1/4) (see DESIGN.md).
+	// 1/4, so the operative bound is max(α, 1/4) (see docs/DESIGN.md).
 	for _, alpha := range []float64{0.5, 0.25, 0.125} {
 		enc, oracle, _ := f2Encrypt(t, tbl, alpha)
 		res := RunGame(tbl, enc, 0, Kerckhoffs{}, oracle, 4000, 3)
@@ -177,11 +179,54 @@ func TestAdversaryGuessesArePlaintexts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for e := range k.CipherFreq {
 		for _, adv := range []Adversary{FrequencyMatcher{}, Kerckhoffs{}} {
-			g := adv.Guess(k, e, rng)
+			g := Guess(adv, k, e, rng)
 			if _, ok := k.PlainFreq[g]; !ok {
 				t.Fatalf("%s guessed %q, not a plaintext value", adv.Name(), g)
 			}
 		}
 		break
+	}
+}
+
+// TestSuccessProbabilityHandComputed pins SuccessProbability on a table
+// small enough to work out by hand, and checks that RunGame's sampled
+// rate converges to it.
+func TestSuccessProbabilityHandComputed(t *testing.T) {
+	plain := relation.NewTable(relation.MustSchema("A"))
+	for _, v := range []string{"p1", "p1", "p1", "p2", "p2", "p3"} {
+		plain.AppendRow([]string{v})
+	}
+	// c1×2, c2×1 → p1; c3×2 → p2; c4×1 → p3; f1×2 is artificial. N = 8.
+	cipher := relation.NewTable(relation.MustSchema("A"))
+	for _, v := range []string{"c1", "c1", "c2", "c3", "c3", "c4", "f1", "f1"} {
+		cipher.AppendRow([]string{v})
+	}
+	truth := map[string]string{"c1": "p1", "c2": "p1", "c3": "p2", "c4": "p3"}
+	oracle := func(e string) (string, bool) {
+		p, ok := truth[e]
+		return p, ok
+	}
+	for _, tc := range []struct {
+		adv  Adversary
+		want *big.Rat
+	}{
+		// Plaintext frequencies p1:3 p2:2 p3:1. The matcher maps
+		// frequency 2 to {p2} and 1 to {p3}: it wins on c3 (2 cells) and
+		// c4 (1 cell), 3/8.
+		{FrequencyMatcher{}, big.NewRat(3, 8)},
+		// ϖ' = ⌈3/2⌉ = 2: frequency 2 admits f ≤ 4 = {p1,p2,p3}, frequency
+		// 1 admits f ≤ 2 = {p2,p3}. c1: 2·1/3, c2: 0, c3: 2·1/3, c4: 1/2,
+		// so (4/3 + 1/2)/8 = 11/48.
+		{Kerckhoffs{}, big.NewRat(11, 48)},
+	} {
+		got := SuccessProbability(plain, cipher, 0, tc.adv, oracle)
+		if got.Cmp(tc.want) != 0 {
+			t.Errorf("%s: SuccessProbability = %v, want %v", tc.adv.Name(), got, tc.want)
+		}
+		// 100k trials: σ ≤ 0.0016, so 5σ is well under 0.01.
+		p, _ := tc.want.Float64()
+		if rate := RunGame(plain, cipher, 0, tc.adv, oracle, 100000, 9).Rate(); math.Abs(rate-p) > 0.008 {
+			t.Errorf("%s: RunGame rate %.4f does not converge to %.4f", tc.adv.Name(), rate, p)
+		}
 	}
 }

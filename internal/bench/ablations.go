@@ -11,9 +11,9 @@ import (
 	"f2/internal/workload"
 )
 
-// RunAblations runs the design-choice ablations called out in DESIGN.md:
-// split factor ϖ, MAS-discovery algorithm, PRF family, and the effect of
-// disabling Step 3/Step 4.
+// RunAblations runs the design-choice ablations called out in
+// docs/DESIGN.md: split factor ϖ, split point, MAS-discovery algorithm,
+// PRF family, and the effect of disabling Step 3/Step 4.
 func RunAblations(ctx context.Context, o Options) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(context.Context, Options) (*Table, error){

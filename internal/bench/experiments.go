@@ -418,7 +418,7 @@ func RunSecurity(ctx context.Context, o Options) ([]*Table, error) {
 		Header: []string{"dataset", "column", "scheme", "alpha", "freq-matcher", "kerckhoffs", "bound"},
 		Notes: []string{
 			"F² rates must stay ≤ max(α, blind guess 1/d) — α binds on high-cardinality columns,",
-			"the blind-guess floor on low-cardinality ones (see DESIGN.md); deterministic",
+			"the blind-guess floor on low-cardinality ones (see docs/DESIGN.md); deterministic",
 			"encryption is broken outright on skewed columns. 4000 game trials per cell.",
 		},
 	}

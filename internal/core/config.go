@@ -77,7 +77,7 @@ type Config struct {
 
 	// MinInstanceFreq floors the homogenized ciphertext frequency of every
 	// grouped instance. The default (2) guarantees that every witnessed FD
-	// of D stays witnessed in Dˆ (see DESIGN.md: a frequency-1 instance
+	// of D stays witnessed in Dˆ (see docs/DESIGN.md: a frequency-1 instance
 	// would make dependencies over its attributes hold only vacuously).
 	// Setting 1 reproduces the paper's formulas verbatim.
 	MinInstanceFreq int

@@ -204,15 +204,16 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	// ---- Step 4: false-positive elimination (FP) ----
 	start = time.Now()
 	sctx, sp = obs.Start(ctx, "encrypt.step4.fp")
-	fpNodes := make(map[fpNode]bool)
+	fpPatterns := make(map[relation.AttrSet]bool)
 	if !e.cfg.SkipFPElimination {
 		var err error
-		if fpNodes, err = e.eliminateFalsePositives(sctx, t, plans, out, res); err != nil {
+		if fpPatterns, err = e.eliminateFalsePositives(sctx, t, plans, out, res); err != nil {
 			sp.End()
 			return nil, err
 		}
 	}
 	sp.SetAttr("fpNodes", res.Report.FPNodes)
+	sp.SetAttr("fpPatterns", res.Report.FPPatterns)
 	sp.SetAttr("fpRows", res.Report.FPRows)
 	sp.End()
 	res.Report.TimeFP = time.Since(start)
@@ -220,7 +221,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	res.Encrypted = out
 	res.Report.EncryptedRows = out.NumRows()
 	res.Report.ReencryptedRows = out.NumRows()
-	res.state = &encState{disc: disc, plans: plans, fpNodes: fpNodes, minted: e.mint.minted()}
+	res.state = &encState{disc: disc, plans: plans, fpPatterns: fpPatterns, minted: e.mint.minted()}
 	return res, nil
 }
 

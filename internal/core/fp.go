@@ -45,7 +45,7 @@ type fpWitness struct {
 // emitter, so row order and minted values match the serial path byte for
 // byte.
 //
-// Deviation from the paper (documented in DESIGN.md): the paper's
+// Deviation from the paper (documented in docs/DESIGN.md): the paper's
 // artificial pairs agree exactly on X and differ everywhere else, which
 // can incidentally break a *real* FD X'→Z (X' ⊆ X, Z outside X∪{Y}) and
 // so contradicts its own Theorem 3.7. We instead copy the agreement
@@ -54,10 +54,15 @@ type fpWitness struct {
 // the artificial records exhibit is therefore already realized by real
 // tuples, so no FD and no MAS of D is disturbed, while the
 // X-agreement/Y-difference that kills the false positive is preserved.
-// It returns the set of maximal violated nodes it emitted pairs for; the
-// incremental engine keeps that set to decide which newly violated
-// dependencies still need witnessing after an append.
-func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, plans []*masPlan, out *relation.Table, res *Result) (map[fpNode]bool, error) {
+//
+// A pair agreeing exactly on pattern A witnesses every violation X→Y with
+// X ⊆ A and Y ∉ A, so maximal nodes whose witnesses share a pattern need
+// only one pair set between them: one k-pair set is emitted per distinct
+// agreement pattern, not per maximal node (docs/DESIGN.md). It returns
+// the set of emitted patterns; the incremental engine keeps that set to
+// decide which newly violated dependencies still need witnessing after
+// an append.
+func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, plans []*masPlan, out *relation.Table, res *Result) (map[relation.AttrSet]bool, error) {
 	// A violated X needs a row pair agreeing on X, so X must be a
 	// non-unique column combination — equivalently, contained in some MAS
 	// (Step 1 already computed them all). That containment test is a few
@@ -150,19 +155,49 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		return nil, fmt.Errorf("core: encrypt: %w", err)
 	}
 
-	emitted := make(map[fpNode]bool)
+	// One pair set per distinct agreement pattern, kept at its first
+	// witness in ascending-Y, border order: nodes whose witnesses share a
+	// pattern would otherwise get identical row shapes with fresh values.
+	patterns := make(map[relation.AttrSet]bool)
 	var jobs []fpWitness
 	for y := range found {
 		for _, f := range found[y] {
-			emitted[fpNode{f.x, y}] = true
-			jobs = append(jobs, *f.w)
+			res.Report.FPNodes++
+			if p := agreementPattern(t, f.w.ri, f.w.rj); !patterns[p] {
+				patterns[p] = true
+				jobs = append(jobs, *f.w)
+			}
 		}
 	}
-	res.Report.FPNodes += len(jobs)
+	res.Report.FPPatterns += len(jobs)
 	if err := e.emitFPJobs(ctx, t, jobs, out, res); err != nil {
 		return nil, fmt.Errorf("core: encrypt: %w", err)
 	}
-	return emitted, nil
+	return patterns, nil
+}
+
+// agreementPattern returns the attributes on which rows ri and rj of t
+// agree — the row shape an artificial pair templated on them replicates.
+func agreementPattern(t *relation.Table, ri, rj int) relation.AttrSet {
+	var p relation.AttrSet
+	for a := 0; a < t.NumAttrs(); a++ {
+		if t.Cell(ri, a) == t.Cell(rj, a) {
+			p = p.Add(a)
+		}
+	}
+	return p
+}
+
+// fpCovered reports whether node (x, y) is witnessed by an emitted
+// pattern: a pair agreeing exactly on P agrees on every x ⊆ P and differs
+// on every y ∉ P, so it violates x→y.
+func fpCovered(patterns map[relation.AttrSet]bool, x relation.AttrSet, y int) bool {
+	for p := range patterns {
+		if x.SubsetOf(p) && !p.Has(y) {
+			return true
+		}
+	}
+	return false
 }
 
 // repIndex provides violation lookups over the equivalence-class

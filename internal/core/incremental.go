@@ -16,13 +16,14 @@ import (
 // encState is the owner-side plan state a Result retains so the next
 // append can be applied incrementally: the MAS discovery result (sets +
 // partitions over the plaintext), the per-MAS encryption plans, the
-// Step-4 nodes already witnessed, and the fresh-minter position (so later
-// filler values never collide with already-shipped ones).
+// agreement patterns Step 4 already emitted pair sets for, and the
+// fresh-minter position (so later filler values never collide with
+// already-shipped ones).
 type encState struct {
-	disc    *mas.Result
-	plans   []*masPlan
-	fpNodes map[fpNode]bool
-	minted  uint64
+	disc       *mas.Result
+	plans      []*masPlan
+	fpPatterns map[relation.AttrSet]bool
+	minted     uint64
 }
 
 // ecgPatch records how an append grows one ECG: the (cloned) group, the
@@ -140,6 +141,7 @@ func (e *Encryptor) EncryptIncremental(ctx context.Context, prev *Result, t *rel
 	res.Report.ConflictTuples = prev.Report.ConflictTuples
 	res.Report.FPRows = prev.Report.FPRows
 	res.Report.FPNodes = prev.Report.FPNodes
+	res.Report.FPPatterns = prev.Report.FPPatterns
 	res.Report.NumECGs = prev.Report.NumECGs
 	res.Report.NumECs = prev.Report.NumECs
 	res.Report.NumFakeECs = prev.Report.NumFakeECs
@@ -184,22 +186,23 @@ func (e *Encryptor) EncryptIncremental(ctx context.Context, prev *Result, t *rel
 	// ---- Step 4': witness only newly violated dependencies (FP) ----
 	start = time.Now()
 	_, sp = obs.Start(ctx, "incremental.re-witness")
-	fpNodes := prev.state.fpNodes
+	fpPatterns := prev.state.fpPatterns
 	if !e.cfg.SkipFPElimination {
 		if err := ctx.Err(); err != nil {
 			sp.End()
 			return nil, false, fmt.Errorf("core: incremental: %w", err)
 		}
-		fpNodes = e.patchFalsePositives(t, ref.Agreements, prev.state.fpNodes, res.MASs, out, res)
+		fpPatterns = e.patchFalsePositives(t, ref.Agreements, fpPatterns, res.MASs, out, res)
 	}
 	sp.SetAttr("fpNodes", res.Report.FPNodes-prev.Report.FPNodes)
+	sp.SetAttr("fpPatterns", res.Report.FPPatterns-prev.Report.FPPatterns)
 	sp.End()
 	res.Report.TimeFP = time.Since(start)
 
 	res.Encrypted = out
 	res.Report.EncryptedRows = out.NumRows()
 	res.Report.ReencryptedRows = out.NumRows() - prev.Encrypted.NumRows()
-	res.state = &encState{disc: ref.Result, plans: plans, fpNodes: fpNodes, minted: e.mint.minted()}
+	res.state = &encState{disc: ref.Result, plans: plans, fpPatterns: fpPatterns, minted: e.mint.minted()}
 	return res, true, nil
 }
 
@@ -408,22 +411,28 @@ func cloneECG(g *ecg) *ecg {
 // of a pair involving a new row, so for each agreement set A and each MAS
 // M containing an attribute y ∉ A, the maximal newly-checkable node is
 // (A∩M) → y — witnessed by the very pair that realized A, whose agreement
-// pattern is exactly A. Nodes already covered by a previously emitted
-// maximal node need nothing (its pairs witness every sub-dependency);
-// the rest get the standard k artificial pairs. Previously emitted nodes
-// that stop being maximal stay harmless: their pairs replicate agreement
-// patterns of real row pairs, which the append cannot erase.
-func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relation.AttrSet][2]int, prevNodes map[fpNode]bool, masSets []relation.AttrSet, out *relation.Table, res *Result) map[fpNode]bool {
-	// Iterate agreement sets deterministically: two sets can propose the
-	// same node, and the first one seen supplies the template pair.
+// pattern is exactly A. A node is already covered when some emitted
+// pattern P has A∩M ⊆ P and y ∉ P (P's pairs violate it); A gets its own
+// k artificial pairs only if it is not emitted yet and one of its nodes
+// is uncovered. Agreement sets are walked largest first, so a wide
+// pattern's pairs cover its subsets' nodes before those are considered.
+// Previously emitted patterns stay harmless: they replicate agreement
+// patterns of real row pairs, which the append cannot erase. prev is
+// never mutated; the returned set is a copy when anything was emitted.
+func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relation.AttrSet][2]int, prev map[relation.AttrSet]bool, masSets []relation.AttrSet, out *relation.Table, res *Result) map[relation.AttrSet]bool {
 	agreeSets := make([]relation.AttrSet, 0, len(agreements))
 	for a := range agreements {
 		agreeSets = append(agreeSets, a)
 	}
 	relation.SortAttrSets(agreeSets)
-	cands := make(map[fpNode][2]int)
-	for _, a := range agreeSets {
-		pair := agreements[a]
+	patterns := prev
+	var sink emitSink
+	for i := len(agreeSets) - 1; i >= 0; i-- {
+		a := agreeSets[i]
+		if patterns[a] {
+			continue
+		}
+		uncovered := make(map[fpNode]bool)
 		for _, m := range masSets {
 			if m.Size() < 2 {
 				continue
@@ -433,51 +442,26 @@ func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relati
 				continue
 			}
 			for _, y := range m.Diff(a).Attrs() {
-				node := fpNode{x, y}
-				if _, dup := cands[node]; !dup {
-					cands[node] = pair
+				if !fpCovered(patterns, x, y) {
+					uncovered[fpNode{x, y}] = true
 				}
 			}
 		}
-	}
-
-	nodes := make(map[fpNode]bool, len(prevNodes)+len(cands))
-	for n := range prevNodes {
-		nodes[n] = true
-	}
-	covered := func(n fpNode) bool {
-		for p := range nodes {
-			if p.Y == n.Y && n.X.SubsetOf(p.X) {
-				return true
-			}
-		}
-		return false
-	}
-	// Emit larger nodes first so their pairs mark smaller candidates as
-	// covered; break ties deterministically.
-	order := make([]fpNode, 0, len(cands))
-	for n := range cands {
-		order = append(order, n)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].X.Size() != order[j].X.Size() {
-			return order[i].X.Size() > order[j].X.Size()
-		}
-		if order[i].X != order[j].X {
-			return order[i].X < order[j].X
-		}
-		return order[i].Y < order[j].Y
-	})
-	var sink emitSink
-	for _, n := range order {
-		if covered(n) {
+		if len(uncovered) == 0 {
 			continue
 		}
-		pair := cands[n]
-		res.Report.FPNodes++
-		nodes[n] = true
+		if len(patterns) == len(prev) {
+			patterns = make(map[relation.AttrSet]bool, len(prev)+1)
+			for p := range prev {
+				patterns[p] = true
+			}
+		}
+		patterns[a] = true
+		res.Report.FPNodes += len(uncovered)
+		res.Report.FPPatterns++
+		pair := agreements[a]
 		e.emitFPPairs(t, pair[0], pair[1], e.mint, &sink)
 	}
 	sink.mergeInto(out, res)
-	return nodes
+	return patterns
 }

@@ -93,9 +93,11 @@ func TestPipelineInvariantsOnWorkloads(t *testing.T) {
 		if res.Report.ConflictRows > h*tbl.NumRows() {
 			t.Fatalf("%s: SYN rows %d > h·n = %d", tc.name, res.Report.ConflictRows, h*tbl.NumRows())
 		}
-		// Theorem 3.6 flavor: FP rows are a multiple of 2k per node.
-		if res.Report.FPNodes > 0 && res.Report.FPRows != 2*k*res.Report.FPNodes {
-			t.Fatalf("%s: FP rows %d ≠ 2k·nodes = %d", tc.name, res.Report.FPRows, 2*k*res.Report.FPNodes)
+		// Theorem 3.6 flavor: FP rows are 2k per emitted agreement
+		// pattern, and every maximal node shares some pattern.
+		if res.Report.FPRows != 2*k*res.Report.FPPatterns || res.Report.FPPatterns > res.Report.FPNodes {
+			t.Fatalf("%s: FP rows %d, patterns %d, nodes %d: want rows = 2k·patterns, patterns ≤ nodes",
+				tc.name, res.Report.FPRows, res.Report.FPPatterns, res.Report.FPNodes)
 		}
 		// Row accounting: encrypted = original + conflicts + scale + group + FP.
 		wantRows := tbl.NumRows() + res.Report.ConflictRows + res.Report.ScaleRows +

@@ -41,6 +41,7 @@ type Report struct {
 	NumInstances   int
 	ConflictTuples int // original tuples that triggered type-2 resolution
 	FPNodes        int // maximal violated lattice nodes
+	FPPatterns     int // distinct agreement patterns given a k-pair set; FPRows = 2k·FPPatterns
 
 	// Update-path work measures, set by both the full pipeline and the
 	// incremental engine so the amortization benchmarks can compare them.
@@ -115,7 +116,7 @@ func (r *Report) String() string {
 		r.TimeMAX.Round(time.Microsecond), r.TimeSSE.Round(time.Microsecond),
 		r.TimeSYN.Round(time.Microsecond), r.TimeFP.Round(time.Microsecond),
 		r.TotalTime().Round(time.Microsecond))
-	fmt.Fprintf(&b, "  artificial rows: GROUP=%d SCALE=%d SYN=%d (from %d tuples) FP=%d (%d nodes)\n",
-		r.GroupRows, r.ScaleRows, r.ConflictRows, r.ConflictTuples, r.FPRows, r.FPNodes)
+	fmt.Fprintf(&b, "  artificial rows: GROUP=%d SCALE=%d SYN=%d (from %d tuples) FP=%d (%d nodes, %d patterns)\n",
+		r.GroupRows, r.ScaleRows, r.ConflictRows, r.ConflictTuples, r.FPRows, r.FPNodes, r.FPPatterns)
 	return b.String()
 }

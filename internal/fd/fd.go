@@ -54,7 +54,7 @@ func Holds(t *relation.Table, f FD) bool {
 
 // Witnessed reports whether the FD both holds on t and has at least one
 // witnessing pair: two distinct rows agreeing on LHS. Vacuously-true FDs
-// (unique LHS) hold but are not witnessed; see DESIGN.md for why F²'s
+// (unique LHS) hold but are not witnessed; see docs/DESIGN.md for why F²'s
 // preservation guarantees are stated over witnessed FDs.
 func Witnessed(t *relation.Table, f FD) bool {
 	if f.Trivial() {

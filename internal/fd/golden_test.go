@@ -37,29 +37,36 @@ func encryptedTable(tb testing.TB, name string, rows int, seed int64, keySeed st
 }
 
 // TestDiscoverGoldenEncrypted pins the FD sets TANE discovers on fixed
-// ciphertexts. The hashes were computed before the stripped-partition
-// kernel moved to its flat layout; a change to the kernel or to pruning
-// that alters the discovered FDs shows up here.
+// ciphertexts, and the ciphertext sizes separately. The FD hashes were
+// computed before Step 4 emitted one pair set per agreement pattern (and
+// before the stripped-partition kernel moved to its flat layout); a change
+// to encryption, the kernel or pruning that alters the discovered FDs shows
+// up here. The row counts pin Step 4's output size: customer had 2,866
+// rows and orders 2,061 when every maximal violated node got its own pair
+// set; synthetic had the same 1,015.
 func TestDiscoverGoldenEncrypted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("encrypts three datasets")
 	}
 	cases := []struct {
-		name string
-		rows int
-		seed int64
-		want string
+		name     string
+		rows     int
+		seed     int64
+		wantRows int
+		want     string
 	}{
-		{workload.NameCustomer, 300, 3, "d855f0accbac29be"},
-		{workload.NameOrders, 1000, 5, "d272b304d8605eff"},
-		{workload.NameSynthetic, 1000, 7, "4b8e4a25d34b500f"},
+		{workload.NameCustomer, 300, 3, 570, "c4387dfe81bd13a4"},
+		{workload.NameOrders, 1000, 5, 2005, "18c80921030fa33a"},
+		{workload.NameSynthetic, 1000, 7, 1015, "063def4cda692f33"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			enc := encryptedTable(t, c.name, c.rows, c.seed, fmt.Sprintf("golden-%s-%d", c.name, c.seed))
+			if enc.NumRows() != c.wantRows {
+				t.Errorf("ciphertext has %d rows, want %d", enc.NumRows(), c.wantRows)
+			}
 			sch := enc.Schema()
 			var b strings.Builder
-			fmt.Fprintf(&b, "%d×%d\n", enc.NumRows(), enc.NumAttrs())
 			for _, set := range []*Set{Discover(enc), DiscoverWitnessed(enc)} {
 				for _, f := range set.Slice() {
 					b.WriteString(f.Names(sch))

@@ -18,7 +18,7 @@ import (
 // Deviation from the original: FDs with an empty left-hand side (constant
 // columns) are not emitted. F² cannot preserve them — splitting a constant
 // column's single equivalence class necessarily breaks ∅→A — and the
-// paper's evaluation datasets have none. See DESIGN.md.
+// paper's evaluation datasets have none. See docs/DESIGN.md.
 type TANE struct {
 	table *relation.Table
 	m     int

@@ -41,8 +41,9 @@ type Options struct {
 	// carrying the trace id and stage timings) and service diagnostics;
 	// nil disables logging.
 	Logger *slog.Logger
-	// AttackTrials is the per-adversary game count used by /report when
-	// the request does not override it. Default 1000.
+	// AttackTrials is the trial count /report echoes when the request
+	// does not set one; the attack verdict is exact and plays no sampled
+	// games. Default 1000.
 	AttackTrials int
 	// VerifyProbes is the completeness-probe count for /report's
 	// verification pass. Default 200.

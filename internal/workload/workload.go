@@ -13,7 +13,7 @@
 //
 // The paper runs at 0.96M–15M rows; generators here take an explicit row
 // count so benchmarks can sweep laptop-scale sizes with the same shape
-// (see DESIGN.md on the scale substitution).
+// (see docs/DESIGN.md on the scale substitution).
 package workload
 
 import (
@@ -88,7 +88,7 @@ func SkewedSchema() *relation.Schema {
 // frequency analysis), and a derived bucket attribute W with the planted
 // dependency V→W. The MAS is {V,W}. Use it to demonstrate α-security on
 // columns whose domain is large enough for α < 1/|domain| to be
-// meaningful (see DESIGN.md on the low-cardinality floor).
+// meaningful (see docs/DESIGN.md on the low-cardinality floor).
 func Skewed(n, distinct int, s float64, seed int64) *relation.Table {
 	rng := rand.New(rand.NewSource(seed))
 	t := relation.NewTable(SkewedSchema())
