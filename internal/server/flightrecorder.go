@@ -511,7 +511,8 @@ func (s *Server) handleDebugProfileByName(w http.ResponseWriter, r *http.Request
 }
 
 // errorf logs at ERROR level — reserved for events that should page:
-// watchdog stalls, incident-write failures.
+// watchdog stalls, incident-write failures, and recovery losses (a
+// dataset skipped at boot, acknowledged WAL rows dropped at hydration).
 func (s *Server) errorf(format string, args ...any) {
 	if s.opts.Logger != nil {
 		s.opts.Logger.Error(fmt.Sprintf(format, args...))

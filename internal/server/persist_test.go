@@ -260,17 +260,15 @@ func TestRegistryAddRetriesOnCollision(t *testing.T) {
 // TestRegistryRestoreRejectsDuplicate: recovery must not let two store
 // entries share an id.
 func TestRegistryRestoreRejectsDuplicate(t *testing.T) {
-	tbl := relation.MustFromRows(relation.MustSchema("A"), [][]string{{"x"}, {"x"}})
-	u, _, err := core.NewUpdater(context.Background(), core.DefaultConfig(crypt.KeyFromSeed("dup")), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := NewRegistry()
-	if _, err := reg.Restore("ds_one", "a", time.Now(), core.Config{}, u); err != nil {
+	if _, err := reg.RestoreLazy("ds_one", "a", time.Now(), core.Config{}, Summary{ID: "ds_one"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Restore("ds_one", "b", time.Now(), core.Config{}, u); err == nil {
+	if _, err := reg.RestoreLazy("ds_one", "b", time.Now(), core.Config{}, Summary{ID: "ds_one"}, nil); err == nil {
 		t.Fatal("duplicate restore accepted")
+	}
+	if ds, _ := reg.Get("ds_one"); ds.Name != "a" {
+		t.Fatalf("duplicate restore replaced the first dataset with %q", ds.Name)
 	}
 }
 
@@ -453,112 +451,126 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotUpgradeOnBoot: a v1 monolithic snapshot boots
-// (eagerly), is rewritten in the chunked format during recovery, and the
-// next boot loads it lazily.
-func TestLegacySnapshotUpgradeOnBoot(t *testing.T) {
+// errorRecords returns the messages of every ERROR-level record in a
+// JSON slog stream.
+func errorRecords(logs string) []string {
+	var msgs []string
+	for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+		var entry struct {
+			Level string `json:"level"`
+			Msg   string `json:"msg"`
+		}
+		if json.Unmarshal([]byte(line), &entry) == nil && entry.Level == "ERROR" {
+			msgs = append(msgs, entry.Msg)
+		}
+	}
+	return msgs
+}
+
+// dirFiles reads every regular file under root, keyed by relative path.
+func dirFiles(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[rel] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestV1SnapshotRejectedSafely: a pre-chunking (v1) monolithic snapshot
+// is an unreadable dataset like any other. Boot skips it with an ERROR
+// naming the version, registers nothing for it, leaves its files
+// byte-identical on disk, and still brings up the healthy v2 dataset
+// next to it.
+func TestV1SnapshotRejectedSafely(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newDurableServer(t, dir, 1)
 	rows := [][]string{{"a1", "b1"}, {"a1", "b2"}, {"a2", "b3"}, {"a2", "b4"}}
-	id := createDataset(t, ts.URL, []string{"A", "B"}, rows)
+	healthy := createDataset(t, ts.URL, []string{"A", "B"}, rows)
 
-	// Downgrade the on-disk snapshot to the v1 monolithic shape: hydrate
-	// the state through the store API, then write the v1 JSON reusing the
-	// sealed key and config straight out of the v2 index, and drop the
-	// chunk directory so only the monolithic file remains.
-	snapPath := filepath.Join(dir, "datasets", id, "snapshot.json")
-	raw, err := os.ReadFile(snapPath)
+	// A v1 snapshot that was loadable in its day: the healthy dataset's
+	// sealed key, config and full updater state, inline in one JSON blob.
+	raw, err := os.ReadFile(filepath.Join(dir, "datasets", healthy, "snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var idx struct {
-		Version int             `json:"version"`
-		Name    string          `json:"name"`
-		Created time.Time       `json:"created"`
-		KeyEnc  string          `json:"keyEnc"`
-		Config  json.RawMessage `json:"config"`
-		WALSeq  uint64          `json:"walSeq"`
+		KeyEnc string          `json:"keyEnc"`
+		Config json.RawMessage `json:"config"`
 	}
 	if err := json.Unmarshal(raw, &idx); err != nil {
 		t.Fatal(err)
-	}
-	if idx.Version != 2 {
-		t.Fatalf("fresh snapshot has version %d, want 2", idx.Version)
 	}
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := st.LoadState(context.Background(), id)
+	state, err := st.LoadState(context.Background(), healthy)
 	st.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	const v1ID = "ds_111111111111"
 	v1, err := json.Marshal(map[string]any{
-		"version": 1, "id": id, "name": idx.Name, "created": idx.Created,
-		"keyEnc": idx.KeyEnc, "config": idx.Config, "walSeq": idx.WALSeq,
-		"updater": state,
+		"version": 1, "id": v1ID, "name": "old", "created": time.Unix(0, 0).UTC(),
+		"keyEnc": idx.KeyEnc, "config": idx.Config, "walSeq": 0, "updater": state,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(snapPath, v1, 0o600); err != nil {
+	v1Dir := filepath.Join(dir, "datasets", v1ID)
+	if err := os.MkdirAll(v1Dir, 0o700); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(filepath.Join(dir, "datasets", id, "chunks")); err != nil {
+	if err := os.WriteFile(filepath.Join(v1Dir, "snapshot.json"), v1, 0o600); err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1Dir, "wal.log"), []byte("journal bytes"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, v1Dir)
+
+	srv2, ts2, logs := newFlightServer(t, dir, nil)
+	if _, ok := srv2.reg.Get(v1ID); ok {
+		t.Fatal("v1 dataset registered")
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+v1ID, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("v1 dataset served: status %d", resp.StatusCode)
+	}
+	if after := dirFiles(t, v1Dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("v1 dataset files changed at boot:\nbefore %q\nafter  %q", before, after)
+	}
+	named := false
+	for _, msg := range errorRecords(logs.String()) {
+		if strings.Contains(msg, v1ID) && strings.Contains(msg, "version 1") {
+			named = true
+		}
+	}
+	if !named {
+		t.Fatalf("no ERROR record names %s and version 1; logs:\n%s", v1ID, logs.String())
 	}
 
-	// Boot over the downgraded directory: the v1 snapshot restores
-	// eagerly and recovery upgrades it in place.
-	srv2, ts2 := newDurableServer(t, dir, 1)
-	ds, ok := srv2.reg.Get(id)
-	if !ok {
-		t.Fatal("legacy dataset not recovered")
+	if resp, body := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+healthy, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy dataset after boot: status %d, body %s", resp.StatusCode, body)
 	}
-	ds.Lock()
-	eager := ds.upd != nil
-	ds.Unlock()
-	if !eager {
-		t.Fatal("legacy dataset restored lazily — v1 has no index to defer to")
-	}
-	raw2, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ver struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw2, &ver); err != nil {
-		t.Fatal(err)
-	}
-	if ver.Version != 2 {
-		t.Fatalf("legacy snapshot not upgraded: version %d on disk after boot", ver.Version)
-	}
-	chunks, err := os.ReadDir(filepath.Join(dir, "datasets", id, "chunks"))
-	if err != nil || len(chunks) == 0 {
-		t.Fatalf("upgraded snapshot has no chunks (err %v)", err)
-	}
-
-	columns, decRows, pending := decryptRows(t, ts2.URL, id)
-	if pending != 0 {
-		t.Fatalf("pending = %d after upgrade", pending)
-	}
+	columns, decRows, _ := decryptRows(t, ts2.URL, healthy)
 	if !reflect.DeepEqual(sortedRows(t, columns, decRows), sortedRows(t, []string{"A", "B"}, rows)) {
-		t.Fatal("upgraded dataset decrypts to different rows")
-	}
-
-	// The upgraded snapshot loads lazily on the next boot.
-	srv3, _ := newDurableServer(t, dir, 1)
-	ds3, ok := srv3.reg.Get(id)
-	if !ok {
-		t.Fatal("dataset lost after upgrade")
-	}
-	ds3.Lock()
-	lazy := ds3.upd == nil
-	ds3.Unlock()
-	if !lazy {
-		t.Fatal("upgraded snapshot did not boot lazily")
+		t.Fatal("healthy dataset decrypts to different rows")
 	}
 }
 
@@ -638,7 +650,10 @@ func TestSnapshotMetricsExposeDedup(t *testing.T) {
 }
 
 // TestRecoverySkipsCorruptDataset: one rotten snapshot must not take
-// down the service or the healthy datasets next to it.
+// down the service or the healthy datasets next to it — but the lost
+// dataset must page: its skip line is an ERROR record naming it, so a log
+// scan for ERROR (as in scripts/restart_smoke.sh) catches a recovery that
+// papered over a loss.
 func TestRecoverySkipsCorruptDataset(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newDurableServer(t, dir, 1)
@@ -653,9 +668,16 @@ func TestRecoverySkipsCorruptDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := newDurableServer(t, dir, 1)
+	srv2, ts2, logs := newFlightServer(t, dir, nil)
 	if srv2.reg.Len() != 1 {
 		t.Fatalf("recovered %d datasets, want 1 (the healthy one)", srv2.reg.Len())
+	}
+	paged := false
+	for _, msg := range errorRecords(logs.String()) {
+		paged = paged || strings.Contains(msg, "ds_corrupt00000")
+	}
+	if !paged {
+		t.Fatalf("no ERROR record names the skipped dataset; logs:\n%s", logs.String())
 	}
 	resp, _ := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+goodID, nil)
 	if resp.StatusCode != http.StatusOK {

@@ -313,15 +313,15 @@ func New(opts Options) (*Server, error) {
 }
 
 // recover registers every dataset from the durable store under its
-// original id. Chunked (v2) snapshots restore lazily: only the index was
-// read, so recovery registers a shell — identity, config, a summary built
-// from index-level stats, and the retained WAL tail — and the first
-// request that needs the tables hydrates it (hydrateLocked). Legacy (v1)
-// monolithic snapshots restore eagerly, replay their tail, and are
-// re-saved so the next boot finds the chunked format. A dataset that
-// fails to restore is skipped with a loud log line rather than bricking
-// the whole service: its files stay on disk untouched for manual
-// inspection, and every healthy dataset still comes up.
+// original id. Boot reads only each snapshot's index, so recovery
+// registers a shell — identity, config, a summary built from index-level
+// stats, and the retained WAL tail — and the first request that needs
+// the tables hydrates it (hydrateLocked). The summary is exact without
+// touching a chunk: row counts come from the index, pending rows are the
+// snapshot's buffered rows plus the retained WAL tail's. A dataset that
+// fails to restore is skipped with an ERROR log line rather than
+// bricking the whole service: its files stay on disk untouched for
+// manual inspection, and every healthy dataset still comes up.
 func (s *Server) recover() error {
 	if s.st == nil {
 		return nil
@@ -331,100 +331,48 @@ func (s *Server) recover() error {
 		return fmt.Errorf("server: recovering datasets: %w", err)
 	}
 	for _, msg := range skipped {
-		s.logf("store: skipping unrecoverable dataset %s", msg)
+		s.errorf("store: skipping unrecoverable dataset %s", msg)
 	}
 	for _, l := range loaded {
-		if l.Lazy {
-			s.recoverLazy(l)
-			continue
-		}
-		upd, err := core.RestoreUpdater(l.Config, l.Updater)
-		if err != nil {
-			s.logf("store: skipping dataset %s: %v", l.ID, err)
-			continue
-		}
 		walSeq := l.WALSeq
-		replayed := 0
+		tailRows := 0
 		for _, b := range l.Tail {
-			if err := upd.Buffer(b.Rows); err != nil {
-				// A journaled batch that no longer fits the schema can
-				// only mean on-disk corruption past the CRC; everything
-				// before it is intact, so keep that and stop replaying.
-				s.logf("store: dataset %s: dropping WAL tail from batch %d: %v", l.ID, b.Seq, err)
-				break
-			}
 			if b.Seq > walSeq {
 				walSeq = b.Seq
 			}
-			replayed++
+			tailRows += len(b.Rows)
 		}
-		ds, err := s.reg.Restore(l.ID, l.Name, l.Created, l.Config, upd)
+		st := l.Stats
+		sum := Summary{
+			ID:                 l.ID,
+			Name:               l.Name,
+			Created:            l.Created,
+			Rows:               st.Rows,
+			PendingRows:        st.PendingRows + tailRows,
+			EncryptedRows:      st.EncryptedRows,
+			Alpha:              l.Config.Alpha,
+			SplitFactor:        l.Config.SplitFactor,
+			MASCount:           len(st.Meta.MASs),
+			Rebuilds:           st.Meta.Rebuilds,
+			IncrementalFlushes: st.Meta.IncrementalFlushes,
+			LastFlushMode:      st.Meta.LastFlush,
+			Overhead:           st.Meta.Report.Overhead(),
+			Parallelism:        l.Config.Workers(),
+		}
+		ds, err := s.reg.RestoreLazy(l.ID, l.Name, l.Created, l.Config, sum, l.Tail)
 		if err != nil {
-			s.logf("store: skipping dataset %s: %v", l.ID, err)
+			s.errorf("store: skipping dataset %s: %v", l.ID, err)
 			continue
 		}
+		// walSeq must cover every journaled batch so new appends draw
+		// fresh sequences; bufSeq stays at the snapshot watermark until
+		// hydration actually replays the tail into the updater.
 		ds.walSeq = walSeq
-		ds.bufSeq = walSeq // every replayed batch is in the buffer
-		s.logf("recovered dataset %s (%q): %d rows, %d pending (%d WAL batches replayed)",
-			ds.ID, ds.Name, upd.Rows(), upd.Pending(), replayed)
-		if l.Legacy {
-			// Upgrade in place: rewrite the monolithic snapshot in the
-			// chunked format now, while the full state is in memory anyway.
-			// Failure is non-fatal — the v1 file still boots next time.
-			if rec := s.captureRecordLocked(ds); rec != nil {
-				if err := s.st.SaveSnapshot(s.lifecycle, rec); err != nil {
-					s.logf("store: dataset %s: upgrading legacy snapshot: %v", ds.ID, err)
-				} else {
-					s.logf("dataset %s: legacy snapshot upgraded to chunked format", ds.ID)
-				}
-			}
-		}
+		ds.bufSeq = l.WALSeq
+		s.logf("recovered dataset %s (%q): %d rows, %d pending (lazy: %d WAL batches retained)",
+			ds.ID, ds.Name, sum.Rows, sum.PendingRows, len(l.Tail))
 	}
 	return nil
-}
-
-// recoverLazy registers one lazily restored dataset from its snapshot
-// index. The summary is exact without touching a chunk: row counts come
-// from the index, pending rows are the snapshot's buffered rows plus the
-// retained WAL tail's.
-func (s *Server) recoverLazy(l *store.Loaded) {
-	walSeq := l.WALSeq
-	tailRows := 0
-	for _, b := range l.Tail {
-		if b.Seq > walSeq {
-			walSeq = b.Seq
-		}
-		tailRows += len(b.Rows)
-	}
-	st := l.Stats
-	sum := Summary{
-		ID:                 l.ID,
-		Name:               l.Name,
-		Created:            l.Created,
-		Rows:               st.Rows,
-		PendingRows:        st.PendingRows + tailRows,
-		EncryptedRows:      st.EncryptedRows,
-		Alpha:              l.Config.Alpha,
-		SplitFactor:        l.Config.SplitFactor,
-		MASCount:           len(st.Meta.MASs),
-		Rebuilds:           st.Meta.Rebuilds,
-		IncrementalFlushes: st.Meta.IncrementalFlushes,
-		LastFlushMode:      st.Meta.LastFlush,
-		Overhead:           st.Meta.Report.Overhead(),
-		Parallelism:        l.Config.Workers(),
-	}
-	ds, err := s.reg.RestoreLazy(l.ID, l.Name, l.Created, l.Config, sum, l.Tail)
-	if err != nil {
-		s.logf("store: skipping dataset %s: %v", l.ID, err)
-		return
-	}
-	// walSeq must cover every journaled batch so new appends draw fresh
-	// sequences; bufSeq stays at the snapshot watermark until hydration
-	// actually replays the tail into the updater.
-	ds.walSeq = walSeq
-	ds.bufSeq = l.WALSeq
-	s.logf("recovered dataset %s (%q): %d rows, %d pending (lazy: %d WAL batches retained)",
-		ds.ID, ds.Name, sum.Rows, sum.PendingRows, len(l.Tail))
 }
 
 // hydrateLocked materializes a lazily restored dataset: read and verify
@@ -447,9 +395,11 @@ func (s *Server) hydrateLocked(ctx context.Context, ds *Dataset) error {
 	}
 	for _, b := range ds.lazyTail {
 		if err := upd.Buffer(b.Rows); err != nil {
-			// Same policy as eager recovery: keep everything before the
-			// first corrupt batch rather than failing the dataset forever.
-			s.logf("store: dataset %s: dropping WAL tail from batch %d: %v", ds.ID, b.Seq, err)
+			// A journaled batch that no longer fits the schema can only
+			// mean on-disk corruption past the CRC; everything before it
+			// is intact, so keep that rather than failing the dataset
+			// forever — but acknowledged rows are lost, so page.
+			s.errorf("store: dataset %s: dropping WAL tail from batch %d: %v", ds.ID, b.Seq, err)
 			break
 		}
 		if b.Seq > ds.bufSeq {

@@ -144,15 +144,3 @@ func checkManifest(section string, rows int, chunks []chunkRef) error {
 	}
 	return nil
 }
-
-// snapshotVersionOf sniffs the format version of a snapshot file without
-// committing to either schema.
-func snapshotVersionOf(data []byte) (int, error) {
-	var v struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return 0, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	return v.Version, nil
-}

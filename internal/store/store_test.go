@@ -87,14 +87,9 @@ func checkFrequencyFlatness(t *testing.T, enc *relation.Table, k int, label stri
 	}
 }
 
-// hydrated returns a loaded dataset's full updater state regardless of
-// snapshot format: inline for legacy (v1) loads, via LoadState for lazy
-// chunked ones.
+// hydrated returns a loaded dataset's full updater state via LoadState.
 func hydrated(t *testing.T, s *Store, l *Loaded) *core.UpdaterState {
 	t.Helper()
-	if !l.Lazy {
-		return l.Updater
-	}
 	st, err := s.LoadState(context.Background(), l.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +140,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if l.Config.Key != cfg.Key || l.Config.Alpha != cfg.Alpha || l.Config.PRF != cfg.PRF {
 		t.Fatal("config did not round-trip")
 	}
-	if !l.Lazy || l.Updater != nil || l.Stats == nil {
-		t.Fatalf("chunked snapshot should load lazily: lazy=%v updater=%v", l.Lazy, l.Updater != nil)
+	if l.Updater != nil || l.Stats == nil {
+		t.Fatalf("snapshot should load lazily: updater=%v stats=%v", l.Updater != nil, l.Stats != nil)
 	}
 	if l.Stats.Rows != upd.Rows() || l.Stats.EncryptedRows != upd.Result().Encrypted.NumRows() {
 		t.Fatalf("index stats %+v do not match the dataset", l.Stats)
@@ -299,20 +294,14 @@ func TestReplaySkipsCoveredBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Write a snapshot covering seq ≤ 2 while bypassing SaveSnapshot's
-	// truncation — exactly the disk state after a crash between the two.
+	// Rotate in a snapshot covering seq ≤ 2 without SaveSnapshot's WAL
+	// compaction — exactly the disk state after a crash between the two.
 	keyEnc, err := sealKey(s.master, cfg.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := marshalSnapshot(&snapshotFile{
-		Version: snapshotVersionV1, ID: id, Name: "t", KeyEnc: keyEnc,
-		Config: configToFile(cfg), WALSeq: 2, Updater: upd.State(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, datasetsDir, id, snapshotName), data, 0o600); err != nil {
+	rec := record(id, cfg, upd, 2)
+	if err := s.rotateSnapshot(context.Background(), rec, keyEnc, rec.Updater.Sections()); err != nil {
 		t.Fatal(err)
 	}
 
