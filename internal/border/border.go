@@ -16,6 +16,14 @@
 // easy region, then the holes are enumerated as complements of the minimal
 // transversals of the discovered negative border, until a fixpoint proves
 // completeness.
+//
+// The minimal transversals are maintained incrementally. Every minimal
+// violating set is folded into the transversal family once, by a single
+// Berge step, when a downward walk discovers it; an advance round only
+// reads the family. Minimal violating sets form an antichain, so nothing
+// folded in is ever undone, and the Berge step of an antichain edge
+// yields an already-minimal family (see fold), so no global minimization
+// is needed.
 package border
 
 import (
@@ -32,12 +40,22 @@ type Finder struct {
 	cache    map[relation.AttrSet]bool
 	positive map[relation.AttrSet]bool // verified maximal satisfying sets
 	negative map[relation.AttrSet]bool // verified minimal violating sets
-	checked  int
+	// trans holds the minimal transversals of negative: every set in it
+	// meets every minimal violating set, and no proper subset does.
+	trans []relation.AttrSet
+	stats Stats
+}
+
+// Stats counts the work of one border search.
+type Stats struct {
+	Checks   int // predicate evaluations
+	Rounds   int // Dualize-&-Advance rounds
+	Negative int // minimal violating sets found: the final negative border
 }
 
 // Find returns the maximal subsets of universe satisfying pred, sorted,
-// along with the number of predicate evaluations performed.
-func Find(universe relation.AttrSet, pred func(relation.AttrSet) bool) ([]relation.AttrSet, int) {
+// along with the search's work counters.
+func Find(universe relation.AttrSet, pred func(relation.AttrSet) bool) ([]relation.AttrSet, Stats) {
 	f := &Finder{
 		universe: universe,
 		attrs:    universe.Attrs(),
@@ -45,6 +63,7 @@ func Find(universe relation.AttrSet, pred func(relation.AttrSet) bool) ([]relati
 		cache:    make(map[relation.AttrSet]bool),
 		positive: make(map[relation.AttrSet]bool),
 		negative: make(map[relation.AttrSet]bool),
+		trans:    []relation.AttrSet{0}, // the empty family's sole transversal
 	}
 	f.run()
 	var out []relation.AttrSet
@@ -52,7 +71,8 @@ func Find(universe relation.AttrSet, pred func(relation.AttrSet) bool) ([]relati
 		out = append(out, x)
 	}
 	relation.SortAttrSets(out)
-	return out, f.checked
+	f.stats.Negative = len(f.negative)
+	return out, f.stats
 }
 
 // eval classifies one node, consulting the known borders before calling
@@ -74,7 +94,7 @@ func (f *Finder) eval(x relation.AttrSet) bool {
 			return false
 		}
 	}
-	f.checked++
+	f.stats.Checks++
 	v := f.pred(x)
 	f.cache[x] = v
 	return v
@@ -97,7 +117,7 @@ func (f *Finder) run() {
 		if f.eval(x) {
 			f.walkUp(x)
 		} else {
-			f.negative[x] = true
+			f.addNegative(x)
 		}
 	}
 	// Phase 2: Dualize & Advance until no hole remains.
@@ -152,10 +172,71 @@ func (f *Finder) walkDown(x relation.AttrSet) {
 			}
 		}
 		if !descended {
-			f.negative[x] = true
+			f.addNegative(x)
 			return
 		}
 	}
+}
+
+// addNegative records a minimal violating set and folds it into the
+// transversal family. A walk may end on a set found before; only a new
+// one changes the family.
+func (f *Finder) addNegative(x relation.AttrSet) {
+	if f.negative[x] {
+		return
+	}
+	f.negative[x] = true
+	f.trans = fold(f.trans, x)
+}
+
+// fold is one step of Berge's algorithm: given the minimal transversals
+// of a hypergraph, it returns those of the hypergraph with edge e added.
+// The edges must form an antichain — e neither contains nor is contained
+// in an earlier edge — which minimal violating sets do: a downward walk
+// stops only where every immediate subset satisfies the predicate.
+//
+// A transversal t that meets e is kept. Every other t grows into t∪{v}
+// for each v ∈ e. No global minimization is needed: if a grown t∪{v}
+// contains a kept k, then v ∈ k (otherwise k ⊆ t, two distinct minimal
+// transversals of the old family), so only the kept sets containing v
+// are tested; and no grown set contains another, since the missed sets
+// are pairwise incomparable and contain no vertex of e.
+//
+// (Under a cancelled search, whose predicate turns constant-false, the
+// antichain can break. The family then still consists of transversals,
+// so every candidate still avoids every violating set found and the
+// search still terminates; its result is discarded anyway.)
+func fold(trans []relation.AttrSet, e relation.AttrSet) []relation.AttrSet {
+	var kept, missed []relation.AttrSet
+	for _, t := range trans {
+		if t.Overlaps(e) {
+			kept = append(kept, t)
+		} else {
+			missed = append(missed, t)
+		}
+	}
+	out := make([]relation.AttrSet, len(kept), len(kept)+len(missed)*e.Size())
+	copy(out, kept)
+	var withV []relation.AttrSet
+	for _, v := range e.Attrs() {
+		withV = withV[:0]
+		for _, k := range kept {
+			if k.Has(v) {
+				withV = append(withV, k)
+			}
+		}
+	grown:
+		for _, t := range missed {
+			g := t.Add(v)
+			for _, k := range withV {
+				if k.SubsetOf(g) {
+					continue grown
+				}
+			}
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // advance runs one Dualize-&-Advance round: enumerate the maximal sets
@@ -164,6 +245,7 @@ func (f *Finder) walkDown(x relation.AttrSet) {
 // violating candidate sharpens the negative border. Returns true while
 // progress is possible.
 func (f *Finder) advance() bool {
+	f.stats.Rounds++
 	progress := false
 	for _, cand := range f.maximalAvoiding() {
 		if f.positive[cand] {
@@ -180,52 +262,17 @@ func (f *Finder) advance() bool {
 	return progress
 }
 
-// maximalAvoiding enumerates the maximal subsets of the universe
-// containing no minimal violating set, as complements (within the
-// universe) of the minimal transversals of the negative border, via
-// Berge's incremental algorithm.
+// maximalAvoiding lists, sorted, the maximal subsets of the universe
+// containing no minimal violating set: the complements (within the
+// universe) of the minimal transversals of the negative border.
 func (f *Finder) maximalAvoiding() []relation.AttrSet {
-	trans := []relation.AttrSet{0}
-	for e := range f.negative {
-		var next []relation.AttrSet
-		for _, t := range trans {
-			if t.Overlaps(e) {
-				next = append(next, t)
-				continue
-			}
-			for _, v := range e.Attrs() {
-				next = append(next, t.Add(v))
-			}
-		}
-		trans = minimizeSets(next)
-	}
-	out := make([]relation.AttrSet, 0, len(trans))
-	for _, t := range trans {
+	out := make([]relation.AttrSet, 0, len(f.trans))
+	for _, t := range f.trans {
 		c := f.universe.Diff(t)
 		if !c.IsEmpty() {
 			out = append(out, c)
 		}
 	}
 	relation.SortAttrSets(out)
-	return out
-}
-
-// minimizeSets removes duplicates and supersets, keeping only the
-// inclusion-minimal sets.
-func minimizeSets(sets []relation.AttrSet) []relation.AttrSet {
-	relation.SortAttrSets(sets) // ascending size: minimal sets come first
-	var out []relation.AttrSet
-	for _, s := range sets {
-		keep := true
-		for _, t := range out {
-			if t == s || t.SubsetOf(s) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, s)
-		}
-	}
 	return out
 }

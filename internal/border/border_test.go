@@ -55,8 +55,9 @@ func downwardClosed(gens []relation.AttrSet) func(relation.AttrSet) bool {
 
 func TestFindMatchesBruteForceOnRandomPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	checks := 0
 	for trial := 0; trial < 300; trial++ {
-		m := 3 + rng.Intn(6) // universe of 3..8 attributes
+		m := 3 + rng.Intn(10) // universe of 3..12 attributes
 		universe := relation.FullAttrSet(m)
 		nGens := 1 + rng.Intn(5)
 		var gens []relation.AttrSet
@@ -70,11 +71,18 @@ func TestFindMatchesBruteForceOnRandomPredicates(t *testing.T) {
 			continue
 		}
 		pred := downwardClosed(gens)
-		got, _ := Find(universe, pred)
+		got, stats := Find(universe, pred)
 		want := bruteBorder(universe, pred)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (m=%d gens=%v):\n got %v\n want %v", trial, m, gens, got, want)
 		}
+		checks += stats.Checks
+	}
+	// The walks and rounds must classify exactly the nodes a from-scratch
+	// dualization does: this total was measured with the transversal
+	// family rebuilt by Berge + minimization on every round.
+	if checks != 12395 {
+		t.Errorf("predicate evaluations over all trials = %d, want 12395", checks)
 	}
 }
 
@@ -100,12 +108,12 @@ func TestFindEdgeCases(t *testing.T) {
 		t.Errorf("false predicate: %v", got)
 	}
 	// Everything satisfies: border is the universe (fast path).
-	got, checked := Find(relation.FullAttrSet(4), func(relation.AttrSet) bool { return true })
+	got, stats := Find(relation.FullAttrSet(4), func(relation.AttrSet) bool { return true })
 	if len(got) != 1 || got[0] != relation.FullAttrSet(4) {
 		t.Errorf("true predicate: %v", got)
 	}
-	if checked != 1 {
-		t.Errorf("fast path evaluated %d nodes, want 1", checked)
+	if stats != (Stats{Checks: 1}) {
+		t.Errorf("fast path stats = %+v, want one check and no rounds", stats)
 	}
 }
 
@@ -117,7 +125,8 @@ func TestFindCountsChecks(t *testing.T) {
 		calls++
 		return downwardClosed(gens)(x)
 	}
-	_, checked := Find(universe, pred)
+	_, stats := Find(universe, pred)
+	checked := stats.Checks
 	if checked != calls {
 		t.Errorf("Checked = %d, actual predicate calls = %d", checked, calls)
 	}
@@ -125,6 +134,82 @@ func TestFindCountsChecks(t *testing.T) {
 	// lattice.
 	if checked >= 63 {
 		t.Errorf("border search evaluated %d of 63 nodes — no pruning", checked)
+	}
+}
+
+// minimizeSets removes duplicates and supersets, keeping only the
+// inclusion-minimal sets.
+func minimizeSets(sets []relation.AttrSet) []relation.AttrSet {
+	relation.SortAttrSets(sets) // ascending size: minimal sets come first
+	var out []relation.AttrSet
+	for _, s := range sets {
+		keep := true
+		for _, t := range out {
+			if t == s || t.SubsetOf(s) {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// bergeFromScratch computes the minimal transversals of edges by the
+// textbook Berge algorithm, minimizing after every edge: the reference
+// the incremental fold must reproduce.
+func bergeFromScratch(edges []relation.AttrSet) []relation.AttrSet {
+	trans := []relation.AttrSet{0}
+	for _, e := range edges {
+		var next []relation.AttrSet
+		for _, t := range trans {
+			if t.Overlaps(e) {
+				next = append(next, t)
+				continue
+			}
+			for _, v := range e.Attrs() {
+				next = append(next, t.Add(v))
+			}
+		}
+		trans = minimizeSets(next)
+	}
+	return trans
+}
+
+func TestFoldMatchesBergeFromScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(16) // universe of 1..16 attributes
+		maxSize := 1 + rng.Intn(m)
+		trans := []relation.AttrSet{0}
+		var edges []relation.AttrSet
+		// Draw edges until there are 12 or the small universes saturate.
+		for attempt := 0; len(edges) < 12 && attempt < 100; attempt++ {
+			var e relation.AttrSet
+			for size := 1 + rng.Intn(maxSize); e.Size() < size; {
+				e = e.Add(rng.Intn(m))
+			}
+			// Keep the edges an antichain, as minimal violating sets are.
+			comparable := false
+			for _, old := range edges {
+				if old.SubsetOf(e) || e.SubsetOf(old) {
+					comparable = true
+					break
+				}
+			}
+			if comparable {
+				continue
+			}
+			edges = append(edges, e)
+			trans = fold(trans, e)
+			got := append([]relation.AttrSet(nil), trans...)
+			relation.SortAttrSets(got)
+			if want := bergeFromScratch(edges); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (m=%d) after folding %v:\n got  %v\n want %v", trial, m, edges, got, want)
+			}
+		}
 	}
 }
 

@@ -158,6 +158,8 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	sp.SetAttr("rows", t.NumRows())
 	sp.SetAttr("mas", len(disc.Sets))
 	sp.SetAttr("uniquenessChecks", disc.Checked)
+	sp.SetAttr("borderRounds", disc.Border.Rounds)
+	sp.SetAttr("negativeBorder", disc.Border.Negative)
 	sp.End()
 	res.Report.TimeMAX = time.Since(start)
 
@@ -215,6 +217,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	sp.SetAttr("fpNodes", res.Report.FPNodes)
 	sp.SetAttr("fpPatterns", res.Report.FPPatterns)
 	sp.SetAttr("fpRows", res.Report.FPRows)
+	sp.SetAttr("borderChecks", res.Report.FPChecks)
 	sp.End()
 	res.Report.TimeFP = time.Since(start)
 

@@ -112,6 +112,7 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		w *fpWitness
 	}
 	found := make([][]fpFound, t.NumAttrs())
+	checks := make([]int, t.NumAttrs())
 	err := e.pool.ForEach(ctx, t.NumAttrs(), func(ctx context.Context, y int) error {
 		universe := relation.AttrSet(0)
 		for _, m := range masSets {
@@ -124,7 +125,7 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 			return nil
 		}
 		cache := make(map[fpNode]*fpWitness)
-		sets, _ := border.Find(universe, func(x relation.AttrSet) bool {
+		sets, stats := border.Find(universe, func(x relation.AttrSet) bool {
 			// A cancelled ctx makes the oracle constant-false so the
 			// border search drains quickly; the ctx.Err() check after
 			// Find discards the bogus result.
@@ -149,6 +150,7 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		for _, x := range sets {
 			found[y] = append(found[y], fpFound{x, cache[fpNode{x, y}]})
 		}
+		checks[y] = stats.Checks
 		return nil
 	})
 	if err != nil {
@@ -161,6 +163,7 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 	patterns := make(map[relation.AttrSet]bool)
 	var jobs []fpWitness
 	for y := range found {
+		res.Report.FPChecks += checks[y]
 		for _, f := range found[y] {
 			res.Report.FPNodes++
 			if p := agreementPattern(t, f.w.ri, f.w.rj); !patterns[p] {

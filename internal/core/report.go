@@ -42,6 +42,7 @@ type Report struct {
 	ConflictTuples int // original tuples that triggered type-2 resolution
 	FPNodes        int // maximal violated lattice nodes
 	FPPatterns     int // distinct agreement patterns given a k-pair set; FPRows = 2k·FPPatterns
+	FPChecks       int // Step-4 border-search predicate evaluations, summed over every RHS attribute
 
 	// Update-path work measures, set by both the full pipeline and the
 	// incremental engine so the amortization benchmarks can compare them.

@@ -38,6 +38,9 @@ type Result struct {
 	// Checked counts uniqueness checks performed (work measure for the
 	// DUCC-vs-levelwise ablation).
 	Checked int
+	// Border holds the border search's counters (Discover only; zero
+	// for the levelwise sweep and for MaintainBorder).
+	Border border.Stats
 	// postings caches MaintainBorder's per-column value index so
 	// back-to-back incremental maintains skip the O(n·m) rebuild. Shared
 	// across a Result lineage; the rows guard makes a stale copy (an
@@ -97,14 +100,15 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 		return r, nil
 	}
 	coded := relation.Encode(t)
-	sets, checked := border.Find(relation.FullAttrSet(t.NumAttrs()), func(x relation.AttrSet) bool {
+	sets, stats := border.Find(relation.FullAttrSet(t.NumAttrs()), func(x relation.AttrSet) bool {
 		return ctx.Err() == nil && coded.HasDuplicateOn(x)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mas: discovery: %w", err)
 	}
 	r.Sets = sets
-	r.Checked = checked
+	r.Checked = stats.Checks
+	r.Border = stats
 	for _, x := range r.Sets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mas: discovery: %w", err)

@@ -2,9 +2,10 @@ package relation
 
 // Coded is a dictionary-encoded view of a table: every column's values are
 // mapped to dense int32 codes. Duplicate-projection checks — the inner
-// loop of MAS discovery — then hash fixed-width integer tuples instead of
-// variable-length strings, which is several times faster on wide
-// projections.
+// loop of MAS discovery — then hash one exact uint64 per row, the
+// mixed-radix number its codes spell, instead of a variable-length
+// string; only a projection whose cardinality product overflows 63 bits
+// falls back to hashing the packed codes.
 type Coded struct {
 	n     int
 	cols  [][]int32
@@ -67,6 +68,47 @@ func (c *Coded) HasDuplicateOn(attrs AttrSet) bool {
 	if len(cols) == 1 {
 		return c.cards[cols[0]] < c.n
 	}
+	if c.radixFits(cols) {
+		return c.hasDuplicateRadix(cols)
+	}
+	return c.hasDuplicateBytes(cols)
+}
+
+// radixFits reports whether the mixed-radix key over cols — digit a
+// ranging over column a's codes — fits in 63 bits, i.e. whether the
+// product of the columns' cardinalities is at most 1<<63.
+func (c *Coded) radixFits(cols []int) bool {
+	var product uint64 = 1
+	for _, a := range cols {
+		card := uint64(c.cards[a])
+		if product > (1<<63)/card {
+			return false
+		}
+		product *= card
+	}
+	return true
+}
+
+// hasDuplicateRadix keys each row by its exact mixed-radix uint64: two
+// rows get the same key iff they agree on every column of cols.
+func (c *Coded) hasDuplicateRadix(cols []int) bool {
+	seen := make(map[uint64]struct{}, c.n)
+	for i := 0; i < c.n; i++ {
+		var key uint64
+		for _, a := range cols {
+			key = key*uint64(c.cards[a]) + uint64(c.cols[a][i])
+		}
+		if _, dup := seen[key]; dup {
+			return true
+		}
+		seen[key] = struct{}{}
+	}
+	return false
+}
+
+// hasDuplicateBytes keys each row by its codes packed into a byte string:
+// the fallback when the mixed-radix key would overflow.
+func (c *Coded) hasDuplicateBytes(cols []int) bool {
 	seen := make(map[string]struct{}, c.n)
 	key := make([]byte, 0, 4*len(cols))
 	for i := 0; i < c.n; i++ {

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,63 @@ func TestCodedMatchesTableDuplicates(t *testing.T) {
 				t.Fatalf("trial %d: disagreement on %v\n%v", trial, mask, tbl)
 			}
 		}
+	}
+}
+
+// TestRadixKeyMatchesByteKey checks the mixed-radix duplicate scan
+// against the byte-string fallback on random tables, and the overflow
+// test that picks between them on a table whose full cardinality product
+// exceeds 63 bits.
+func TestRadixKeyMatchesByteKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 200; trial++ {
+		attrs := 2 + rng.Intn(5)
+		c := Encode(randomCodedTable(rng, attrs, 2+rng.Intn(60), 1+rng.Intn(8)))
+		for mask := AttrSet(1); mask <= FullAttrSet(attrs); mask++ {
+			cols := mask.Attrs()
+			if !c.radixFits(cols) {
+				t.Fatalf("trial %d: small product on %v reported as overflowing", trial, mask)
+			}
+			if c.hasDuplicateRadix(cols) != c.hasDuplicateBytes(cols) {
+				t.Fatalf("trial %d: radix and byte keys disagree on %v", trial, mask)
+			}
+		}
+	}
+
+	// Six columns of about 2000 distinct values over 3000 rows: four
+	// columns fit in 63 bits (2000⁴ ≈ 2⁴⁴), all six do not (2000⁶ ≈ 2⁶⁶).
+	// Every third row repeats its predecessor on the first five columns,
+	// so wide projections have duplicates only if the sixth is left out.
+	tbl := NewTable(MustSchema("A", "B", "C", "D", "E", "F"))
+	var prev []string
+	for r := 0; r < 3000; r++ {
+		row := make([]string, 6)
+		for a := range row {
+			row[a] = string(rune('a'+a)) + strconv.Itoa(rng.Intn(100000))
+		}
+		if r%3 == 2 {
+			copy(row, prev[:5])
+		}
+		tbl.AppendRow(row)
+		prev = row
+	}
+	c := Encode(tbl)
+	full := FullAttrSet(6)
+	if c.radixFits(full.Attrs()) {
+		t.Fatalf("cardinalities %v: full product should overflow 63 bits", c.cards)
+	}
+	for mask := AttrSet(1); mask <= full; mask++ {
+		cols := mask.Attrs()
+		want := c.hasDuplicateBytes(cols)
+		if c.radixFits(cols) && c.hasDuplicateRadix(cols) != want {
+			t.Fatalf("radix and byte keys disagree on %v", mask)
+		}
+		if c.HasDuplicateOn(mask) != want || tbl.HasDuplicateOn(mask) != want {
+			t.Fatalf("HasDuplicateOn(%v) disagrees with the byte key (%v)", mask, want)
+		}
+	}
+	if !c.HasDuplicateOn(NewAttrSet(0, 1, 2, 3, 4)) || c.HasDuplicateOn(full) {
+		t.Fatal("planted duplicates not classified")
 	}
 }
 
