@@ -380,6 +380,7 @@ func BenchmarkCipherCell(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("prob-encrypt", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pc.EncryptCell("1996-03-14"); err != nil {
 				b.Fatal(err)
@@ -387,12 +388,14 @@ func BenchmarkCipherCell(b *testing.B) {
 		}
 	})
 	b.Run("instance-encrypt", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pc.EncryptInstance("mas:{A1}|attr:1", "1996-03-14", uint64(i&1))
 		}
 	})
 	ct, _ := pc.EncryptCell("1996-03-14")
 	b.Run("decrypt", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pc.DecryptCell(ct); err != nil {
 				b.Fatal(err)

@@ -36,31 +36,31 @@ func NewDecryptor(cfg Config) (*Decryptor, error) {
 // large decryption can be cancelled.
 //
 // Cell decryption is pure, so the rows are sharded across
-// Config.Parallelism workers and written straight to their final
-// positions — the output table is identical at every parallelism.
+// Config.Parallelism workers, each opening cells with its own kernel and
+// writing them straight into the pre-sized output table — the output is
+// identical at every parallelism.
 func (d *Decryptor) DecryptTable(ctx context.Context, t *relation.Table) (*relation.Table, error) {
 	ctx, sp := obs.Start(ctx, "decrypt.table")
 	sp.SetAttr("rows", t.NumRows())
 	defer sp.End()
 	n := t.NumRows()
 	m := t.NumAttrs()
-	rows := make([][]string, n)
+	out := relation.NewTableRows(t.Schema().Clone(), n)
 	decryptRange := func(ctx context.Context, lo, hi int) error {
+		kern := d.cipher.NewKernel()
 		for i := lo; i < hi; i++ {
 			if (i-lo)%1024 == 0 {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: decrypt: %w", err)
 				}
 			}
-			row := make([]string, m)
 			for a := 0; a < m; a++ {
-				p, err := d.cipher.DecryptCell(t.Cell(i, a))
+				p, err := kern.Open(t.Cell(i, a))
 				if err != nil {
 					return fmt.Errorf("core: decrypting cell (%d,%d): %w", i, a, err)
 				}
-				row[a] = p
+				out.SetCell(i, a, p)
 			}
-			rows[i] = row
 		}
 		return nil
 	}
@@ -75,12 +75,6 @@ func (d *Decryptor) DecryptTable(ctx context.Context, t *relation.Table) (*relat
 		}
 	} else if err := decryptRange(ctx, 0, n); err != nil {
 		return nil, err
-	}
-	out := relation.NewTable(t.Schema().Clone())
-	for _, row := range rows {
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -99,47 +93,51 @@ func (d *Decryptor) Recover(ctx context.Context, res *Result) (*relation.Table, 
 		return nil, err
 	}
 	m := enc.NumAttrs()
-
-	// Gather original rows by source index.
-	rows := make(map[int][]string)
+	// Every source row is carried by at least one encrypted row, so valid
+	// provenance never names a source row at or past len(Origins).
+	// Provenance can come from a file, so anything else is an error.
 	maxSrc := -1
 	for i, o := range res.Origins {
+		if o.Kind != RowOriginal && o.Kind != RowConflictPart {
+			continue
+		}
+		if o.SourceRow < 0 || o.SourceRow >= len(res.Origins) {
+			return nil, fmt.Errorf("core: provenance row %d names source row %d, out of range", i, o.SourceRow)
+		}
+		maxSrc = max(maxSrc, o.SourceRow)
+	}
+
+	// Copy each source row's cells into place, recording which
+	// attributes the encrypted rows carried.
+	out := relation.NewTableRows(enc.Schema().Clone(), maxSrc+1)
+	seen := make([]bool, maxSrc+1)
+	carried := make([]relation.AttrSet, maxSrc+1)
+	for i, o := range res.Origins {
+		var attrs relation.AttrSet
 		switch o.Kind {
 		case RowOriginal:
-			rows[o.SourceRow] = plain.Row(i)
-			if o.SourceRow > maxSrc {
-				maxSrc = o.SourceRow
-			}
+			attrs = relation.FullAttrSet(m)
 		case RowConflictPart:
-			r, ok := rows[o.SourceRow]
-			if !ok {
-				r = make([]string, m)
-				for a := range r {
-					r[a] = markerPrefix // placeholder until a part carries it
-				}
-				rows[o.SourceRow] = r
-			}
-			for _, a := range o.Carried.Attrs() {
-				r[a] = plain.Cell(i, a)
-			}
-			if o.SourceRow > maxSrc {
-				maxSrc = o.SourceRow
+			attrs = o.Carried
+		default:
+			continue
+		}
+		for a := 0; a < m; a++ {
+			if attrs.Has(a) {
+				out.SetCell(o.SourceRow, a, plain.Cell(i, a))
 			}
 		}
+		seen[o.SourceRow] = true
+		carried[o.SourceRow] = carried[o.SourceRow].Union(attrs)
 	}
-	out := relation.NewTable(enc.Schema().Clone())
-	for src := 0; src <= maxSrc; src++ {
-		r, ok := rows[src]
-		if !ok {
+	for src, have := range carried {
+		if !seen[src] {
 			return nil, fmt.Errorf("core: no encrypted row carries source row %d", src)
 		}
-		for a, v := range r {
-			if IsArtificialValue(v) || v == markerPrefix {
+		for a := 0; a < m; a++ {
+			if !have.Has(a) || IsArtificialValue(out.Cell(src, a)) {
 				return nil, fmt.Errorf("core: source row %d attribute %d not carried by any part", src, a)
 			}
-		}
-		if err := out.AppendRow(r); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

@@ -143,3 +143,24 @@ func TestRecoverRejectsMismatchedProvenance(t *testing.T) {
 		t.Fatal("short provenance accepted")
 	}
 }
+
+// TestRecoverRejectsOutOfRangeSourceRow: provenance can be read from a
+// file, so a source row index outside the table is an error, not a panic
+// or an allocation sized by the bad index.
+func TestRecoverRejectsOutOfRangeSourceRow(t *testing.T) {
+	tbl := figure2Table()
+	cfg := testConfig(0.25)
+	res := encryptTable(t, tbl, cfg)
+	dec, err := NewDecryptor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []int{-1, len(res.Origins), 1 << 40} {
+		origins := append([]RowOrigin(nil), res.Origins...)
+		origins[0].SourceRow = src
+		broken := &Result{Encrypted: res.Encrypted, Origins: origins}
+		if _, err := dec.Recover(context.Background(), broken); err == nil {
+			t.Errorf("source row %d accepted", src)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"f2/internal/crypt"
@@ -281,13 +281,13 @@ func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int)
 }
 
 // fillInstanceCiphers encrypts every instance's representative over the
-// MAS attributes, sharded one ECG per pool task. The tweak binds (MAS,
-// attribute, EC representative) so that: distinct instances of one EC
-// differ on every attribute (Requirement 2), and equal plaintext values
-// appearing in different ECs — hence in different ECGs — never share a
-// ciphertext (§3.2.2).
+// MAS attributes, sharded one ECG per pool task, each task sealing with
+// its own kernel. The tweak binds (MAS, attribute, EC representative) so
+// that: distinct instances of one EC differ on every attribute
+// (Requirement 2), and equal plaintext values appearing in different ECs —
+// hence in different ECGs — never share a ciphertext (§3.2.2).
 //
-// EncryptInstance is a pure function of (key, tweak, value, index), so the
+// SealInstance is a pure function of (key, tweak, value, index), so the
 // fill parallelizes across ECGs without affecting determinism: the same
 // key always produces the same ciphertext table.
 func (e *Encryptor) fillInstanceCiphers(ctx context.Context, plans []*masPlan) error {
@@ -305,9 +305,10 @@ func (e *Encryptor) fillInstanceCiphers(ctx context.Context, plans []*masPlan) e
 	}
 	err := e.pool.ForEach(ctx, len(tasks), func(ctx context.Context, i int) error {
 		tk := tasks[i]
+		kern := e.cipher.NewKernel()
 		for _, mem := range tk.g.members {
 			for _, inst := range mem.instances {
-				e.fillOneInstance(tk.masTag, tk.cols, mem, inst)
+				fillOneInstance(kern, tk.masTag, tk.cols, mem, inst)
 			}
 		}
 		return nil
@@ -318,30 +319,48 @@ func (e *Encryptor) fillInstanceCiphers(ctx context.Context, plans []*masPlan) e
 	return nil
 }
 
-func (e *Encryptor) fillOneInstance(masTag string, cols []int, mem *ecMember, inst *ecInstance) {
-	repKey := strings.Join(mem.rep, "\x1f")
+// fillOneInstance seals inst's representative on every MAS attribute
+// under the tweak "mas:<MAS>|attr:<a>|rep:<rep values joined by 0x1f>".
+func fillOneInstance(kern *crypt.Kernel, masTag string, cols []int, mem *ecMember, inst *ecInstance) {
 	for ai, a := range cols {
-		tweak := fmt.Sprintf("mas:%s|attr:%d|rep:%s", masTag, a, repKey)
-		inst.cipher[a] = e.cipher.EncryptInstance(tweak, mem.rep[ai], uint64(inst.idx))
+		kern.Tweak = append(kern.Tweak[:0], "mas:"...)
+		kern.Tweak = append(kern.Tweak, masTag...)
+		kern.Tweak = append(kern.Tweak, "|attr:"...)
+		kern.Tweak = strconv.AppendInt(kern.Tweak, int64(a), 10)
+		kern.Tweak = append(kern.Tweak, "|rep:"...)
+		for vi, v := range mem.rep {
+			if vi > 0 {
+				kern.Tweak = append(kern.Tweak, '\x1f')
+			}
+			kern.Tweak = append(kern.Tweak, v...)
+		}
+		inst.cipher[a] = kern.SealInstance(mem.rep[ai], uint64(inst.idx))
 	}
 }
 
 // singletonCipher encrypts a cell that is not governed by any grouped
 // instance: cells of singleton equivalence classes and cells of attributes
-// outside every MAS. The tweak is the row identity, so two overlapping
-// MASs that both see the row as a singleton agree on the shared attribute
-// (avoiding spurious type-2 conflicts), while distinct rows always get
-// distinct ciphertexts.
-func (e *Encryptor) singletonCipher(row, attr int, plain string) string {
-	return e.cipher.EncryptInstance(fmt.Sprintf("row:%d|attr:%d", row, attr), plain, uint64(row))
+// outside every MAS. The tweak "row:<row>|attr:<attr>" is the row
+// identity, so two overlapping MASs that both see the row as a singleton
+// agree on the shared attribute (avoiding spurious type-2 conflicts),
+// while distinct rows always get distinct ciphertexts.
+func singletonCipher(kern *crypt.Kernel, row, attr int, plain string) string {
+	kern.Tweak = append(kern.Tweak[:0], "row:"...)
+	kern.Tweak = strconv.AppendInt(kern.Tweak, int64(row), 10)
+	kern.Tweak = append(kern.Tweak, "|attr:"...)
+	kern.Tweak = strconv.AppendInt(kern.Tweak, int64(attr), 10)
+	return kern.SealInstance(plain, uint64(row))
 }
 
-// freshCipherM encrypts a freshly minted marker value drawn from mint;
-// each call produces a ciphertext unique in the output table. Emission
-// shards pass their own offset minter; serial paths pass e.mint.
-func (e *Encryptor) freshCipherM(mint *freshMinter, attr int) string {
+// freshCipherM encrypts a freshly minted marker value drawn from mint
+// under the tweak "fresh|attr:<attr>"; each call produces a ciphertext
+// unique in the output table. Emission shards pass their own offset
+// minter and kernel; serial paths pass e.mint.
+func freshCipherM(kern *crypt.Kernel, mint *freshMinter, attr int) string {
 	v := mint.value()
-	return e.cipher.EncryptInstance(fmt.Sprintf("fresh|attr:%d", attr), v, 0)
+	kern.Tweak = append(kern.Tweak[:0], "fresh|attr:"...)
+	kern.Tweak = strconv.AppendInt(kern.Tweak, int64(attr), 10)
+	return kern.SealInstance(v, 0)
 }
 
 // emitOriginalRows writes the original tuples with indices in [lo, hi),
@@ -364,7 +383,7 @@ func (e *Encryptor) emitOriginalRows(ctx context.Context, t *relation.Table, pla
 		prefix = prefixSums(counts)
 	}
 	m := t.NumAttrs()
-	return e.runEmitShards(ctx, n, prefix, out, res, func(s *emitSink, slo, shi int, mint *freshMinter) error {
+	return e.runEmitShards(ctx, n, prefix, out, res, func(s *emitSink, slo, shi int, mint *freshMinter, kern *crypt.Kernel) error {
 		row := make([]string, m)
 		for r := slo; r < shi; r++ {
 			if (r-slo)%64 == 0 {
@@ -372,15 +391,16 @@ func (e *Encryptor) emitOriginalRows(ctx context.Context, t *relation.Table, pla
 					return err
 				}
 			}
-			e.emitOneOriginalRow(t, plans, lo+r, row, mint, s)
+			e.emitOneOriginalRow(t, plans, lo+r, row, mint, kern, s)
 		}
 		return nil
 	})
 }
 
-// emitOneOriginalRow emits the part(s) of original row r into the sink.
-// row is a scratch buffer of width NumAttrs.
-func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r int, row []string, mint *freshMinter, s *emitSink) {
+// emitOneOriginalRow emits the part(s) of original row r into the sink,
+// sealing with the shard's kernel kern. row is a scratch buffer of width
+// NumAttrs.
+func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r int, row []string, mint *freshMinter, kern *crypt.Kernel, s *emitSink) {
 	m := t.NumAttrs()
 	// Collect the MASs holding a grouped (non-singleton) instance for
 	// this row; only they impose ciphertexts that can conflict.
@@ -402,11 +422,11 @@ func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r in
 			case pi == 0 && !groupedElsewhere(grouped, part, a):
 				// Primary part: attributes not claimed by any grouped
 				// MAS keep their (singleton-encrypted) real value.
-				row[a] = e.singletonCipher(r, a, t.Cell(r, a))
+				row[a] = singletonCipher(kern, r, a, t.Cell(r, a))
 				carried = carried.Add(a)
 			default:
 				// Fresh filler (the v_X / v_Y values of §3.3.2).
-				row[a] = e.freshCipherM(mint, a)
+				row[a] = freshCipherM(kern, mint, a)
 			}
 		}
 		s.rows = append(s.rows, s.copyRow(row))

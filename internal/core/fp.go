@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"f2/internal/border"
+	"f2/internal/crypt"
 	"f2/internal/relation"
 )
 
@@ -309,20 +310,21 @@ func (e *Encryptor) emitFPJobs(ctx context.Context, t *relation.Table, jobs []fp
 		}
 		prefix = prefixSums(counts)
 	}
-	return e.runEmitShards(ctx, len(jobs), prefix, out, res, func(s *emitSink, lo, hi int, mint *freshMinter) error {
+	return e.runEmitShards(ctx, len(jobs), prefix, out, res, func(s *emitSink, lo, hi int, mint *freshMinter, kern *crypt.Kernel) error {
 		for ji := lo; ji < hi; ji++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			e.emitFPPairs(t, jobs[ji].ri, jobs[ji].rj, mint, s)
+			e.emitFPPairs(t, jobs[ji].ri, jobs[ji].rj, mint, kern, s)
 		}
 		return nil
 	})
 }
 
 // emitFPPairs inserts k = ⌈1/α⌉ artificial record pairs replicating the
-// agreement pattern of the template rows (ri, rj) with fresh values.
-func (e *Encryptor) emitFPPairs(t *relation.Table, ri, rj int, mint *freshMinter, s *emitSink) {
+// agreement pattern of the template rows (ri, rj) with fresh values,
+// sealed with the caller's kernel kern.
+func (e *Encryptor) emitFPPairs(t *relation.Table, ri, rj int, mint *freshMinter, kern *crypt.Kernel, s *emitSink) {
 	m := t.NumAttrs()
 	k := e.cfg.K()
 	for i := 0; i < k; i++ {
@@ -330,11 +332,11 @@ func (e *Encryptor) emitFPPairs(t *relation.Table, ri, rj int, mint *freshMinter
 		r2 := make([]string, m)
 		for a := 0; a < m; a++ {
 			if t.Cell(ri, a) == t.Cell(rj, a) {
-				c := e.freshCipherM(mint, a)
+				c := freshCipherM(kern, mint, a)
 				r1[a], r2[a] = c, c
 			} else {
-				r1[a] = e.freshCipherM(mint, a)
-				r2[a] = e.freshCipherM(mint, a)
+				r1[a] = freshCipherM(kern, mint, a)
+				r2[a] = freshCipherM(kern, mint, a)
 			}
 		}
 		s.rows = append(s.rows, r1, r2)

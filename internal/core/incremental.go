@@ -427,6 +427,7 @@ func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relati
 	relation.SortAttrSets(agreeSets)
 	patterns := prev
 	var sink emitSink
+	kern := e.cipher.NewKernel()
 	for i := len(agreeSets) - 1; i >= 0; i-- {
 		a := agreeSets[i]
 		if patterns[a] {
@@ -460,7 +461,7 @@ func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relati
 		res.Report.FPNodes += len(uncovered)
 		res.Report.FPPatterns++
 		pair := agreements[a]
-		e.emitFPPairs(t, pair[0], pair[1], e.mint, &sink)
+		e.emitFPPairs(t, pair[0], pair[1], e.mint, kern, &sink)
 	}
 	sink.mergeInto(out, res)
 	return patterns

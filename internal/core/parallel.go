@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"f2/internal/crypt"
 	"f2/internal/obs"
 	"f2/internal/relation"
 )
@@ -113,14 +114,15 @@ func (e *Encryptor) emitChunks(n int) int {
 }
 
 // runEmitShards is the shared shard driver: it splits n units into
-// chunks, runs emit(shard, unit range, minter) on the pool for each, and
+// chunks, runs emit(shard, unit range, minter, kernel) on the pool for
+// each — every shard sealing with a kernel of its own — and
 // merges the sinks in order. freshPrefix[i] must hold the number of
 // fresh values the serial path mints before unit i (freshPrefix[n] =
 // total); with a single shard it may be nil and the encryptor's live
 // minter is used directly. Each multi-shard emit call is audited against
 // its minting budget; on any error the output table and result are left
 // untouched.
-func (e *Encryptor) runEmitShards(ctx context.Context, n int, freshPrefix []uint64, out *relation.Table, res *Result, emit func(s *emitSink, lo, hi int, mint *freshMinter) error) error {
+func (e *Encryptor) runEmitShards(ctx context.Context, n int, freshPrefix []uint64, out *relation.Table, res *Result, emit func(s *emitSink, lo, hi int, mint *freshMinter, kern *crypt.Kernel) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -137,7 +139,7 @@ func (e *Encryptor) runEmitShards(ctx context.Context, n int, freshPrefix []uint
 		if len(ranges) > 1 {
 			mint = &freshMinter{n: base + freshPrefix[rng[0]]}
 		}
-		if err := emit(&sinks[si], rng[0], rng[1], mint); err != nil {
+		if err := emit(&sinks[si], rng[0], rng[1], mint, e.cipher.NewKernel()); err != nil {
 			return err
 		}
 		if len(ranges) > 1 {
@@ -239,7 +241,7 @@ func (e *Encryptor) emitPaddingJobs(ctx context.Context, jobs []padJob, out *rel
 		}
 		prefix = prefixSums(counts)
 	}
-	return e.runEmitShards(ctx, len(jobs), prefix, out, res, func(s *emitSink, lo, hi int, mint *freshMinter) error {
+	return e.runEmitShards(ctx, len(jobs), prefix, out, res, func(s *emitSink, lo, hi int, mint *freshMinter, kern *crypt.Kernel) error {
 		row := make([]string, m)
 		for ji := lo; ji < hi; ji++ {
 			if (ji-lo)%64 == 0 {
@@ -253,7 +255,7 @@ func (e *Encryptor) emitPaddingJobs(ctx context.Context, jobs []padJob, out *rel
 					if j.plan.attrs.Has(a) {
 						row[a] = j.inst.cipher[a]
 					} else {
-						row[a] = e.freshCipherM(mint, a)
+						row[a] = freshCipherM(kern, mint, a)
 					}
 				}
 				s.rows = append(s.rows, s.copyRow(row))

@@ -8,6 +8,13 @@
 //   - a from-scratch Paillier cryptosystem on math/big matching the
 //     paper's probabilistic asymmetric baseline.
 //
+// The probabilistic and deterministic ciphers share one seal/open
+// implementation, Kernel: per-goroutine state (a keyed HMAC reset between
+// cells, inline AES-CTR over the block cipher, base64 scratch) that seals
+// or opens a cell with one allocation, the result string. Hot loops hold a
+// kernel per worker; the ProbCipher and DetCipher methods are one-shot
+// wrappers that borrow a pooled kernel.
+//
 // Everything is stdlib-only. Ciphertexts are base64url strings so they can
 // live in ordinary relational cells and be compared for equality by the
 // server.

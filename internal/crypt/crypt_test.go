@@ -1,8 +1,17 @@
 package crypt
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/binary"
+	"io"
 	"math/big"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,4 +275,171 @@ func TestKeyTextRoundTrip(t *testing.T) {
 			t.Errorf("UnmarshalText(%q) accepted", bad)
 		}
 	}
+}
+
+// The reference cell cipher: the straightforward construction Kernel
+// replaces, with a fresh HMAC and a crypto/cipher CTR stream per cell.
+// FuzzCellKernel holds the kernel to byte equality with it.
+
+func refKeystream(key Key, prf PRF, r []byte, buf []byte) {
+	switch prf {
+	case PRFAESCTR:
+		block, err := aes.NewCipher(key[:])
+		if err != nil {
+			panic(err)
+		}
+		cipher.NewCTR(block, r).XORKeyStream(buf, buf)
+	case PRFHMAC:
+		var ctr [8]byte
+		for counter, off := uint64(0), 0; off < len(buf); counter++ {
+			mac := hmac.New(sha256.New, key[:])
+			mac.Write(r)
+			binary.BigEndian.PutUint64(ctr[:], counter)
+			mac.Write(ctr[:])
+			ks := mac.Sum(nil)
+			n := min(len(buf)-off, len(ks))
+			for i := 0; i < n; i++ {
+				buf[off+i] ^= ks[i]
+			}
+			off += n
+		}
+	}
+}
+
+func refSeal(key Key, prf PRF, r []byte, plain string) string {
+	out := make([]byte, NonceSize+len(plain))
+	copy(out, r[:NonceSize])
+	body := out[NonceSize:]
+	copy(body, plain)
+	refKeystream(key, prf, r[:NonceSize], body)
+	return base64.RawURLEncoding.EncodeToString(out)
+}
+
+func refLenPrefixed(w io.Writer, b []byte) {
+	var l [4]byte
+	binary.BigEndian.PutUint32(l[:], uint32(len(b)))
+	w.Write(l[:])
+	w.Write(b)
+}
+
+func refSealInstance(key Key, prf PRF, tweak, plain string, instance uint64) string {
+	mac := hmac.New(sha256.New, key[:])
+	var inst [8]byte
+	binary.BigEndian.PutUint64(inst[:], instance)
+	refLenPrefixed(mac, []byte(tweak))
+	refLenPrefixed(mac, []byte(plain))
+	mac.Write(inst[:])
+	return refSeal(key, prf, mac.Sum(nil), plain)
+}
+
+func refSealDet(key Key, plain string) string {
+	mac := hmac.New(sha256.New, key[:])
+	mac.Write([]byte("det-siv"))
+	mac.Write([]byte(plain))
+	return refSeal(key, PRFAESCTR, mac.Sum(nil), plain)
+}
+
+func refOpen(key Key, prf PRF, ct string) (string, error) {
+	raw, err := base64.RawURLEncoding.DecodeString(ct)
+	if err != nil || len(raw) < NonceSize {
+		return "", ErrCiphertext
+	}
+	body := append([]byte(nil), raw[NonceSize:]...)
+	refKeystream(key, prf, raw[:NonceSize], body)
+	return string(body), nil
+}
+
+// FuzzCellKernel checks that a long-lived Kernel seals and opens exactly
+// like the reference cipher for both PRFs: the same ciphertext for every
+// (tweak, plaintext, instance) and for every caller-chosen nonce, and the
+// same plaintext — or the same refusal — for every input to Open.
+func FuzzCellKernel(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xff}, NonceSize)
+	long := strings.Repeat("0123456789abcdef", 3) + "x" // three blocks and a tail
+	f.Add("mas:{A1}|attr:1|rep:x", "1996-03-14", uint64(0), ones, base64.RawURLEncoding.EncodeToString(append(ones[:NonceSize:NonceSize], long...)))
+	f.Add("row:7|attr:2", long, uint64(7), ones, "")
+	f.Add("", "", uint64(1<<63), make([]byte, NonceSize), base64.RawURLEncoding.EncodeToString(make([]byte, NonceSize)))
+	f.Add("fresh|attr:0", "\x00f2:1", uint64(0), []byte("short"), base64.RawURLEncoding.EncodeToString(make([]byte, NonceSize-1)))
+	f.Add("t", "p", uint64(3), ones[:3], "!not base64!")
+	f.Add("t", "p", uint64(3), ones, "AAAA\nAAAAAAAAAAAAAAAAAAAAAA=")
+	key := testKey()
+	kernels := make(map[PRF]*Kernel)
+	for _, prf := range []PRF{PRFAESCTR, PRFHMAC} {
+		c, err := NewProbCipher(key, prf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		kernels[prf] = c.NewKernel()
+	}
+	det, err := NewDetCipher(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, tweak, plain string, instance uint64, nonce []byte, ct string) {
+		for prf, k := range kernels {
+			k.Tweak = append(k.Tweak[:0], tweak...)
+			got := k.SealInstance(plain, instance)
+			if want := refSealInstance(key, prf, tweak, plain, instance); got != want {
+				t.Fatalf("%v: SealInstance(%q, %q, %d) = %q, want %q", prf, tweak, plain, instance, got, want)
+			}
+			if back, err := k.Open(got); err != nil || back != plain {
+				t.Fatalf("%v: Open(SealInstance(%q)) = %q, %v", prf, plain, back, err)
+			}
+			if len(nonce) >= NonceSize {
+				r := [NonceSize]byte(nonce[:NonceSize])
+				if got, want := k.seal(&r, plain), refSeal(key, prf, nonce, plain); got != want {
+					t.Fatalf("%v: seal(%x, %q) = %q, want %q", prf, nonce[:NonceSize], plain, got, want)
+				}
+			}
+			got, gotErr := k.Open(ct)
+			want, wantErr := refOpen(key, prf, ct)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%v: Open(%q) = %q, %v; reference %q, %v", prf, ct, got, gotErr, want, wantErr)
+			}
+		}
+		if got, _ := det.EncryptCell(plain); got != refSealDet(key, plain) {
+			t.Fatalf("DetCipher.EncryptCell(%q) = %q, want %q", plain, got, refSealDet(key, plain))
+		}
+	})
+}
+
+// TestProbCipherConcurrent runs the pooled one-shot methods and private
+// kernels from several goroutines at once: every goroutine must see the
+// same ciphertexts as a serial run, with no state leaking between them.
+func TestProbCipherConcurrent(t *testing.T) {
+	c, err := NewProbCipher(testKey(), PRFAESCTR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plains := []string{"", "x", "1996-03-14", strings.Repeat("long value ", 9)}
+	want := make([]string, len(plains))
+	for i, p := range plains {
+		want[i] = c.EncryptInstance("tweak", p, uint64(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			k := c.NewKernel()
+			for n := 0; n < 200; n++ {
+				i := (g + n) % len(plains)
+				ct := c.EncryptInstance("tweak", plains[i], uint64(i))
+				if ct != want[i] {
+					t.Errorf("goroutine %d: EncryptInstance(%q) = %q, want %q", g, plains[i], ct, want[i])
+					return
+				}
+				k.Tweak = append(k.Tweak[:0], "tweak"...)
+				if got := k.SealInstance(plains[i], uint64(i)); got != ct {
+					t.Errorf("goroutine %d: kernel seal differs from wrapper", g)
+					return
+				}
+				if p, err := c.DecryptCell(ct); err != nil || p != plains[i] {
+					t.Errorf("goroutine %d: DecryptCell = %q, %v", g, p, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

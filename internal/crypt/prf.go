@@ -3,13 +3,10 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // PRF identifies the pseudorandom function family backing a cipher.
@@ -44,11 +41,15 @@ func (p PRF) String() string {
 // (Requirement 2). EncryptInstance derives r pseudorandomly from
 // (plaintext, instance, tweak) so instance identity is reproducible from
 // the key alone.
+//
+// Sealing and opening live in Kernel. A ProbCipher is safe for concurrent
+// use: its one-shot methods borrow a kernel from an internal pool, while
+// hot loops hold their own kernel from NewKernel.
 type ProbCipher struct {
-	key   Key
-	prf   PRF
-	block cipher.Block // AES block for PRFAESCTR
-	mac   func() []byte
+	key     Key
+	prf     PRF
+	block   cipher.Block // AES block for PRFAESCTR
+	kernels sync.Pool    // *Kernel, for the one-shot methods
 }
 
 // NewProbCipher builds a probabilistic cipher over the given PRF.
@@ -61,6 +62,7 @@ func NewProbCipher(key Key, prf PRF) (*ProbCipher, error) {
 		}
 		c.block = b
 	}
+	c.kernels.New = func() any { return c.NewKernel() }
 	return c, nil
 }
 
@@ -70,76 +72,24 @@ func (c *ProbCipher) EncryptCell(plain string) (string, error) {
 	if _, err := io.ReadFull(rand.Reader, r[:]); err != nil {
 		return "", fmt.Errorf("crypt: drawing nonce: %w", err)
 	}
-	return c.seal(r, plain), nil
+	k := c.kernels.Get().(*Kernel)
+	defer c.kernels.Put(k)
+	return k.seal(&r, plain), nil
 }
 
-// EncryptInstance encrypts plaintext p as split instance `instance` under
-// context `tweak` (e.g. the MAS and attribute). The nonce is derived with
-// HMAC so the mapping is deterministic per key: every copy of the instance
-// gets the identical ciphertext string, and different (tweak, plaintext,
-// instance) triples get distinct ciphertexts with overwhelming probability.
+// EncryptInstance is Kernel.SealInstance for a single cell.
 func (c *ProbCipher) EncryptInstance(tweak string, plain string, instance uint64) string {
-	mac := hmac.New(sha256.New, c.key[:])
-	var inst [8]byte
-	binary.BigEndian.PutUint64(inst[:], instance)
-	writeLenPrefixed(mac, []byte(tweak))
-	writeLenPrefixed(mac, []byte(plain))
-	mac.Write(inst[:])
-	var r [NonceSize]byte
-	copy(r[:], mac.Sum(nil))
-	return c.seal(r, plain)
+	k := c.kernels.Get().(*Kernel)
+	defer c.kernels.Put(k)
+	k.Tweak = append(k.Tweak[:0], tweak...)
+	return k.SealInstance(plain, instance)
 }
 
-// DecryptCell recovers p = F_k(r) ⊕ s from e = <r, s>.
+// DecryptCell is Kernel.Open for a single cell.
 func (c *ProbCipher) DecryptCell(ct string) (string, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(ct)
-	if err != nil || len(raw) < NonceSize {
-		return "", ErrCiphertext
-	}
-	var r [NonceSize]byte
-	copy(r[:], raw[:NonceSize])
-	body := append([]byte(nil), raw[NonceSize:]...)
-	c.xorKeystream(r, body)
-	return string(body), nil
-}
-
-// seal builds base64url(r || keystream(r) ⊕ p).
-func (c *ProbCipher) seal(r [NonceSize]byte, plain string) string {
-	out := make([]byte, NonceSize+len(plain))
-	copy(out, r[:])
-	body := out[NonceSize:]
-	copy(body, plain)
-	c.xorKeystream(r, body)
-	return base64.RawURLEncoding.EncodeToString(out)
-}
-
-// xorKeystream XORs buf with the PRF keystream F_k(r).
-func (c *ProbCipher) xorKeystream(r [NonceSize]byte, buf []byte) {
-	switch c.prf {
-	case PRFAESCTR:
-		stream := cipher.NewCTR(c.block, r[:])
-		stream.XORKeyStream(buf, buf)
-	case PRFHMAC:
-		var counter uint64
-		off := 0
-		var ctr [8]byte
-		for off < len(buf) {
-			mac := hmac.New(sha256.New, c.key[:])
-			mac.Write(r[:])
-			binary.BigEndian.PutUint64(ctr[:], counter)
-			mac.Write(ctr[:])
-			ks := mac.Sum(nil)
-			n := len(buf) - off
-			if n > len(ks) {
-				n = len(ks)
-			}
-			for i := 0; i < n; i++ {
-				buf[off+i] ^= ks[i]
-			}
-			off += n
-			counter++
-		}
-	}
+	k := c.kernels.Get().(*Kernel)
+	defer c.kernels.Put(k)
+	return k.Open(ct)
 }
 
 // DetCipher is the deterministic baseline: an SIV-style construction where
@@ -161,22 +111,12 @@ func NewDetCipher(key Key) (*DetCipher, error) {
 
 // EncryptCell deterministically encrypts one cell.
 func (c *DetCipher) EncryptCell(plain string) (string, error) {
-	mac := hmac.New(sha256.New, c.inner.key[:])
-	mac.Write([]byte("det-siv"))
-	mac.Write([]byte(plain))
-	var r [NonceSize]byte
-	copy(r[:], mac.Sum(nil))
-	return c.inner.seal(r, plain), nil
+	k := c.inner.kernels.Get().(*Kernel)
+	defer c.inner.kernels.Put(k)
+	return k.sealDet(plain), nil
 }
 
 // DecryptCell inverts EncryptCell.
 func (c *DetCipher) DecryptCell(ct string) (string, error) {
 	return c.inner.DecryptCell(ct)
-}
-
-func writeLenPrefixed(w io.Writer, b []byte) {
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-	w.Write(l[:])
-	w.Write(b)
 }

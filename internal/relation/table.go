@@ -126,6 +126,18 @@ func NewTableCap(schema *Schema, capacity int) *Table {
 	return t
 }
 
+// NewTableRows creates a table of n rows whose cells are all empty, for
+// builders that then fill every cell with SetCell (rows may be filled
+// concurrently, one goroutine per row range).
+func NewTableRows(schema *Schema, n int) *Table {
+	t := NewTable(schema)
+	for a := range t.cols {
+		t.cols[a] = make([]string, n)
+	}
+	t.n = n
+	return t
+}
+
 // FromRows builds a table from row-major data.
 func FromRows(schema *Schema, rows [][]string) (*Table, error) {
 	t := NewTable(schema)
