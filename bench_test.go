@@ -50,14 +50,13 @@ func mustEncrypt(b *testing.B, tbl *relation.Table, cfg core.Config) *core.Resul
 	return res
 }
 
-// BenchmarkEncrypt measures the parallel encryption engine against the
-// serial pipeline on the same table: parallelism=1 is the historical
-// serial path, parallelism=0 resolves to GOMAXPROCS. The outputs are
+// BenchmarkEncrypt measures encryption of one table at parallelism=1
+// (every stage inline) and parallelism=0 (GOMAXPROCS workers for the
+// stages that mint nothing; emission is serial at both). The outputs are
 // byte-identical (enforced by TestParallelEncryptEquivalence in
-// internal/core); only the wall clock may differ. Run with
-// `go test -bench=BenchmarkEncrypt -benchtime=3x .` on a multi-core
-// machine to see the speedup; a sanity check asserts the two paths emit
-// the same number of rows.
+// internal/core); only the wall clock and allocations may differ. Run
+// with `go test -bench=BenchmarkEncrypt -benchtime=3x -benchmem .`; the
+// encRows metric shows both widths emit the same number of rows.
 func BenchmarkEncrypt(b *testing.B) {
 	tbl := mustGen(b, workload.NameSynthetic, 33000)
 	for _, c := range []struct {
@@ -68,6 +67,7 @@ func BenchmarkEncrypt(b *testing.B) {
 		{"parallelism=GOMAXPROCS", 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			cfg := benchConfig(0.25)
 			cfg.Parallelism = c.par
 			var last *core.Result
@@ -97,6 +97,7 @@ func BenchmarkDecrypt(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dec.DecryptTable(context.Background(), res.Encrypted); err != nil {

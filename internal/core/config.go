@@ -96,13 +96,13 @@ type Config struct {
 	// as in Figure 3(e)).
 	SkipConflictResolution bool
 
-	// Parallelism bounds the worker goroutines the parallel encryption
-	// engine fans out across: per-MAS plan construction, instance-cipher
-	// filling, sharded row emission, the Step-4 border searches, and
-	// table decryption. 0 (the default) means GOMAXPROCS; 1 runs the
-	// historical serial pipeline. The ciphertext is byte-identical at
-	// every setting — parallelism is a throughput knob, never a
-	// correctness or security one.
+	// Parallelism bounds the worker goroutines of the stages that mint no
+	// fresh values: instance-cipher filling, the Step-4 border searches,
+	// and table decryption. Row emission is always serial. 0 (the
+	// default) means GOMAXPROCS; 1 runs every stage inline; at most
+	// MaxParallelism. The ciphertext is byte-identical at every setting —
+	// parallelism is a throughput knob, never a correctness or security
+	// one.
 	Parallelism int
 }
 
@@ -133,6 +133,20 @@ func (c *Config) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// MaxParallelism caps Config.Parallelism. The value arrives from outside
+// the program (an HTTP create request, a restored snapshot) and sizes a
+// goroutine pool that every run starts eagerly.
+const MaxParallelism = 256
+
+// ValidateParallelism checks a Config.Parallelism value against
+// [0, MaxParallelism].
+func ValidateParallelism(p int) error {
+	if p < 0 || p > MaxParallelism {
+		return fmt.Errorf("core: Parallelism must be in [0, %d] (0 = GOMAXPROCS), got %d", MaxParallelism, p)
+	}
+	return nil
+}
+
 // Validate checks parameter ranges and applies defaults for zero values.
 func (c *Config) Validate() error {
 	if c.Alpha <= 0 || c.Alpha > 1 {
@@ -150,8 +164,5 @@ func (c *Config) Validate() error {
 	if c.MinInstanceFreq < 1 {
 		return errors.New("core: MinInstanceFreq must be ≥ 1")
 	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: Parallelism must be ≥ 0 (0 = GOMAXPROCS), got %d", c.Parallelism)
-	}
-	return nil
+	return ValidateParallelism(c.Parallelism)
 }

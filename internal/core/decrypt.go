@@ -172,3 +172,23 @@ func (d *Decryptor) StripArtificial(ctx context.Context, t *relation.Table) (*re
 	}
 	return out, nil
 }
+
+// chunkRanges splits [0, n) into at most chunks contiguous, near-even
+// ranges (each [lo, hi)).
+func chunkRanges(n, chunks int) [][2]int {
+	if chunks < 1 {
+		chunks = 1
+	}
+	if chunks > n {
+		chunks = n
+	}
+	out := make([][2]int, 0, chunks)
+	for c := 0; c < chunks; c++ {
+		lo := c * n / chunks
+		hi := (c + 1) * n / chunks
+		if lo < hi {
+			out = append(out, [2]int{lo, hi})
+		}
+	}
+	return out
+}

@@ -55,19 +55,14 @@ type ecg struct {
 // close sizes until each group holds k classes, minting fake classes when
 // a group cannot be filled.
 //
-// It returns the groups plus the fake members in creation order. With a
-// non-nil mint the fake representatives are minted inline (fresh marker
-// values, collision-free by construction). With a nil mint they are left
-// empty for the caller to fill later: grouping decisions never read a
-// fake representative (fakes join a group only after its real members
-// are fixed, and each group's collision state dies with the group), so
-// plan construction can fan out across MASs while the globally ordered
-// minter stays untouched until a serial minting pass.
-func buildECGs(p *partition.Partition, mas relation.AttrSet, k int, mint *freshMinter) (groups []*ecg, fakes []*ecMember) {
+// Fake representatives are drawn from mint (fresh marker values,
+// collision-free by construction).
+func buildECGs(p *partition.Partition, mas relation.AttrSet, k int, mint *freshMinter) []*ecg {
 	classes := p.NonSingletonClasses()
 	if len(classes) == 0 {
-		return nil, nil
+		return nil
 	}
+	var groups []*ecg
 	members := make([]*ecMember, len(classes))
 	for i, c := range classes {
 		members[i] = &ecMember{rep: c.Representative, rows: c.Rows, size: c.Size()}
@@ -121,22 +116,18 @@ func buildECGs(p *partition.Partition, mas relation.AttrSet, k int, mint *freshM
 		}
 		for len(g.members) < k {
 			rep := make([]string, len(attrs))
-			if mint != nil {
-				for i := range rep {
-					rep[i] = mint.value()
-				}
+			for i := range rep {
+				rep[i] = mint.value()
 			}
-			fake := &ecMember{rep: rep, size: minSize, fake: true}
 			// Unlike add, the group's per-attribute value sets are not
 			// updated: nothing is matched against this group after its
 			// fakes join, and fresh marker values never collide anyway.
-			g.members = append(g.members, fake)
-			fakes = append(fakes, fake)
+			g.members = append(g.members, &ecMember{rep: rep, size: minSize, fake: true})
 		}
 		sortMembersBySize(g.members)
 		groups = append(groups, g)
 	}
-	return groups, fakes
+	return groups
 }
 
 func sortMembersBySize(ms []*ecMember) {

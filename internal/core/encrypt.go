@@ -80,14 +80,16 @@ type Result struct {
 }
 
 // Encryptor applies the F² scheme. An Encryptor is safe to reuse across
-// tables but not concurrently. Internally each Encrypt/EncryptIncremental
-// run fans its independent stages out across Config.Parallelism workers;
-// the output is byte-identical at every width (see parallel.go).
+// tables but not concurrently. Every row of a run is emitted in order by
+// one goroutine through one fresh minter and one kernel; only stages that
+// mint nothing fan out across Config.Parallelism workers, so the output
+// is byte-identical at every width.
 type Encryptor struct {
 	cfg    Config
 	cipher *crypt.ProbCipher
-	mint   *freshMinter
-	pool   *pool.Pool // per-run emission pool, nil between runs
+	mint   *freshMinter  // per-run fresh-value minter
+	kern   *crypt.Kernel // per-run emission kernel
+	pool   *pool.Pool    // per-run pool of Encrypt, nil between runs
 }
 
 // NewEncryptor validates cfg and builds an encryptor.
@@ -123,7 +125,7 @@ type masPlan struct {
 
 // Encrypt runs the full 4-step pipeline on t. The context is checked at
 // every step boundary and inside the heavy inner loops (instance filling,
-// Step-4 lattice search, sharded emission), so a cancelled or expired ctx
+// Step-4 lattice search, row emission), so a cancelled or expired ctx
 // aborts a long encryption promptly with ctx.Err().
 func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, error) {
 	if t.NumAttrs() > relation.MaxAttrs {
@@ -133,6 +135,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 		return nil, fmt.Errorf("core: encrypt: %w", err)
 	}
 	e.mint = &freshMinter{}
+	e.kern = e.cipher.NewKernel()
 	e.pool = pool.New(e.cfg.Workers())
 	defer func() { e.pool.Close(); e.pool = nil }()
 	res := &Result{Report: Report{Alpha: e.cfg.Alpha, SplitFactor: e.cfg.SplitFactor, K: e.cfg.K()}}
@@ -228,20 +231,17 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	return res, nil
 }
 
-// buildPlans runs Step 2's plan construction, fanned out one MAS per
-// task: grouping, split planning, and row assignment depend only on the
-// MAS's own partition, never on another plan. Fake-EC representatives
-// are the one globally ordered resource (they consume the fresh minter),
-// so buildECGs defers them and a serial pass afterwards mints every fake
-// representative in MAS → group → member → attribute order — exactly the
-// sequence the serial pipeline produces.
+// buildPlans runs Step 2's plan construction for every MAS in order:
+// grouping (which mints the fake-EC representatives), split planning, and
+// row assignment, then the instance ciphertexts.
 func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int) ([]*masPlan, error) {
 	plans := make([]*masPlan, len(disc.Sets))
-	fakes := make([][]*ecMember, len(disc.Sets))
-	err := e.pool.ForEach(ctx, len(disc.Sets), func(ctx context.Context, i int) error {
-		m := disc.Sets[i]
+	for i, m := range disc.Sets {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: encrypt: %w", err)
+		}
 		p := &masPlan{attrs: m, cols: m.Attrs(), part: disc.Partitions[m]}
-		p.ecgs, fakes[i] = buildECGs(p.part, m, e.cfg.K(), nil)
+		p.ecgs = buildECGs(p.part, m, e.cfg.K(), e.mint)
 		for _, g := range p.ecgs {
 			if e.cfg.NaiveSplitPoint {
 				planSplitNaive(g, e.cfg.SplitFactor, e.cfg.MinInstanceFreq)
@@ -262,17 +262,6 @@ func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int)
 		}
 		p.stats = statsOf(p.ecgs)
 		plans[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: encrypt: %w", err)
-	}
-	for _, fs := range fakes {
-		for _, mem := range fs {
-			for i := range mem.rep {
-				mem.rep[i] = e.mint.value()
-			}
-		}
 	}
 	if err := e.fillInstanceCiphers(ctx, plans); err != nil {
 		return nil, err
@@ -281,8 +270,8 @@ func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int)
 }
 
 // fillInstanceCiphers encrypts every instance's representative over the
-// MAS attributes, sharded one ECG per pool task, each task sealing with
-// its own kernel. The tweak binds (MAS, attribute, EC representative) so
+// MAS attributes, one ECG per pool task, each task sealing with its own
+// kernel. The tweak binds (MAS, attribute, EC representative) so
 // that: distinct instances of one EC differ on every attribute
 // (Requirement 2), and equal plaintext values appearing in different ECs —
 // hence in different ECGs — never share a ciphertext (§3.2.2).
@@ -352,55 +341,43 @@ func singletonCipher(kern *crypt.Kernel, row, attr int, plain string) string {
 	return kern.SealInstance(plain, uint64(row))
 }
 
-// freshCipherM encrypts a freshly minted marker value drawn from mint
-// under the tweak "fresh|attr:<attr>"; each call produces a ciphertext
-// unique in the output table. Emission shards pass their own offset
-// minter and kernel; serial paths pass e.mint.
-func freshCipherM(kern *crypt.Kernel, mint *freshMinter, attr int) string {
-	v := mint.value()
-	kern.Tweak = append(kern.Tweak[:0], "fresh|attr:"...)
-	kern.Tweak = strconv.AppendInt(kern.Tweak, int64(attr), 10)
-	return kern.SealInstance(v, 0)
+// freshCipher seals the next value of the run's fresh minter under the
+// tweak "fresh|attr:<attr>"; each call produces a ciphertext unique in
+// the output table.
+func (e *Encryptor) freshCipher(attr int) string {
+	v := e.mint.value()
+	e.kern.Tweak = append(e.kern.Tweak[:0], "fresh|attr:"...)
+	e.kern.Tweak = strconv.AppendInt(e.kern.Tweak, int64(attr), 10)
+	return e.kern.SealInstance(v, 0)
 }
 
 // emitOriginalRows writes the original tuples with indices in [lo, hi),
 // splitting a tuple into parts when overlapping MASs claim its shared
 // attributes with different ciphertexts (type-2 conflicts, §3.3.2). The
 // full pipeline passes the whole table; the incremental engine passes only
-// the appended suffix. Emission is sharded by row range across the pool
-// and merged back in order (see parallel.go).
+// the appended suffix.
 func (e *Encryptor) emitOriginalRows(ctx context.Context, t *relation.Table, plans []*masPlan, out *relation.Table, res *Result, lo, hi int) error {
-	n := hi - lo
-	if n == 0 {
+	if lo == hi {
 		return ctx.Err()
 	}
-	var prefix []uint64
-	if e.emitChunks(n) > 1 {
-		counts := make([]int, n)
-		for r := 0; r < n; r++ {
-			counts[r] = e.freshCellsOfRow(t, plans, lo+r)
-		}
-		prefix = prefixSums(counts)
-	}
-	m := t.NumAttrs()
-	return e.runEmitShards(ctx, n, prefix, out, res, func(s *emitSink, slo, shi int, mint *freshMinter, kern *crypt.Kernel) error {
-		row := make([]string, m)
-		for r := slo; r < shi; r++ {
-			if (r-slo)%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+	_, sp := obs.Start(ctx, "emit.shard")
+	sp.SetAttr("units", hi-lo)
+	defer sp.End()
+	row := make([]string, t.NumAttrs())
+	for r := lo; r < hi; r++ {
+		if (r-lo)%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			e.emitOneOriginalRow(t, plans, lo+r, row, mint, kern, s)
 		}
-		return nil
-	})
+		e.emitOneOriginalRow(t, plans, r, row, out, res)
+	}
+	return nil
 }
 
-// emitOneOriginalRow emits the part(s) of original row r into the sink,
-// sealing with the shard's kernel kern. row is a scratch buffer of width
-// NumAttrs.
-func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r int, row []string, mint *freshMinter, kern *crypt.Kernel, s *emitSink) {
+// emitOneOriginalRow appends the part(s) of original row r to out. row is
+// a scratch buffer of width NumAttrs.
+func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r int, row []string, out *relation.Table, res *Result) {
 	m := t.NumAttrs()
 	// Collect the MASs holding a grouped (non-singleton) instance for
 	// this row; only they impose ciphertexts that can conflict.
@@ -422,52 +399,24 @@ func (e *Encryptor) emitOneOriginalRow(t *relation.Table, plans []*masPlan, r in
 			case pi == 0 && !groupedElsewhere(grouped, part, a):
 				// Primary part: attributes not claimed by any grouped
 				// MAS keep their (singleton-encrypted) real value.
-				row[a] = singletonCipher(kern, r, a, t.Cell(r, a))
+				row[a] = singletonCipher(e.kern, r, a, t.Cell(r, a))
 				carried = carried.Add(a)
 			default:
 				// Fresh filler (the v_X / v_Y values of §3.3.2).
-				row[a] = freshCipherM(kern, mint, a)
+				row[a] = e.freshCipher(a)
 			}
 		}
-		s.rows = append(s.rows, s.copyRow(row))
+		out.AppendRow(row)
 		kind := RowOriginal
 		if len(parts) > 1 {
 			kind = RowConflictPart
 		}
-		s.origins = append(s.origins, RowOrigin{Kind: kind, SourceRow: r, Carried: carried})
+		res.Origins = append(res.Origins, RowOrigin{Kind: kind, SourceRow: r, Carried: carried})
 	}
 	if len(parts) > 1 {
-		s.conflictRows += len(parts) - 1
-		s.conflictTuples++
+		res.Report.ConflictRows += len(parts) - 1
+		res.Report.ConflictTuples++
 	}
-}
-
-// freshCellsOfRow counts, without any cryptography, how many fresh filler
-// values emitOneOriginalRow will mint for row r. It mirrors that
-// function's cell classification exactly; runEmitShards audits the two
-// against each other after every shard.
-func (e *Encryptor) freshCellsOfRow(t *relation.Table, plans []*masPlan, r int) int {
-	m := t.NumAttrs()
-	var grouped []*masPlan
-	for _, p := range plans {
-		if p.rowInst[r] != nil {
-			grouped = append(grouped, p)
-		}
-	}
-	parts := splitConflicts(grouped, e.cfg.SkipConflictResolution)
-	fresh := 0
-	for pi, part := range parts {
-		for a := 0; a < m; a++ {
-			if ownerIn(part, a) != nil {
-				continue
-			}
-			if pi == 0 && !groupedElsewhere(grouped, part, a) {
-				continue
-			}
-			fresh++
-		}
-	}
-	return fresh
 }
 
 // splitConflicts partitions the grouped MASs of one row into parts of
@@ -530,4 +479,93 @@ func groupedElsewhere(grouped, part []*masPlan, a int) bool {
 		}
 	}
 	return false
+}
+
+// padJob is one padding-emission unit: count synthetic rows carrying
+// inst's ciphertext over the MAS attributes of plan and fresh values
+// elsewhere. For a real member these are scale copies (Step 2.2, with
+// §3.3.1's type-1 conflict handling built in); for a fake member they
+// materialize a fake equivalence class of Step 2.1. The full pipeline,
+// the incremental top-up path, and the fake-EC phase all emit through
+// the same job shape.
+type padJob struct {
+	plan  *masPlan
+	inst  *ecInstance
+	count int
+	fake  bool
+}
+
+// scaleCopyJobs lists the scaling copies of Step 2.2 in deterministic
+// plan/group/member/instance order.
+func scaleCopyJobs(plans []*masPlan) []padJob {
+	var jobs []padJob
+	for _, p := range plans {
+		for _, g := range p.ecgs {
+			for _, mem := range g.members {
+				if mem.fake {
+					continue
+				}
+				for _, inst := range mem.instances {
+					jobs = append(jobs, padJob{p, inst, inst.copies, false})
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// fakeECJobs lists the fake-equivalence-class rows of Step 2.1 (target
+// rows per instance) in deterministic order.
+func fakeECJobs(plans []*masPlan) []padJob {
+	var jobs []padJob
+	for _, p := range plans {
+		for _, g := range p.ecgs {
+			for _, mem := range g.members {
+				if !mem.fake {
+					continue
+				}
+				for _, inst := range mem.instances {
+					jobs = append(jobs, padJob{p, inst, g.target, true})
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// emitPaddingJobs appends every job's padding rows to out, in job order.
+func (e *Encryptor) emitPaddingJobs(ctx context.Context, jobs []padJob, out *relation.Table, res *Result) error {
+	if len(jobs) == 0 {
+		return ctx.Err()
+	}
+	_, sp := obs.Start(ctx, "emit.shard")
+	sp.SetAttr("units", len(jobs))
+	defer sp.End()
+	m := out.NumAttrs()
+	row := make([]string, m)
+	for ji, j := range jobs {
+		if ji%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		for c := 0; c < j.count; c++ {
+			for a := 0; a < m; a++ {
+				if j.plan.attrs.Has(a) {
+					row[a] = j.inst.cipher[a]
+				} else {
+					row[a] = e.freshCipher(a)
+				}
+			}
+			out.AppendRow(row)
+			if j.fake {
+				res.Origins = append(res.Origins, RowOrigin{Kind: RowFakeEC, SourceRow: -1, Carried: 0})
+				res.Report.GroupRows++
+			} else {
+				res.Origins = append(res.Origins, RowOrigin{Kind: RowScaleCopy, SourceRow: -1, Carried: j.plan.attrs})
+				res.Report.ScaleRows++
+			}
+		}
+	}
+	return nil
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"f2/internal/border"
-	"f2/internal/crypt"
+	"f2/internal/obs"
 	"f2/internal/relation"
 )
 
@@ -39,12 +39,10 @@ type fpWitness struct {
 // The per-Y border searches are independent — violation is a property of
 // (X, Y) pairs on D — so they fan out across the pool, one RHS attribute
 // per task; only the shared representative indexes are built under a
-// lock, once per MAS. Witness caches are per-Y (a node carries its Y, so
-// the serial path never shared entries across Y either), which keeps the
-// probe results identical to the serial sweep. The artificial pairs are
-// then emitted in ascending-Y, sorted-X order through the sharded
-// emitter, so row order and minted values match the serial path byte for
-// byte.
+// lock, once per MAS. Witness caches are per-Y (a node carries its Y), so
+// the probe results do not depend on how the searches are scheduled. The
+// searches mint nothing; the artificial pairs are then emitted serially
+// in ascending-Y, sorted-X order.
 //
 // Deviation from the paper (documented in docs/DESIGN.md): the paper's
 // artificial pairs agree exactly on X and differ everywhere else, which
@@ -279,70 +277,45 @@ func (x *repIndex) findViolation(attrs relation.AttrSet, y int) (ri, rj int, vio
 	return 0, 0, false
 }
 
-// fpFreshCells counts the fresh values one artificial pair set for
-// template rows (ri, rj) consumes: per pair, one shared value for every
-// agreeing attribute and two distinct values for every differing one.
-func fpFreshCells(t *relation.Table, ri, rj, k int) int {
-	per := 0
-	for a := 0; a < t.NumAttrs(); a++ {
-		if t.Cell(ri, a) == t.Cell(rj, a) {
-			per++
-		} else {
-			per += 2
-		}
-	}
-	return k * per
-}
-
-// emitFPJobs inserts the artificial record pairs for every witness, in
-// order, sharded across the pool (each job's fresh-value budget is
-// computed from its template rows' agreement pattern).
+// emitFPJobs appends the artificial record pairs for every witness, in
+// order.
 func (e *Encryptor) emitFPJobs(ctx context.Context, t *relation.Table, jobs []fpWitness, out *relation.Table, res *Result) error {
 	if len(jobs) == 0 {
 		return ctx.Err()
 	}
-	k := e.cfg.K()
-	var prefix []uint64
-	if e.emitChunks(len(jobs)) > 1 {
-		counts := make([]int, len(jobs))
-		for i, j := range jobs {
-			counts[i] = fpFreshCells(t, j.ri, j.rj, k)
+	_, sp := obs.Start(ctx, "emit.shard")
+	sp.SetAttr("units", len(jobs))
+	defer sp.End()
+	r1 := make([]string, t.NumAttrs())
+	r2 := make([]string, t.NumAttrs())
+	for _, j := range jobs {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		prefix = prefixSums(counts)
+		e.emitFPPairs(t, j.ri, j.rj, r1, r2, out, res)
 	}
-	return e.runEmitShards(ctx, len(jobs), prefix, out, res, func(s *emitSink, lo, hi int, mint *freshMinter, kern *crypt.Kernel) error {
-		for ji := lo; ji < hi; ji++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.emitFPPairs(t, jobs[ji].ri, jobs[ji].rj, mint, kern, s)
-		}
-		return nil
-	})
+	return nil
 }
 
-// emitFPPairs inserts k = ⌈1/α⌉ artificial record pairs replicating the
-// agreement pattern of the template rows (ri, rj) with fresh values,
-// sealed with the caller's kernel kern.
-func (e *Encryptor) emitFPPairs(t *relation.Table, ri, rj int, mint *freshMinter, kern *crypt.Kernel, s *emitSink) {
-	m := t.NumAttrs()
-	k := e.cfg.K()
-	for i := 0; i < k; i++ {
-		r1 := make([]string, m)
-		r2 := make([]string, m)
-		for a := 0; a < m; a++ {
+// emitFPPairs appends k = ⌈1/α⌉ artificial record pairs replicating the
+// agreement pattern of the template rows (ri, rj) with fresh values. r1
+// and r2 are scratch rows of width NumAttrs.
+func (e *Encryptor) emitFPPairs(t *relation.Table, ri, rj int, r1, r2 []string, out *relation.Table, res *Result) {
+	for i := 0; i < e.cfg.K(); i++ {
+		for a := range r1 {
 			if t.Cell(ri, a) == t.Cell(rj, a) {
-				c := freshCipherM(kern, mint, a)
+				c := e.freshCipher(a)
 				r1[a], r2[a] = c, c
 			} else {
-				r1[a] = freshCipherM(kern, mint, a)
-				r2[a] = freshCipherM(kern, mint, a)
+				r1[a] = e.freshCipher(a)
+				r2[a] = e.freshCipher(a)
 			}
 		}
-		s.rows = append(s.rows, r1, r2)
-		s.origins = append(s.origins,
+		out.AppendRow(r1)
+		out.AppendRow(r2)
+		res.Origins = append(res.Origins,
 			RowOrigin{Kind: RowFPArtificial, SourceRow: -1, Carried: 0},
 			RowOrigin{Kind: RowFPArtificial, SourceRow: -1, Carried: 0})
-		s.fpRows += 2
+		res.Report.FPRows += 2
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"f2/internal/mas"
 	"f2/internal/obs"
 	"f2/internal/partition"
-	"f2/internal/pool"
 	"f2/internal/relation"
 )
 
@@ -108,8 +107,7 @@ func (e *Encryptor) EncryptIncremental(ctx context.Context, prev *Result, t *rel
 	start = time.Now()
 	_, sp = obs.Start(ctx, "incremental.extend")
 	e.mint = &freshMinter{n: prev.state.minted}
-	e.pool = pool.New(e.cfg.Workers())
-	defer func() { e.pool.Close(); e.pool = nil }()
+	e.kern = e.cipher.NewKernel()
 	plans := make([]*masPlan, len(prev.state.plans))
 	var patches []*ecgPatch
 	for i, old := range prev.state.plans {
@@ -151,6 +149,9 @@ func (e *Encryptor) EncryptIncremental(ctx context.Context, prev *Result, t *rel
 	// appends into their spare capacity. The updater's single-flight flush
 	// guarantees one append lineage at a time, and prev's own rows stay
 	// immutable, so concurrent readers of the last good result are safe.
+	// Emission appends straight into the clone, so an aborted flush
+	// leaves its partial rows in capacity prev never reads, and the retry
+	// overwrites them.
 	out := prev.Encrypted.CloneShared()
 	// Same structural sharing for provenance: appends extend prev.Origins'
 	// spare capacity, which prev itself (len-bounded) can never observe.
@@ -160,8 +161,7 @@ func (e *Encryptor) EncryptIncremental(ctx context.Context, prev *Result, t *rel
 		return nil, false, fmt.Errorf("core: incremental: %w", err)
 	}
 	// Top up every instance of a grown ECG through the shared padding
-	// emitter (parallel, ordered merge) — same job order as the serial
-	// patch walk.
+	// emitter, in patch order.
 	var topUps []padJob
 	for _, p := range patches {
 		for _, mem := range p.g.members {
@@ -426,8 +426,8 @@ func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relati
 	}
 	relation.SortAttrSets(agreeSets)
 	patterns := prev
-	var sink emitSink
-	kern := e.cipher.NewKernel()
+	r1 := make([]string, t.NumAttrs())
+	r2 := make([]string, t.NumAttrs())
 	for i := len(agreeSets) - 1; i >= 0; i-- {
 		a := agreeSets[i]
 		if patterns[a] {
@@ -461,8 +461,7 @@ func (e *Encryptor) patchFalsePositives(t *relation.Table, agreements map[relati
 		res.Report.FPNodes += len(uncovered)
 		res.Report.FPPatterns++
 		pair := agreements[a]
-		e.emitFPPairs(t, pair[0], pair[1], e.mint, kern, &sink)
+		e.emitFPPairs(t, pair[0], pair[1], r1, r2, out, res)
 	}
-	sink.mergeInto(out, res)
 	return patterns
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // parallelWidths are the engine widths the equivalence properties range
-// over: 1 is the serial pipeline, 2 and 8 exercise the sharded emitters
-// with fewer and more shards than typical worker counts.
+// over: 1 runs every stage inline, 2 and 8 fan the stages that mint
+// nothing out across fewer and more workers than typical core counts.
 var parallelWidths = []int{1, 2, 8}
 
 // requireResultsIdentical asserts two encryption results are byte-for-byte
@@ -185,14 +185,14 @@ func TestParallelIncrementalEquivalence(t *testing.T) {
 }
 
 // TestParallelEncryptCancellation covers the failure edges of the
-// parallel engine: a pre-cancelled context refuses immediately, a
-// cancellation racing a running parallel encrypt surfaces as ctx.Err
-// (not a panic, deadlock, or partial result), and a cancelled parallel
-// flush leaves the updater transactional — same guarantees the serial
-// engine gives.
+// engine at every width: a pre-cancelled context refuses immediately, a
+// cancellation racing a running encrypt surfaces as ctx.Err (not a
+// panic, deadlock, or partial result), and a cancelled flush leaves the
+// updater transactional even though emission writes straight into the
+// shared clone of the previous table.
 func TestParallelEncryptCancellation(t *testing.T) {
 	tbl := mustWorkload(t, workload.NameSynthetic, 4000)
-	for _, par := range []int{2, 8} {
+	for _, par := range parallelWidths {
 		cfg := testConfig(0.25)
 		cfg.Parallelism = par
 		enc, err := NewEncryptor(cfg)
@@ -223,7 +223,7 @@ func TestParallelEncryptCancellation(t *testing.T) {
 			t.Fatalf("parallelism=%d: mid-encrypt cancel returned %v, want context.Canceled", par, err)
 		}
 
-		// Transactional cancelled flush, parallel path.
+		// Transactional cancelled flush.
 		upd, _, err := NewUpdater(context.Background(), cfg, tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +245,68 @@ func TestParallelEncryptCancellation(t *testing.T) {
 		if upd.Pending() != 0 {
 			t.Fatalf("parallelism=%d: retry flush left %d pending", par, upd.Pending())
 		}
+
+		// Mid-flush cancellation on the incremental path, which emits
+		// straight into a shared clone of the previous table: trip the
+		// context at its 1st, 2nd, 3rd, … check until the flush outruns
+		// it, so every check point fails once, those between emission
+		// passes included. Every aborted flush must leave the updater as
+		// it was, and the flush that lands must equal one never cancelled.
+		stream := appendStreamTable(rand.New(rand.NewSource(5)), 250)
+		scfg := testConfig(1.0 / 3)
+		scfg.Parallelism = par
+		var twins [2]*Updater
+		var first *Result
+		for i := range twins {
+			if twins[i], first, err = NewUpdater(context.Background(), scfg, stream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		brng := rand.New(rand.NewSource(6))
+		batch := [][]string{borderStableRow(stream, first.MASs[0], brng, 0), borderStableRow(stream, first.MASs[0], brng, 1)}
+		for _, u := range twins {
+			if err := u.Buffer(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := twins[1].Flush(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		upd = twins[0]
+		before = upd.Result()
+		wantRows, wantOrigins := before.Encrypted.NumRows(), len(before.Origins)
+		for trip := 1; ; trip++ {
+			_, err := upd.Flush(&trippingCtx{Context: context.Background(), left: trip})
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("parallelism=%d trip=%d: Flush returned %v", par, trip, err)
+			}
+			if upd.Result() != before || upd.Pending() != len(batch) ||
+				before.Encrypted.NumRows() != wantRows || len(before.Origins) != wantOrigins {
+				t.Fatalf("parallelism=%d trip=%d: cancelled flush mutated the updater", par, trip)
+			}
+		}
+		if upd.LastFlush != FlushModeIncremental {
+			t.Fatalf("parallelism=%d: stream flush took %s, want the incremental path", par, upd.LastFlush)
+		}
+		requireResultsIdentical(t, fmt.Sprintf("parallelism=%d flush after cancels", par), want, upd.Result())
 	}
+}
+
+// trippingCtx reports context.Canceled from the left-th Err call on.
+type trippingCtx struct {
+	context.Context
+	left int
+}
+
+func (c *trippingCtx) Err() error {
+	if c.left--; c.left <= 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 func mustWorkload(t *testing.T, name string, n int) *relation.Table {

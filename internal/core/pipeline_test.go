@@ -245,6 +245,8 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 0.5, SplitFactor: 1, Key: key},
 		{Alpha: 0.5, SplitFactor: -2, Key: key},
 		{Alpha: 0.5, MinInstanceFreq: -1, Key: key},
+		{Alpha: 0.5, Parallelism: -1, Key: key},
+		{Alpha: 0.5, Parallelism: MaxParallelism + 1, Key: key},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEncryptor(cfg); err == nil {

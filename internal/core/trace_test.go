@@ -13,9 +13,9 @@ import (
 
 // TestTracedEncryptEquivalence: attaching a trace must be purely
 // observational — the ciphertext, origins, MASs, and report counters are
-// byte-identical with and without a trace in the context, at both the
-// serial pipeline and full fan-out (where shard spans are recorded from
-// many goroutines at once; the -race CI job covers that path).
+// byte-identical with and without a trace in the context, at width 1
+// and at full fan-out (where the parallel stages record from many
+// goroutines at once; the -race CI job covers that path).
 func TestTracedEncryptEquivalence(t *testing.T) {
 	tbl := mustWorkload(t, workload.NameSynthetic, 2000)
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -54,10 +54,22 @@ func TestTracedEncryptEquivalence(t *testing.T) {
 					t.Errorf("trace missing stage %q (got %v)", stage, totals)
 				}
 			}
-			if par > 1 {
-				if _, ok := totals["emit.shard"]; !ok {
-					t.Errorf("parallel trace recorded no emit.shard spans (got %v)", totals)
+			// One emit.shard span per non-empty emission pass, in order,
+			// each carrying the pass's unit count.
+			var want []int
+			for _, n := range []int{
+				tbl.NumRows(),
+				len(scaleCopyJobs(traced.state.plans)),
+				len(fakeECJobs(traced.state.plans)),
+				traced.Report.FPPatterns,
+			} {
+				if n > 0 {
+					want = append(want, n)
 				}
+			}
+			got := emitShardUnits(tr.Snapshot().Root)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("emit.shard units = %v, want one span per non-empty pass %v", got, want)
 			}
 			var sum time.Duration
 			for _, d := range totals {
@@ -68,6 +80,20 @@ func TestTracedEncryptEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// emitShardUnits returns the units attribute of every emit.shard span
+// below s, in tree order.
+func emitShardUnits(s obs.SpanSnapshot) []int {
+	var out []int
+	if s.Name == "emit.shard" {
+		u, _ := s.Attrs["units"].(int)
+		out = append(out, u)
+	}
+	for _, c := range s.Children {
+		out = append(out, emitShardUnits(c)...)
+	}
+	return out
 }
 
 // TestTracedFlushEquivalence: the incremental engine under a trace emits
@@ -130,6 +156,16 @@ func TestTracedFlushEquivalence(t *testing.T) {
 			if !seen[stage] {
 				t.Errorf("incremental flush trace missing %q; saw %v", stage, seen)
 			}
+		}
+		// Emission passes of the flush: the appended suffix, then the
+		// top-ups.
+		flush := findSpan(&tr.Snapshot().Root, "update.flush")
+		want := []int{50}
+		if n, _ := findSpan(flush, "incremental.top-up").Attrs["topUpJobs"].(int); n > 0 {
+			want = append(want, n)
+		}
+		if got := emitShardUnits(*flush); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("incremental emit.shard units = %v, want %v", got, want)
 		}
 	} else if !seen["encrypt.step1.mas"] {
 		t.Errorf("rebuild flush trace missing encrypt steps; saw %v", seen)

@@ -16,8 +16,8 @@
 // perf harness gates this at ≤2%, see docs/OBSERVABILITY.md). When a
 // trace is attached — f2served attaches one per request — spans nest
 // through the context exactly like cancellation does, across goroutines
-// included: the parallel emission shards of one encryption all hang off
-// the step span that spawned them.
+// included: spans started by pool workers hang off the step span that
+// spawned them.
 //
 // The package deliberately has no exporter, no sampling, and no
 // dependencies: traces are plain data. Consumers snapshot them

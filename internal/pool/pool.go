@@ -1,23 +1,24 @@
 // Package pool provides the bounded worker pool behind every parallel
-// stage of the F² pipeline: instance-cipher filling, sharded row
-// emission, false-positive border searches, and table decryption all fan
-// out through a Pool instead of spawning unbounded goroutines.
+// stage of the F² pipeline: instance-cipher filling, the false-positive
+// border searches, and table decryption fan out through a Pool instead
+// of spawning unbounded goroutines. None of them mints fresh values; row
+// emission stays serial.
 //
 // The pool mirrors the job-execution pattern of internal/server: a fixed
 // set of worker goroutines, context cancellation honored both while a
 // task waits for a worker and between tasks of a batch, and panic
 // recovery that converts a crashing task into an error for the submitter
-// (so one poisoned shard cannot take down a whole service process).
+// (so one poisoned task cannot take down a whole service process).
 //
 // Invariants:
 //
-//   - at most Workers tasks execute concurrently, no matter how many
-//     Run/ForEach calls are in flight;
+//   - at most as many tasks as the pool has workers execute concurrently,
+//     however many Run/ForEach calls are in flight;
 //   - a Pool with one worker executes ForEach bodies inline on the
 //     calling goroutine, in index order — the serial pipeline is
 //     literally the parallel pipeline at width 1;
 //   - ForEach never returns before every started task has finished, so
-//     callers may hand tasks shared, shard-partitioned state without
+//     callers may hand tasks shared, index-partitioned state without
 //     further synchronization.
 package pool
 
@@ -67,9 +68,6 @@ func New(workers int) *Pool {
 	}
 	return p
 }
-
-// Workers returns the configured worker count.
-func (p *Pool) Workers() int { return p.workers }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()

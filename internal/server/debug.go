@@ -8,7 +8,7 @@ import (
 
 // handleTraces serves the live trace API: the last N completed request
 // traces (newest first) plus the K slowest seen since boot. Each entry
-// is a full span tree — stage timings, shard fan-out, WAL fsyncs —
+// is a full span tree — stage timings, emission passes, WAL fsyncs —
 // rendered as JSON.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{

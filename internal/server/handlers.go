@@ -37,8 +37,9 @@ type createDatasetRequest struct {
 	// re-runs the full pipeline.
 	UpdateMode string `json:"updateMode,omitempty"`
 	// Parallelism overrides the server's default pipeline parallelism
-	// for this dataset (0 = server default; 1 = serial). The ciphertext
-	// is byte-identical at every setting.
+	// for this dataset (0 = server default; 1 = serial; at most
+	// core.MaxParallelism). The ciphertext is byte-identical at every
+	// setting.
 	Parallelism int `json:"parallelism,omitempty"`
 	// KeySeed derives the dataset key deterministically (tests and
 	// reproducible demos); empty draws a random key.

@@ -51,7 +51,7 @@ type Options struct {
 	// Parallelism is the default core.Config.Parallelism for new
 	// datasets: how many workers one pipeline run (encrypt, flush,
 	// decrypt) fans out across. 0 means GOMAXPROCS, 1 forces the serial
-	// pipeline. Together with Workers it bounds total pipeline
+	// pipeline, at most core.MaxParallelism. Together with Workers it bounds total pipeline
 	// concurrency at Workers × Parallelism goroutines. Per-dataset
 	// overrides arrive via the create request's "parallelism" field.
 	Parallelism int
@@ -219,8 +219,8 @@ type Server struct {
 func New(opts Options) (*Server, error) {
 	// A bad parallelism default must fail the boot, not turn into a 400
 	// on every subsequent create.
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("server: Parallelism must be ≥ 0 (0 = GOMAXPROCS), got %d", opts.Parallelism)
+	if err := core.ValidateParallelism(opts.Parallelism); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	opts.fillDefaults()
 	//lint:ignore f2vet/ctxflow server lifecycle root: it outlives every request and ends at Close

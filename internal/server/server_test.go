@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"f2/internal/core"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -683,7 +684,8 @@ func TestPoolRecoversJobPanic(t *testing.T) {
 
 // TestParallelismWiring covers the -parallelism plumbing: the server
 // default reaches new datasets, the per-request field overrides it, the
-// effective width lands in summaries, and a negative value is a 400.
+// effective width lands in summaries, and a negative or oversized value
+// is a 400 that registers nothing.
 func TestParallelismWiring(t *testing.T) {
 	srv, err := New(Options{Workers: 2, Parallelism: 3})
 	if err != nil {
@@ -729,14 +731,21 @@ func TestParallelismWiring(t *testing.T) {
 		t.Fatalf("request override: summary says %d, want 1", created.Dataset.Parallelism)
 	}
 
-	resp, data = create(map[string]any{"parallelism": -2})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative parallelism: %d %s, want 400", resp.StatusCode, data)
+	for _, p := range []int{-2, 1 << 30} {
+		resp, data = create(map[string]any{"parallelism": p})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("parallelism %d: %d %s, want 400", p, resp.StatusCode, data)
+		}
+	}
+	if n := len(srv.reg.List()); n != 2 {
+		t.Fatalf("%d datasets registered, want the 2 valid creates", n)
 	}
 }
 
 func TestNegativeParallelismOptionFailsBoot(t *testing.T) {
-	if _, err := New(Options{Parallelism: -1}); err == nil {
-		t.Fatal("New accepted a negative Parallelism default")
+	for _, p := range []int{-1, core.MaxParallelism + 1} {
+		if _, err := New(Options{Parallelism: p}); err == nil {
+			t.Fatalf("New accepted a Parallelism default of %d", p)
+		}
 	}
 }
