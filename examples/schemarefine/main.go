@@ -15,7 +15,6 @@ import (
 	"f2/internal/core"
 	"f2/internal/crypt"
 	"f2/internal/fd"
-	"f2/internal/partition"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -51,9 +50,9 @@ func main() {
 	// Server side: propose decompositions. For each minimal FD X→A where
 	// X is not a key of the (encrypted) relation, suggest extracting the
 	// sub-relation X∪{A} and dropping A from the main relation.
-	encTbl := res.Encrypted
+	encCoded := relation.Encode(res.Encrypted)
 	isKey := func(x relation.AttrSet) bool {
-		return !partition.StrippedOf(encTbl, x).HasDuplicate()
+		return !encCoded.HasDuplicateOn(x)
 	}
 	type proposal struct {
 		lhs relation.AttrSet
@@ -86,9 +85,10 @@ func main() {
 
 	// Verify on plaintext: every proposed dependency really holds, so the
 	// decomposition is lossless.
+	plain := relation.Encode(table)
 	for _, p := range proposals {
 		for _, a := range p.rhs.Attrs() {
-			if !fd.Holds(table, fd.FD{LHS: p.lhs, RHS: a}) {
+			if !fd.Holds(plain, fd.FD{LHS: p.lhs, RHS: a}) {
 				log.Fatalf("proposed FD %s→%s does not hold on plaintext",
 					p.lhs.Names(sch), sch.Name(a))
 			}

@@ -8,7 +8,6 @@ import (
 
 	"f2/internal/core"
 	"f2/internal/mas"
-	"f2/internal/partition"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -110,20 +109,19 @@ func RunUpdates(ctx context.Context, o Options) ([]*Table, error) {
 // elsewhere, so every agreement set it realizes is contained in one an
 // existing row pair already realizes — hence inside an existing MAS.
 func borderStableStream(tbl *relation.Table, count int, seed int64) ([][]string, error) {
-	masRes := mas.Discover(tbl).Sets
-	if len(masRes) == 0 {
+	disc := mas.Discover(tbl)
+	if len(disc.Sets) == 0 {
 		return nil, fmt.Errorf("bench: update workload has no MASs")
 	}
 	type pool struct {
 		attrs relation.AttrSet
 		reps  [][]string // projections of non-singleton classes
 	}
-	pools := make([]pool, 0, len(masRes))
-	for _, m := range masRes {
-		p := partition.Of(tbl, m)
+	pools := make([]pool, 0, len(disc.Sets))
+	for _, m := range disc.Sets {
 		var reps [][]string
-		for _, c := range p.NonSingletonClasses() {
-			reps = append(reps, c.Representative)
+		for _, c := range disc.Partitions[m].NonSingletonClasses() {
+			reps = append(reps, tbl.Project(c.Rows[0], m))
 		}
 		if len(reps) > 0 {
 			pools = append(pools, pool{attrs: m, reps: reps})

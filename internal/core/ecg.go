@@ -57,7 +57,7 @@ type ecg struct {
 //
 // Fake representatives are drawn from mint (fresh marker values,
 // collision-free by construction).
-func buildECGs(p *partition.Partition, mas relation.AttrSet, k int, mint *freshMinter) []*ecg {
+func buildECGs(t *relation.Table, p *partition.Partition, mas relation.AttrSet, k int, mint *freshMinter) []*ecg {
 	classes := p.NonSingletonClasses()
 	if len(classes) == 0 {
 		return nil
@@ -65,7 +65,7 @@ func buildECGs(p *partition.Partition, mas relation.AttrSet, k int, mint *freshM
 	var groups []*ecg
 	members := make([]*ecMember, len(classes))
 	for i, c := range classes {
-		members[i] = &ecMember{rep: c.Representative, rows: c.Rows, size: c.Size()}
+		members[i] = &ecMember{rep: t.Project(c.Rows[0], mas), rows: c.Rows, size: c.Size()}
 	}
 
 	attrs := mas.Attrs()

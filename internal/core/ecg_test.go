@@ -31,7 +31,7 @@ func TestBuildECGsFigure2(t *testing.T) {
 	m := relation.NewAttrSet(0, 1)
 	p := partition.Of(tbl, m)
 	mint := &freshMinter{}
-	groups := buildECGs(p, m, 3, mint) // α = 1/3 ⇒ k = 3, as in the example
+	groups := buildECGs(tbl, p, m, 3, mint) // α = 1/3 ⇒ k = 3, as in the example
 
 	if len(groups) != 2 {
 		t.Fatalf("got %d ECGs, want 2 (paper: ECG1={C1,C3,fake}, ECG2={C2,C4,C5})", len(groups))
@@ -81,7 +81,7 @@ func TestBuildECGsEveryECAssignedOnce(t *testing.T) {
 	tbl := figure2Table()
 	m := relation.NewAttrSet(0, 1)
 	p := partition.Of(tbl, m)
-	groups := buildECGs(p, m, 3, &freshMinter{})
+	groups := buildECGs(tbl, p, m, 3, &freshMinter{})
 	seen := map[string]bool{}
 	realECs := 0
 	for _, g := range groups {

@@ -117,10 +117,11 @@ type masPlan struct {
 	// row's equivalence class is a singleton.
 	rowInst []*ecInstance
 	stats   groupStats
-	// memberOf indexes real members by representative key. Built lazily by
-	// the first extendPlan of a rebuild generation and shared down the
-	// plan lineage; nil until then (membership is fixed between rebuilds).
-	memberOf map[string]memberAt
+	// memberOf indexes real members by their class's first row. Built
+	// lazily by the first extendPlan of a rebuild generation and shared
+	// down the plan lineage; nil until then (membership is fixed between
+	// rebuilds).
+	memberOf map[int]memberAt
 }
 
 // Encrypt runs the full 4-step pipeline on t. The context is checked at
@@ -169,7 +170,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	// ---- Step 2: grouping + splitting-and-scaling (SSE) ----
 	start = time.Now()
 	sctx, sp = obs.Start(ctx, "encrypt.step2.group")
-	plans, err := e.buildPlans(sctx, disc, t.NumRows())
+	plans, err := e.buildPlans(sctx, t, disc)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -212,7 +213,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	fpPatterns := make(map[relation.AttrSet]bool)
 	if !e.cfg.SkipFPElimination {
 		var err error
-		if fpPatterns, err = e.eliminateFalsePositives(sctx, t, plans, out, res); err != nil {
+		if fpPatterns, err = e.eliminateFalsePositives(sctx, t, disc.Coded, plans, out, res); err != nil {
 			sp.End()
 			return nil, err
 		}
@@ -234,14 +235,14 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 // buildPlans runs Step 2's plan construction for every MAS in order:
 // grouping (which mints the fake-EC representatives), split planning, and
 // row assignment, then the instance ciphertexts.
-func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int) ([]*masPlan, error) {
+func (e *Encryptor) buildPlans(ctx context.Context, t *relation.Table, disc *mas.Result) ([]*masPlan, error) {
 	plans := make([]*masPlan, len(disc.Sets))
 	for i, m := range disc.Sets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: encrypt: %w", err)
 		}
 		p := &masPlan{attrs: m, cols: m.Attrs(), part: disc.Partitions[m]}
-		p.ecgs = buildECGs(p.part, m, e.cfg.K(), e.mint)
+		p.ecgs = buildECGs(t, p.part, m, e.cfg.K(), e.mint)
 		for _, g := range p.ecgs {
 			if e.cfg.NaiveSplitPoint {
 				planSplitNaive(g, e.cfg.SplitFactor, e.cfg.MinInstanceFreq)
@@ -250,7 +251,7 @@ func (e *Encryptor) buildPlans(ctx context.Context, disc *mas.Result, nRows int)
 			}
 			assignRows(g)
 		}
-		p.rowInst = make([]*ecInstance, nRows)
+		p.rowInst = make([]*ecInstance, t.NumRows())
 		for _, g := range p.ecgs {
 			for _, mem := range g.members {
 				for _, inst := range mem.instances {

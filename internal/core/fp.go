@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"f2/internal/border"
 	"f2/internal/obs"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -38,11 +38,11 @@ type fpWitness struct {
 //
 // The per-Y border searches are independent — violation is a property of
 // (X, Y) pairs on D — so they fan out across the pool, one RHS attribute
-// per task; only the shared representative indexes are built under a
-// lock, once per MAS. Witness caches are per-Y (a node carries its Y), so
-// the probe results do not depend on how the searches are scheduled. The
-// searches mint nothing; the artificial pairs are then emitted serially
-// in ascending-Y, sorted-X order.
+// per task, all reading the same coded table and representative rows.
+// Witness caches are per-Y (a node carries its Y), so the probe results
+// do not depend on how the searches are scheduled. The searches mint
+// nothing; the artificial pairs are then emitted serially in ascending-Y,
+// sorted-X order.
 //
 // Deviation from the paper (documented in docs/DESIGN.md): the paper's
 // artificial pairs agree exactly on X and differ everywhere else, which
@@ -61,7 +61,7 @@ type fpWitness struct {
 // the set of emitted patterns; the incremental engine keeps that set to
 // decide which newly violated dependencies still need witnessing after
 // an append.
-func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, plans []*masPlan, out *relation.Table, res *Result) (map[relation.AttrSet]bool, error) {
+func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, coded *relation.Coded, plans []*masPlan, out *relation.Table, res *Result) (map[relation.AttrSet]bool, error) {
 	// A violated X needs a row pair agreeing on X, so X must be a
 	// non-unique column combination — equivalently, contained in some MAS
 	// (Step 1 already computed them all). That containment test is a few
@@ -80,22 +80,16 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		return false
 	}
 
-	// Lazily built representative indexes, one per MAS, shared across the
-	// concurrent per-Y searches. A per-plan sync.Once keeps the build
-	// lazy (an unprobed MAS never pays for an index) while the hot
-	// lookup path — every uncached oracle probe of every Y search —
-	// stays lock-free after the build.
-	type lazyRepIndex struct {
-		once sync.Once
-		idx  *repIndex
+	// One representative row per class of each MAS partition, shared
+	// read-only by the concurrent per-Y searches.
+	reps := make([][]int, len(plans))
+	for i, p := range plans {
+		reps[i] = firstRows(p.part)
 	}
-	lazies := make([]lazyRepIndex, len(plans))
-	repFor := func(attrs relation.AttrSet) *repIndex {
+	repFor := func(attrs relation.AttrSet) []int {
 		for i, p := range plans {
 			if attrs.SubsetOf(p.attrs) {
-				l := &lazies[i]
-				l.once.Do(func() { l.idx = newRepIndex(p) })
-				return l.idx
+				return reps[i]
 			}
 		}
 		return nil
@@ -134,8 +128,8 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 			node := fpNode{x, y}
 			w, ok := cache[node]
 			if !ok {
-				if reps := repFor(x.Add(y)); reps != nil {
-					if ri, rj, violated := reps.findViolation(x, y); violated {
+				if rows := repFor(x.Add(y)); rows != nil {
+					if ri, rj, violated := findViolation(coded, rows, x, y); violated {
 						w = &fpWitness{ri, rj}
 					}
 				}
@@ -202,76 +196,37 @@ func fpCovered(patterns map[relation.AttrSet]bool, x relation.AttrSet, y int) bo
 	return false
 }
 
-// repIndex provides violation lookups over the equivalence-class
-// representatives of one MAS partition. Testing representative pairs is
-// equivalent to testing all row pairs: rows inside one EC agree on all of
-// M, so they can never witness a violation of X→Y with X∪{Y} ⊆ M.
-// Representatives are dictionary-encoded per attribute so violation scans
-// work on integer codes. A built index is immutable and safe for
-// concurrent readers.
-type repIndex struct {
-	cols   []int       // MAS attributes, ascending
-	colPos map[int]int // attribute -> index into rep slices
-	codes  [][]int32   // [attrPos][ec] dictionary code of the rep value
-	rows   []int       // one concrete row per EC (violation template)
+// firstRows returns the first row of every class of p, in class order:
+// the representatives Step 4 tests for violations. Testing representative
+// pairs is equivalent to testing all row pairs: rows inside one EC agree
+// on all of M, so they can never witness a violation of X→Y with
+// X∪{Y} ⊆ M.
+func firstRows(p *partition.Partition) []int {
+	rows := make([]int, len(p.Classes))
+	for ci, c := range p.Classes {
+		rows[ci] = c.Rows[0]
+	}
+	return rows
 }
 
-func newRepIndex(p *masPlan) *repIndex {
-	idx := &repIndex{cols: p.cols, colPos: make(map[int]int, len(p.cols))}
-	for i, a := range p.cols {
-		idx.colPos[a] = i
-	}
-	nECs := len(p.part.Classes)
-	idx.codes = make([][]int32, len(p.cols))
-	for i := range idx.codes {
-		idx.codes[i] = make([]int32, nECs)
-	}
-	dicts := make([]map[string]int32, len(p.cols))
-	for i := range dicts {
-		dicts[i] = make(map[string]int32)
-	}
-	idx.rows = make([]int, nECs)
-	for ci, c := range p.part.Classes {
-		idx.rows[ci] = c.Rows[0]
-		for i, v := range c.Representative {
-			code, ok := dicts[i][v]
-			if !ok {
-				code = int32(len(dicts[i]))
-				dicts[i][v] = code
-			}
-			idx.codes[i][ci] = code
-		}
-	}
-	return idx
-}
-
-// findViolation reports whether X→Y (X∪{Y} ⊆ M) is violated on D and, if
-// so, returns a witnessing row pair.
-func (x *repIndex) findViolation(attrs relation.AttrSet, y int) (ri, rj int, violated bool) {
-	pos := make([]int, 0, attrs.Size())
-	for _, a := range attrs.Attrs() {
-		pos = append(pos, x.colPos[a])
-	}
-	ycol := x.codes[x.colPos[y]]
-	type first struct {
-		yval int32
-		row  int
-	}
-	n := len(x.rows)
-	seen := make(map[string]first, n)
-	key := make([]byte, 0, 4*len(pos))
-	for i := 0; i < n; i++ {
-		key = key[:0]
-		for _, p := range pos {
-			c := x.codes[p][i]
-			key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		}
+// findViolation reports whether X→Y is violated among the representative
+// rows (X∪{Y} inside their MAS) and, if so, returns a witnessing row pair:
+// scanning in class order, the first representative whose X codes an
+// earlier one holds with a different Y code, paired with the first
+// representative holding those X codes.
+func findViolation(coded *relation.Coded, rows []int, attrs relation.AttrSet, y int) (ri, rj int, violated bool) {
+	cols := attrs.Attrs()
+	ycol := coded.Column(y)
+	seen := make(map[string]int, len(rows)) // X key -> first row holding it
+	key := make([]byte, 0, 4*len(cols))
+	for _, r := range rows {
+		key = coded.AppendKey(key[:0], r, cols)
 		if f, ok := seen[string(key)]; ok {
-			if f.yval != ycol[i] {
-				return f.row, x.rows[i], true
+			if ycol[f] != ycol[r] {
+				return f, r, true
 			}
 		} else {
-			seen[string(key)] = first{yval: ycol[i], row: x.rows[i]}
+			seen[string(key)] = r
 		}
 	}
 	return 0, 0, false

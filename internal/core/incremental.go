@@ -234,19 +234,20 @@ func extendPlan(old *masPlan, part *partition.Partition, d partition.Delta, t *r
 		return np, nil, true
 	}
 
-	// Locate each grown class's member by representative. Grouping sorted
-	// the members by size, so positions do not correspond; representatives
-	// are unique within one MAS partition. ECG membership only changes on
-	// a rebuild, and cloneECG keeps member order, so the index is built
-	// once per rebuild generation and carried down the plan lineage (the
-	// flush that builds it is the lineage's only writer).
+	// Locate each grown class's member by the class's first row. Grouping
+	// sorted the members by size, so positions do not correspond; Refine
+	// only appends rows after a class's existing ones, so its first row
+	// never changes. ECG membership only changes on a rebuild, and
+	// cloneECG keeps member order, so the index is built once per rebuild
+	// generation and carried down the plan lineage (the flush that builds
+	// it is the lineage's only writer).
 	memberOf := old.memberOf
 	if memberOf == nil {
-		memberOf = make(map[string]memberAt)
+		memberOf = make(map[int]memberAt)
 		for gi, g := range old.ecgs {
 			for mi, m := range g.members {
 				if !m.fake {
-					memberOf[relation.KeyOfValues(m.rep)] = memberAt{gi, mi}
+					memberOf[m.rows[0]] = memberAt{gi, mi}
 				}
 			}
 		}
@@ -265,7 +266,7 @@ func extendPlan(old *masPlan, part *partition.Partition, d partition.Delta, t *r
 			// an ECG, which restructures the grouping.
 			return nil, nil, false
 		}
-		at, ok := memberOf[relation.KeyOfValues(c.Representative)]
+		at, ok := memberOf[c.Rows[0]]
 		if !ok {
 			// Defensive: every pre-existing non-singleton class has a member.
 			return nil, nil, false

@@ -45,7 +45,7 @@ func TestPipelineInvariantsOnWorkloads(t *testing.T) {
 		disc := mas.Discover(tbl)
 		mint := &freshMinter{}
 		for _, m := range disc.Sets {
-			groups := buildECGs(disc.Partitions[m], m, k, mint)
+			groups := buildECGs(tbl, disc.Partitions[m], m, k, mint)
 			attrs := m.Attrs()
 			for _, g := range groups {
 				planSplit(g, cfg.SplitFactor, cfg.MinInstanceFreq)

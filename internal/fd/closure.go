@@ -1,7 +1,6 @@
 package fd
 
 import (
-	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -130,14 +129,10 @@ func dedupeSets(sets []relation.AttrSet) []relation.AttrSet {
 
 // IsBCNF reports whether t is in Boyce-Codd normal form with respect to
 // its witnessed FDs: every non-trivial dependency's LHS must be a
-// superkey. Violating FDs are returned for the schema-refinement use case.
+// superkey. A witnessed FD's LHS has a duplicate projection by definition,
+// so it is never a superkey: every witnessed FD is a violation, and they
+// are returned for the schema-refinement use case.
 func IsBCNF(t *relation.Table) (bool, []FD) {
-	fds := DiscoverWitnessed(t)
-	var violations []FD
-	for _, f := range fds.Slice() {
-		if partition.StrippedOf(t, f.LHS).HasDuplicate() {
-			violations = append(violations, f)
-		}
-	}
+	violations := DiscoverWitnessed(t).Slice()
 	return len(violations) == 0, violations
 }

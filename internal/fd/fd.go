@@ -42,26 +42,26 @@ func (f FD) Names(sch *relation.Schema) string {
 // Trivial reports whether RHS ∈ LHS.
 func (f FD) Trivial() bool { return f.LHS.Has(f.RHS) }
 
-// Holds reports whether the FD is valid on t: any two rows agreeing on LHS
-// agree on RHS. An FD with a unique (duplicate-free) LHS holds vacuously.
-func Holds(t *relation.Table, f FD) bool {
+// Holds reports whether the FD is valid on the coded table c: any two rows
+// agreeing on LHS agree on RHS. An FD with a unique (duplicate-free) LHS
+// holds vacuously. Callers testing many FDs encode the table once.
+func Holds(c *relation.Coded, f FD) bool {
 	if f.Trivial() {
 		return true
 	}
-	s := partition.StrippedOf(t, f.LHS)
-	return s.RefinesAttr(t.Column(f.RHS))
+	return partition.StrippedOf(c, f.LHS).RefinesAttr(c.Column(f.RHS))
 }
 
-// Witnessed reports whether the FD both holds on t and has at least one
+// Witnessed reports whether the FD both holds on c and has at least one
 // witnessing pair: two distinct rows agreeing on LHS. Vacuously-true FDs
 // (unique LHS) hold but are not witnessed; see docs/DESIGN.md for why F²'s
 // preservation guarantees are stated over witnessed FDs.
-func Witnessed(t *relation.Table, f FD) bool {
+func Witnessed(c *relation.Coded, f FD) bool {
 	if f.Trivial() {
 		return false
 	}
-	s := partition.StrippedOf(t, f.LHS)
-	return s.HasDuplicate() && s.RefinesAttr(t.Column(f.RHS))
+	s := partition.StrippedOf(c, f.LHS)
+	return s.HasDuplicate() && s.RefinesAttr(c.Column(f.RHS))
 }
 
 // Set is a canonical collection of FDs with set semantics.
@@ -176,7 +176,7 @@ func (s *Set) Minimize() *Set {
 // BruteForce discovers all minimal non-trivial FDs of t by exhaustive
 // enumeration. Exponential in the number of attributes; a test oracle only.
 func BruteForce(t *relation.Table) *Set {
-	m := t.NumAttrs()
+	m, c := t.NumAttrs(), relation.Encode(t)
 	out := NewSet()
 	// For each RHS attribute, enumerate candidate LHSs by ascending size so
 	// that minimality can be checked against already-found FDs.
@@ -194,7 +194,7 @@ func BruteForce(t *relation.Table) *Set {
 			if covered {
 				continue
 			}
-			if Holds(t, FD{LHS: lhs, RHS: rhs}) {
+			if Holds(c, FD{LHS: lhs, RHS: rhs}) {
 				found = append(found, lhs)
 				out.Add(FD{LHS: lhs, RHS: rhs})
 			}
@@ -206,7 +206,7 @@ func BruteForce(t *relation.Table) *Set {
 // BruteForceWitnessed is BruteForce restricted to witnessed FDs: minimal
 // FDs X→A where X has at least one duplicate projection.
 func BruteForceWitnessed(t *relation.Table) *Set {
-	m := t.NumAttrs()
+	m, c := t.NumAttrs(), relation.Encode(t)
 	out := NewSet()
 	for rhs := 0; rhs < m; rhs++ {
 		var found []relation.AttrSet
@@ -222,7 +222,7 @@ func BruteForceWitnessed(t *relation.Table) *Set {
 			if covered {
 				continue
 			}
-			if Witnessed(t, FD{LHS: lhs, RHS: rhs}) {
+			if Witnessed(c, FD{LHS: lhs, RHS: rhs}) {
 				found = append(found, lhs)
 				out.Add(FD{LHS: lhs, RHS: rhs})
 			}

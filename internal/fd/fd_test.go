@@ -21,7 +21,7 @@ func zipTable() *relation.Table {
 }
 
 func TestHoldsAndWitnessed(t *testing.T) {
-	tbl := zipTable()
+	tbl := relation.Encode(zipTable())
 	zipCity := FD{LHS: relation.NewAttrSet(0), RHS: 1}
 	cityZip := FD{LHS: relation.NewAttrSet(1), RHS: 0}
 	if !Holds(tbl, zipCity) {

@@ -20,7 +20,7 @@ import (
 // column's single equivalence class necessarily breaks ∅→A — and the
 // paper's evaluation datasets have none. See docs/DESIGN.md.
 type TANE struct {
-	table *relation.Table
+	coded *relation.Coded
 	m     int
 	ctx   context.Context
 
@@ -90,7 +90,7 @@ func runTANE(ctx context.Context, t *relation.Table) (*TANE, error) {
 	sp.SetAttr("rows", t.NumRows())
 	sp.SetAttr("attrs", t.NumAttrs())
 	tane := &TANE{
-		table: t,
+		coded: relation.Encode(t),
 		m:     t.NumAttrs(),
 		ctx:   ctx,
 		parts: make(map[relation.AttrSet]*partition.Stripped),
@@ -109,7 +109,7 @@ func runTANE(ctx context.Context, t *relation.Table) (*TANE, error) {
 }
 
 func (ta *TANE) run() error {
-	if ta.table.NumRows() == 0 || ta.m == 0 {
+	if ta.coded.NumRows() == 0 || ta.m == 0 {
 		return nil
 	}
 	all := relation.FullAttrSet(ta.m)
@@ -119,7 +119,7 @@ func (ta *TANE) run() error {
 	level := make([]relation.AttrSet, 0, ta.m)
 	for a := 0; a < ta.m; a++ {
 		x := relation.SingleAttr(a)
-		ta.parts[x] = partition.StrippedSingle(ta.table, a)
+		ta.parts[x] = partition.StrippedSingle(ta.coded, a)
 		ta.cplus[x] = all
 		level = append(level, x)
 	}
@@ -128,7 +128,7 @@ func (ta *TANE) run() error {
 	// columns), which we deliberately exclude.
 	level = ta.prune(level)
 
-	ws := partition.NewWorkspace(ta.table.NumRows())
+	ws := partition.NewWorkspace(ta.coded.NumRows())
 	for len(level) > 0 {
 		if err := ta.ctx.Err(); err != nil {
 			return fmt.Errorf("fd: discovery: %w", err)
@@ -145,7 +145,7 @@ func (ta *TANE) run() error {
 			px, py := ta.parts[relation.SingleAttr(a)], ta.parts[y]
 			if py == nil {
 				// Parent partition was pruned away; recompute directly.
-				py = partition.StrippedOf(ta.table, y)
+				py = partition.StrippedOf(ta.coded, y)
 			}
 			ta.parts[x] = partition.Product(py, px, ws)
 			ta.products++
@@ -223,7 +223,7 @@ func (ta *TANE) lookupPartition(x relation.AttrSet) *partition.Stripped {
 	if p, ok := ta.parts[x]; ok {
 		return p
 	}
-	p := partition.StrippedOf(ta.table, x)
+	p := partition.StrippedOf(ta.coded, x)
 	ta.parts[x] = p
 	return p
 }

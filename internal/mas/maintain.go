@@ -56,51 +56,42 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	if oldRows > n {
 		return nil, false, fmt.Errorf("mas: maintain: old row count %d exceeds table rows %d", oldRows, n)
 	}
+	coded := prev.Coded.Extend(t, oldRows)
 	ref := &Refreshed{
-		Result:     &Result{Sets: prev.Sets, Partitions: make(map[relation.AttrSet]*partition.Partition, len(prev.Sets))},
+		Result:     &Result{Sets: prev.Sets, Partitions: make(map[relation.AttrSet]*partition.Partition, len(prev.Sets)), Coded: coded},
 		Deltas:     make(map[relation.AttrSet]partition.Delta, len(prev.Sets)),
 		Agreements: make(map[relation.AttrSet][2]int),
 	}
 	m := t.NumAttrs()
-	// The value index is cached on the Result lineage; it is reusable only
-	// when it covers exactly the already-encrypted prefix (an aborted
-	// attempt leaves rows != oldRows behind, which must rebuild — the
-	// stale entries reference dead data).
+	all := relation.FullAttrSet(m).Attrs()
+	cols := make([][]int32, m)
+	for a := range cols {
+		cols[a] = coded.Column(a)
+	}
+	key := make([]byte, 0, 4*m)
+	// The postings are cached on the Result lineage; they are reusable
+	// only when they cover exactly the already-encrypted prefix (an
+	// aborted attempt leaves rows != oldRows behind, which must rebuild —
+	// the stale entries reference dead data). Codes are first-occurrence,
+	// so cached postings stay valid even when Extend had to re-encode.
 	idx := prev.postings
-	if idx == nil || idx.rows != oldRows || len(idx.syms) != m {
-		idx = &postingsIndex{
-			rows: oldRows,
-			syms: make([]map[string]int32, m),
-			post: make([][][]int32, m),
-			colv: make([][]int32, m),
-		}
-		for a := 0; a < m; a++ {
-			col := t.Column(a)
-			sym := make(map[string]int32, 64)
-			colv := make([]int32, oldRows, n+n/4+16)
-			for i := 0; i < oldRows; i++ {
-				id, ok := sym[col[i]]
-				if !ok {
-					id = int32(len(idx.post[a]))
-					sym[col[i]] = id
-					idx.post[a] = append(idx.post[a], nil)
-				}
-				colv[i] = id
-				idx.post[a][id] = append(idx.post[a][id], int32(i))
+	if idx == nil || idx.rows != oldRows || len(idx.post) != m {
+		idx = &postingsIndex{rows: oldRows, post: make([][][]int32, m), twins: make(map[string][2]int32, oldRows+16)}
+		for a, col := range cols {
+			idx.post[a] = make([][]int32, coded.Cardinality(a))
+			for i, code := range col[:oldRows] {
+				idx.post[a][code] = append(idx.post[a][code], int32(i))
 			}
-			idx.syms[a] = sym
-			idx.colv[a] = colv
 		}
-		idx.twins = make(map[string][2]int32, oldRows+16)
-		idx.keyBuf = make([]byte, 4*m)
 		for i := 0; i < oldRows; i++ {
-			k := packRowKey(idx.keyBuf, idx.colv, i)
-			if tw, ok := idx.twins[k]; ok {
-				tw[1] = int32(i)
-				idx.twins[k] = tw
-			} else {
-				idx.twins[k] = [2]int32{int32(i), int32(i)}
-			}
+			key = coded.AppendKey(key[:0], i, all)
+			idx.noteTwin(key, i)
+		}
+	}
+	// Codes the append coined get empty postings.
+	for a := range idx.post {
+		if grow := coded.Cardinality(a) - len(idx.post[a]); grow > 0 {
+			idx.post[a] = append(idx.post[a], make([][]int32, grow)...)
 		}
 	}
 	if len(idx.acc) < n {
@@ -108,7 +99,6 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	}
 	acc := idx.acc
 	touched := make([]int32, 0, 64)
-	symID := make([]int32, m)
 
 	// Per-row distinct agreement sets with their smallest witnessing j.
 	// The pairwise scan recorded the first (ascending-j) witness of each
@@ -174,16 +164,8 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		}
 		ref.Result.Checked += i // logical probes: row i against every predecessor
 		heavy, heavyLen := -1, heavyCut
-		for a := 0; a < m; a++ {
-			v := t.Column(a)[i]
-			id, ok := idx.syms[a][v]
-			if !ok {
-				id = int32(len(idx.post[a]))
-				idx.syms[a][v] = id
-				idx.post[a] = append(idx.post[a], nil)
-			}
-			symID[a] = id
-			if lst := idx.post[a][id]; len(lst) >= heavyLen {
+		for a, col := range cols {
+			if lst := idx.post[a][col[i]]; len(lst) >= heavyLen {
 				heavy, heavyLen = a, len(lst)
 			}
 		}
@@ -194,7 +176,7 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 				idx.gen = 1
 			}
 		}
-		// Exact-duplicate shortcut. If row i's full symbol vector already
+		// Exact-duplicate shortcut. If row i's full code vector already
 		// appeared at a row scanned in THIS call, then every agreement set
 		// row i realizes equals one an earlier pair of this call realized
 		// (agree(j,i) = agree(j,twin) for all j), so they are all in
@@ -206,14 +188,10 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		twinShortcut := false
 		var firstTwin int32
 		if m > 0 {
-			key := packSymKey(idx.keyBuf, symID)
-			if tw, ok := idx.twins[key]; ok {
+			key = coded.AppendKey(key[:0], i, all)
+			if tw, ok := idx.noteTwin(key, i); ok {
 				firstTwin = tw[0]
 				twinShortcut = tw[1] >= int32(oldRows)
-				tw[1] = int32(i)
-				idx.twins[key] = tw
-			} else {
-				idx.twins[key] = [2]int32{int32(i), int32(i)}
 			}
 		}
 		if twinShortcut {
@@ -221,11 +199,11 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 				record(fullSet, firstTwin)
 			}
 		} else {
-			for a := 0; a < m; a++ {
+			for a, col := range cols {
 				if a == heavy {
 					continue
 				}
-				for _, j := range idx.post[a][symID[a]] {
+				for _, j := range idx.post[a][col[i]] {
 					if acc[j].IsEmpty() {
 						touched = append(touched, j)
 					}
@@ -233,8 +211,8 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 				}
 			}
 			if heavy >= 0 {
-				hv := idx.colv[heavy]
-				hid := symID[heavy]
+				hv := cols[heavy]
+				hid := hv[i]
 				for _, j := range touched {
 					a := acc[j]
 					if hv[j] == hid {
@@ -283,9 +261,8 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		if !stamped {
 			rowMinJ = rowMinJ[:0]
 		}
-		for a := 0; a < m; a++ {
-			idx.colv[a] = append(idx.colv[a], symID[a])
-			idx.post[a][symID[a]] = append(idx.post[a][symID[a]], int32(i))
+		for a, col := range cols {
+			idx.post[a][col[i]] = append(idx.post[a][col[i]], int32(i))
 		}
 		// Track insertions eagerly: if we bail out mid-scan (border moved,
 		// cancellation), the cache honestly reports how far it got and the
@@ -298,7 +275,7 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		if !ok {
 			return nil, false, fmt.Errorf("mas: maintain: no cached partition for %v", mas)
 		}
-		np, d, err := p.Refine(t, oldRows)
+		np, d, err := p.Refine(coded, oldRows)
 		if err != nil {
 			return nil, false, fmt.Errorf("mas: maintain: %w", err)
 		}
@@ -308,26 +285,15 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	return ref, true, nil
 }
 
-// packRowKey packs row i's full symbol vector (column-major colv) into buf
-// as little-endian int32s and returns it as a map key.
-func packRowKey(buf []byte, colv [][]int32, i int) string {
-	for a, c := range colv {
-		id := c[i]
-		buf[4*a] = byte(id)
-		buf[4*a+1] = byte(id >> 8)
-		buf[4*a+2] = byte(id >> 16)
-		buf[4*a+3] = byte(id >> 24)
+// noteTwin records row i as the last holder of the full code key and
+// returns the {first, last} rows that held it before, if any.
+func (idx *postingsIndex) noteTwin(key []byte, i int) (prev [2]int32, ok bool) {
+	prev, ok = idx.twins[string(key)]
+	tw := prev
+	if !ok {
+		tw[0] = int32(i)
 	}
-	return string(buf)
-}
-
-// packSymKey is packRowKey for an already-gathered symbol vector.
-func packSymKey(buf []byte, ids []int32) string {
-	for a, id := range ids {
-		buf[4*a] = byte(id)
-		buf[4*a+1] = byte(id >> 8)
-		buf[4*a+2] = byte(id >> 16)
-		buf[4*a+3] = byte(id >> 24)
-	}
-	return string(buf)
+	tw[1] = int32(i)
+	idx.twins[string(key)] = tw
+	return prev, ok
 }

@@ -128,7 +128,11 @@ func TestMaintainBorderDetectsMerge(t *testing.T) {
 
 // TestMaintainBorderMatchesDiscoverRandomized cross-checks the exactness
 // of the agreement-set criterion on random tables: MaintainBorder says
-// "unchanged" iff fresh discovery finds the same border.
+// "unchanged" iff fresh discovery finds the same border. A refreshed
+// result is then maintained the way a failed flush leaves it: extended
+// over one suffix that is dropped, then over another. The shared coded
+// view, postings and class indexes must notice the abandoned extension,
+// so the second answer still matches discovery, class for class.
 func TestMaintainBorderMatchesDiscoverRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	agree, changed := 0, 0
@@ -163,11 +167,57 @@ func TestMaintainBorderMatchesDiscoverRandomized(t *testing.T) {
 			if !reflect.DeepEqual(ref.Result.Sets, fresh.Sets) {
 				t.Fatalf("trial %d: refreshed sets diverge", trial)
 			}
+			appended := func(domain int) *relation.Table {
+				out := tbl.Clone()
+				extra := randomTable(rng, attrs, 1+rng.Intn(3), domain)
+				for i := 0; i < extra.NumRows(); i++ {
+					out.AppendRow(extra.Row(i))
+				}
+				return out
+			}
+			if _, _, err := MaintainBorder(context.Background(), ref.Result, appended(4), tbl.NumRows()); err != nil {
+				t.Fatal(err)
+			}
+			kept := appended(3)
+			checkMaintainedLike(t, trial, ref.Result, kept, tbl.NumRows())
 		} else {
 			changed++
 		}
 	}
 	if agree == 0 || changed == 0 {
 		t.Fatalf("degenerate trial mix: %d stable, %d changed", agree, changed)
+	}
+}
+
+// checkMaintainedLike maintains prev over t[oldRows:] and checks the
+// outcome against discovery on t: the same verdict and, when the border
+// held, identical classes and codes.
+func checkMaintainedLike(t *testing.T, trial int, prev *Result, tbl *relation.Table, oldRows int) {
+	t.Helper()
+	ref, ok, err := MaintainBorder(context.Background(), prev, tbl, oldRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := DiscoverCtx(context.Background(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != reflect.DeepEqual(prev.Sets, fresh.Sets) {
+		t.Fatalf("trial %d: after an abandoned flush, MaintainBorder ok=%v against sets %v → %v", trial, ok, prev.Sets, fresh.Sets)
+	}
+	if !ok {
+		return
+	}
+	for _, m := range fresh.Sets {
+		got, want := ref.Result.Partitions[m].Classes, fresh.Partitions[m].Classes
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: after an abandoned flush, classes of %v diverge", trial, m)
+		}
+	}
+	for a := 0; a < tbl.NumAttrs(); a++ {
+		if !reflect.DeepEqual(ref.Result.Coded.Column(a), fresh.Coded.Column(a)) ||
+			ref.Result.Coded.Cardinality(a) != fresh.Coded.Cardinality(a) {
+			t.Fatalf("trial %d: after an abandoned flush, codes of column %d diverge", trial, a)
+		}
 	}
 }

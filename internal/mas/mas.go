@@ -35,13 +35,17 @@ type Result struct {
 	Sets []relation.AttrSet
 	// Partitions maps each MAS to its full partition π_M.
 	Partitions map[relation.AttrSet]*partition.Partition
+	// Coded is the dictionary-encoded table the sets were found on.
+	// MaintainBorder extends it with the appended rows, and Step 4 reads
+	// the codes of class representatives from it.
+	Coded *relation.Coded
 	// Checked counts uniqueness checks performed (work measure for the
 	// DUCC-vs-levelwise ablation).
 	Checked int
 	// Border holds the border search's counters (Discover only; zero
 	// for the levelwise sweep and for MaintainBorder).
 	Border border.Stats
-	// postings caches MaintainBorder's per-column value index so
+	// postings caches MaintainBorder's per-column postings so
 	// back-to-back incremental maintains skip the O(n·m) rebuild. Shared
 	// across a Result lineage; the rows guard makes a stale copy (an
 	// aborted flush attempt left extra rows behind) rebuild instead of
@@ -49,11 +53,9 @@ type Result struct {
 	postings *postingsIndex
 }
 
-// postingsIndex is a per-column value index covering rows 0..rows-1.
-// Values are interned to dense int32 symbol ids (syms), so the scan's
-// inner loops compare and index integers, never strings: post[a][id] is
-// the ascending list of rows whose column-a cell has symbol id, and
-// colv[a][j] is row j's symbol in column a.
+// postingsIndex is a per-column index over the codes of Result.Coded,
+// covering rows 0..rows-1: post[a][code] is the ascending list of rows
+// whose column-a cell has that code.
 //
 // acc is the scan's scratch accumulator, kept here so successive
 // maintains don't allocate and zero O(n) words each; it is all-zero
@@ -63,22 +65,19 @@ type Result struct {
 // linear scan over the row's distinct sets.
 type postingsIndex struct {
 	rows int
-	syms []map[string]int32
 	post [][][]int32
-	colv [][]int32
 	acc  []relation.AttrSet
 
 	setMinJ []int32
 	setGen  []uint32
 	gen     uint32
 
-	// twins maps a row's full symbol vector (packed little-endian int32s)
-	// to {first, last} row id holding it. An appended row whose vector
+	// twins maps a row's full code vector (relation.Coded.AppendKey) to
+	// {first, last} row id holding it. An appended row whose vector
 	// already appeared in the same maintain call realizes exactly the
 	// agreement sets its twin did plus the full attribute set — the scan
 	// shortcuts those rows to an O(1) check.
-	twins  map[string][2]int32
-	keyBuf []byte
+	twins map[string][2]int32
 }
 
 // Discover finds all MASs of t with the DUCC-style border search of
@@ -95,11 +94,11 @@ func Discover(t *relation.Table) *Result {
 // uniqueness oracle constant-false so the border search drains quickly,
 // and the bogus result is discarded.
 func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
-	r := &Result{Partitions: make(map[relation.AttrSet]*partition.Partition)}
+	coded := relation.Encode(t)
+	r := &Result{Partitions: make(map[relation.AttrSet]*partition.Partition), Coded: coded}
 	if t.NumRows() < 2 || t.NumAttrs() == 0 {
 		return r, nil
 	}
-	coded := relation.Encode(t)
 	sets, stats := border.Find(relation.FullAttrSet(t.NumAttrs()), func(x relation.AttrSet) bool {
 		return ctx.Err() == nil && coded.HasDuplicateOn(x)
 	})
@@ -113,7 +112,7 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mas: discovery: %w", err)
 		}
-		r.Partitions[x] = partition.Of(t, x)
+		r.Partitions[x] = partition.OfCoded(coded, x)
 	}
 	return r, nil
 }
@@ -131,12 +130,12 @@ func DiscoverLevelwise(t *relation.Table) *Result {
 // DiscoverLevelwiseCtx is DiscoverLevelwise with cancellation, checked
 // once per lattice level.
 func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, error) {
-	r := &Result{Partitions: make(map[relation.AttrSet]*partition.Partition)}
+	coded := relation.Encode(t)
+	r := &Result{Partitions: make(map[relation.AttrSet]*partition.Partition), Coded: coded}
 	if t.NumRows() < 2 {
 		return r, nil
 	}
 	m := t.NumAttrs()
-	coded := relation.Encode(t)
 	var level []relation.AttrSet
 	for a := 0; a < m; a++ {
 		x := relation.SingleAttr(a)
@@ -203,7 +202,7 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mas: discovery: %w", err)
 		}
-		r.Partitions[x] = partition.Of(t, x)
+		r.Partitions[x] = partition.OfCoded(coded, x)
 	}
 	return r, nil
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"f2/internal/relation"
 	"f2/internal/workload"
 )
 
@@ -14,9 +15,10 @@ func BenchmarkProduct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := relation.Encode(tbl)
 	singles := make([]*Stripped, tbl.NumAttrs())
 	for a := range singles {
-		singles[a] = StrippedSingle(tbl, a)
+		singles[a] = StrippedSingle(c, a)
 	}
 	ws := NewWorkspace(tbl.NumRows())
 	b.ReportAllocs()

@@ -4,20 +4,18 @@
 // (Huhtala et al., 1999). Partitions are the shared machinery behind FD
 // discovery, MAS discovery, and the F² encryptor itself.
 //
-// Invariants the rest of the system leans on:
+// Partitions group rows by dictionary codes (relation.Coded), never by
+// cell strings. Invariants the rest of the system leans on:
 //
-//   - within one class, Rows is ascending, and Representative is the
-//     projection (in ascending attribute order) shared by every row of
-//     the class;
-//   - representatives are unique within one partition — the encryptor's
-//     incremental engine uses them as stable member identities across
-//     refinements;
+//   - within one class, Rows is ascending, and classes are ordered by
+//     their first row — the first-occurrence order of their projections;
 //   - Refine is append-aware and copy-on-write: refining with appended
 //     rows never mutates the receiver, keeps every pre-existing row
 //     *before* every appended row inside a grown class, and reports the
-//     grown/born class indices as a Delta. The incremental encryptor's
-//     positional old/new split (core.appendedSuffix) is correct only
-//     because of that ordering guarantee;
+//     grown/born class indices as a Delta. A class's first row therefore
+//     never changes, which is what makes it the incremental encryptor's
+//     stable member identity, and the positional old/new split
+//     (core.appendedSuffix) is correct only because of that ordering;
 //   - stripped partitions store row indices as int32, so they cover
 //     tables of at most math.MaxInt32 rows; the constructors panic past
 //     that bound and fd's TANE refuses such tables with an error.
@@ -30,12 +28,10 @@ import (
 )
 
 // EC is an equivalence class: the rows of the table that share the same
-// value tuple over some attribute set X. Rows are stored as ascending row
-// indices. Representative is the shared value tuple (in ascending attribute
-// order of X).
+// value tuple over some attribute set X, as ascending row indices. The
+// shared tuple is the projection of any member, e.g. of Rows[0].
 type EC struct {
-	Rows           []int
-	Representative []string
+	Rows []int
 }
 
 // Size returns the number of rows in the class (the instance frequency f).
@@ -48,34 +44,26 @@ type Partition struct {
 	Classes []*EC
 	numRows int
 
-	// index maps each class's canonical representative key to its position
-	// in Classes. Built by the first Refine and shared down the refinement
-	// lineage so successive flushes skip the O(|classes|) rebuild; it is
-	// trusted only while len(index) == len(Classes) — an aborted refine
-	// leaves extra entries behind, which the next Refine detects and
-	// rebuilds from scratch.
+	// index maps each class's packed code key (relation.Coded.AppendKey)
+	// to its position in Classes. OfCoded builds it and Refine shares it
+	// down the refinement lineage, so successive flushes skip the
+	// O(|classes|) rebuild; it is trusted only while len(index) ==
+	// len(Classes) — an aborted refine leaves extra entries behind, which
+	// the next Refine detects and rebuilds from scratch.
 	index map[string]int
 }
 
-// Of computes π_X for table t by hashing projected row keys.
+// Of computes π_X for table t. Callers grouping one table under several
+// attribute sets encode it once and call OfCoded.
 func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
-	groups := make(map[string]*EC)
-	order := make([]string, 0)
-	for i := 0; i < t.NumRows(); i++ {
-		k := t.ProjectKey(i, attrs)
-		c, ok := groups[k]
-		if !ok {
-			c = &EC{Representative: t.Project(i, attrs)}
-			groups[k] = c
-			order = append(order, k)
-		}
-		c.Rows = append(c.Rows, i)
-	}
-	p := &Partition{Attrs: attrs, numRows: t.NumRows()}
-	p.Classes = make([]*EC, 0, len(order))
-	for _, k := range order {
-		p.Classes = append(p.Classes, groups[k])
-	}
+	return OfCoded(relation.Encode(t), attrs)
+}
+
+// OfCoded computes π_X over the coded view c, grouping rows by their
+// packed codes over X: it is Refine applied to the empty partition.
+func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
+	empty := &Partition{Attrs: attrs, index: make(map[string]int)}
+	p, _, _ := empty.Refine(c, 0) // cannot fail: the empty partition covers 0 rows
 	return p
 }
 
@@ -134,58 +122,4 @@ func (p *Partition) SingletonClasses() []*EC {
 		}
 	}
 	return out
-}
-
-// Refines reports whether p refines q: every EC of p is contained in some
-// EC of q. X → A holds iff π_X refines π_{A} (Huhtala et al.). Both
-// partitions must be over the same table.
-func (p *Partition) Refines(q *Partition) bool {
-	// Map each row to its class id in q, then check every class of p lands
-	// in a single q-class.
-	rowClass := make([]int, q.numRows)
-	for ci, c := range q.Classes {
-		for _, r := range c.Rows {
-			rowClass[r] = ci
-		}
-	}
-	for _, c := range p.Classes {
-		want := rowClass[c.Rows[0]]
-		for _, r := range c.Rows[1:] {
-			if rowClass[r] != want {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Error returns the minimum number of rows to remove from the table so that
-// p refines q (TANE's e measure scaled by |r|): Σ over classes of p of
-// (|c| - size of the largest q-subclass inside c).
-func (p *Partition) Error(q *Partition) int {
-	rowClass := make([]int, q.numRows)
-	for ci, c := range q.Classes {
-		for _, r := range c.Rows {
-			rowClass[r] = ci
-		}
-	}
-	total := 0
-	counts := make(map[int]int)
-	for _, c := range p.Classes {
-		if c.Size() == 1 {
-			continue
-		}
-		for k := range counts {
-			delete(counts, k)
-		}
-		best := 0
-		for _, r := range c.Rows {
-			counts[rowClass[r]]++
-			if counts[rowClass[r]] > best {
-				best = counts[rowClass[r]]
-			}
-		}
-		total += c.Size() - best
-	}
-	return total
 }

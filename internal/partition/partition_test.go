@@ -70,42 +70,8 @@ func TestNonSingletonSortedAscending(t *testing.T) {
 	}
 }
 
-func TestRefines(t *testing.T) {
-	tbl := sampleTable()
-	pa := Of(tbl, relation.NewAttrSet(0))
-	pab := Of(tbl, relation.NewAttrSet(0, 1))
-	if !pab.Refines(pa) {
-		t.Error("π_AB must refine π_A")
-	}
-	// A→B fails on this table (a1 maps to b1 and b2).
-	pb := Of(tbl, relation.NewAttrSet(1))
-	if pa.Refines(pb) {
-		t.Error("π_A should not refine π_B")
-	}
-	// B→A fails too (b2 with a1 and a2).
-	if pb.Refines(pa) {
-		t.Error("π_B should not refine π_A")
-	}
-}
-
-func TestErrorMeasure(t *testing.T) {
-	tbl := sampleTable()
-	pa := Of(tbl, relation.NewAttrSet(0))
-	pb := Of(tbl, relation.NewAttrSet(1))
-	// a1 class {0,1,2}: best B-subclass has 2 rows (b1) ⇒ 1 removal.
-	// a2 class {3,4}: homogeneous on B ⇒ 0 removals.
-	if got := pa.Error(pb); got != 1 {
-		t.Errorf("Error(π_A, π_B) = %d, want 1", got)
-	}
-	pab := Of(tbl, relation.NewAttrSet(0, 1))
-	if got := pab.Error(pa); got != 0 {
-		t.Errorf("Error(π_AB, π_A) = %d, want 0 (refinement)", got)
-	}
-}
-
 func TestStrippedOf(t *testing.T) {
-	tbl := sampleTable()
-	s := StrippedOf(tbl, relation.NewAttrSet(2))
+	s := StrippedOf(relation.Encode(sampleTable()), relation.NewAttrSet(2))
 	// c1 ×2, c2 ×1, c3 ×2 ⇒ two stripped classes.
 	if s.NumClasses() != 2 {
 		t.Fatalf("stripped π_C has %d classes, want 2", s.NumClasses())
@@ -123,9 +89,10 @@ func TestStrippedOf(t *testing.T) {
 
 func TestStrippedSingleMatchesGeneric(t *testing.T) {
 	tbl := sampleTable()
+	c := relation.Encode(tbl)
 	for a := 0; a < tbl.NumAttrs(); a++ {
-		s1 := StrippedSingle(tbl, a)
-		s2 := StrippedOf(tbl, relation.SingleAttr(a))
+		s1 := StrippedSingle(c, a)
+		s2 := StrippedOf(c, relation.SingleAttr(a))
 		if s1.Cardinality() != s2.Cardinality() || s1.NumClasses() != s2.NumClasses() {
 			t.Errorf("attr %d: StrippedSingle %d/%d vs StrippedOf %d/%d",
 				a, s1.NumClasses(), s1.Cardinality(), s2.NumClasses(), s2.Cardinality())
@@ -136,16 +103,16 @@ func TestStrippedSingleMatchesGeneric(t *testing.T) {
 func TestProductMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		tbl := randomTable(rng, 4, 30, 3)
+		c := relation.Encode(randomTable(rng, 4, 30, 3))
 		x := relation.AttrSet(rng.Intn(15) + 1).Intersect(relation.FullAttrSet(4))
 		y := relation.AttrSet(rng.Intn(15) + 1).Intersect(relation.FullAttrSet(4))
 		if x.IsEmpty() || y.IsEmpty() {
 			continue
 		}
-		px := StrippedOf(tbl, x)
-		py := StrippedOf(tbl, y)
+		px := StrippedOf(c, x)
+		py := StrippedOf(c, y)
 		prod := Product(px, py, nil)
-		direct := StrippedOf(tbl, x.Union(y))
+		direct := StrippedOf(c, x.Union(y))
 		if !sameStripped(prod, direct) {
 			t.Fatalf("trial %d: Product(%v,%v) ≠ direct\nprod: %v\ndirect: %v",
 				trial, x, y, classesOf(prod), classesOf(direct))
@@ -155,27 +122,27 @@ func TestProductMatchesDirect(t *testing.T) {
 
 func TestProductWithWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tbl := randomTable(rng, 5, 60, 3)
-	ws := NewWorkspace(tbl.NumRows())
+	c := relation.Encode(randomTable(rng, 5, 60, 3))
+	ws := NewWorkspace(c.NumRows())
 	for trial := 0; trial < 30; trial++ {
 		x := relation.AttrSet(rng.Intn(31) + 1)
 		y := relation.AttrSet(rng.Intn(31) + 1)
-		px := StrippedOf(tbl, x)
-		py := StrippedOf(tbl, y)
-		if !sameStripped(Product(px, py, ws), StrippedOf(tbl, x.Union(y))) {
+		px := StrippedOf(c, x)
+		py := StrippedOf(c, y)
+		if !sameStripped(Product(px, py, ws), StrippedOf(c, x.Union(y))) {
 			t.Fatalf("trial %d: workspace reuse corrupted product", trial)
 		}
 	}
 }
 
 func TestRefinesAttr(t *testing.T) {
-	tbl := sampleTable()
-	sab := StrippedOf(tbl, relation.NewAttrSet(0, 1))
-	if !sab.RefinesAttr(tbl.Column(0)) {
+	c := relation.Encode(sampleTable())
+	sab := StrippedOf(c, relation.NewAttrSet(0, 1))
+	if !sab.RefinesAttr(c.Column(0)) {
 		t.Error("AB → A must hold")
 	}
-	sa := StrippedOf(tbl, relation.NewAttrSet(0))
-	if sa.RefinesAttr(tbl.Column(1)) {
+	sa := StrippedOf(c, relation.NewAttrSet(0))
+	if sa.RefinesAttr(c.Column(1)) {
 		t.Error("A → B must fail")
 	}
 }

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"strconv"
 
 	"f2/internal/relation"
 )
@@ -24,64 +23,52 @@ type Delta struct {
 func (d Delta) Changed() bool { return len(d.Grown) > 0 || len(d.Born) > 0 }
 
 // Refine extends p — which must have been computed over the first oldRows
-// rows of t — with the appended rows t[oldRows:]. It returns a fresh
+// rows of c — with the appended rows c[oldRows:]. It returns a fresh
 // partition plus the delta; p itself is never modified (untouched classes
 // are shared by reference, grown classes are copied before their row lists
 // are extended), so a caller that aborts mid-update can keep using p.
 //
-// Cost is O(|classes| + Δ·|X|): the class index is rebuilt from the stored
-// representatives, not by re-hashing the old rows.
-func (p *Partition) Refine(t *relation.Table, oldRows int) (*Partition, Delta, error) {
+// Cost is O(Δ·|X|) once the class index is built: the index is shared
+// down the lineage, and when it must be rebuilt it is keyed from each
+// class's first row, whose codes c keeps, not by re-hashing the old rows.
+func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, error) {
 	if p.numRows != oldRows {
 		return nil, Delta{}, fmt.Errorf("partition: refine: partition covers %d rows, caller says %d", p.numRows, oldRows)
 	}
-	if t.NumRows() < oldRows {
-		return nil, Delta{}, fmt.Errorf("partition: refine: table has %d rows, fewer than the %d already partitioned", t.NumRows(), oldRows)
+	if c.NumRows() < oldRows {
+		return nil, Delta{}, fmt.Errorf("partition: refine: table has %d rows, fewer than the %d already partitioned", c.NumRows(), oldRows)
 	}
-	out := &Partition{Attrs: p.Attrs, numRows: t.NumRows()}
+	out := &Partition{Attrs: p.Attrs, numRows: c.NumRows()}
 	out.Classes = append(make([]*EC, 0, len(p.Classes)), p.Classes...)
+	cols := p.Attrs.Attrs()
+	// Keys are composed in a reused buffer: the lookup on string(key) does
+	// not allocate, so in the steady state (appended rows landing in
+	// existing classes) the whole loop is allocation-free.
+	key := make([]byte, 0, 4*len(cols))
 	index := p.index
 	if index == nil || len(index) != len(p.Classes) {
 		index = make(map[string]int, len(p.Classes)+16)
-		for i, c := range p.Classes {
-			index[relation.KeyOfValues(c.Representative)] = i
+		for i, cl := range p.Classes {
+			key = c.AppendKey(key[:0], cl.Rows[0], cols)
+			index[string(key)] = i
 		}
 		p.index = index
 	}
-	// Project keys are composed in a reused byte buffer: the map lookup on
-	// string(kb) does not allocate, so in the steady state (appended rows
-	// landing in existing classes) the whole loop is allocation-free. The
-	// key format must match relation.KeyOfValues exactly.
-	attrs := p.Attrs.Attrs()
-	cols := make([][]string, len(attrs))
-	for k, a := range attrs {
-		cols[k] = t.Column(a)
-	}
-	kb := make([]byte, 0, 64)
 	var d Delta
 	cloned := make(map[int]bool)
-	for r := oldRows; r < t.NumRows(); r++ {
-		kb = kb[:0]
-		for _, col := range cols {
-			v := col[r]
-			kb = strconv.AppendInt(kb, int64(len(v)), 10)
-			kb = append(kb, ':')
-			kb = append(kb, v...)
-		}
-		ci, ok := index[string(kb)]
+	for r := oldRows; r < c.NumRows(); r++ {
+		key = c.AppendKey(key[:0], r, cols)
+		ci, ok := index[string(key)]
 		if !ok {
 			ci = len(out.Classes)
-			index[string(kb)] = ci
-			out.Classes = append(out.Classes, &EC{Rows: []int{r}, Representative: t.Project(r, p.Attrs)})
+			index[string(key)] = ci
+			out.Classes = append(out.Classes, &EC{Rows: []int{r}})
 			d.Born = append(d.Born, ci)
 			continue
 		}
 		if ci < len(p.Classes) && !cloned[ci] {
-			old := p.Classes[ci]
-			out.Classes[ci] = &EC{
-				Rows:           append(append(make([]int, 0, len(old.Rows)+1), old.Rows...), r),
-				Representative: old.Representative,
-			}
+			old := p.Classes[ci].Rows
+			out.Classes[ci] = &EC{Rows: append(append(make([]int, 0, len(old)+1), old...), r)}
 			cloned[ci] = true
 			d.Grown = append(d.Grown, ci)
 			continue

@@ -61,7 +61,7 @@ func TestPartitionRefineMatchesRecompute(t *testing.T) {
 		for i := 0; i < extra.NumRows(); i++ {
 			tbl.AppendRow(extra.Row(i))
 		}
-		np, d, err := p.Refine(tbl, old)
+		np, d, err := p.Refine(relation.Encode(tbl), old)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestPartitionRefineMatchesRecompute(t *testing.T) {
 func TestRefineRejectsMismatchedRowCount(t *testing.T) {
 	tbl := randomRefineTable(rand.New(rand.NewSource(1)), 2, 6, 2)
 	p := Of(tbl, relation.SingleAttr(0))
-	if _, _, err := p.Refine(tbl, 4); err == nil {
+	if _, _, err := p.Refine(relation.Encode(tbl), 4); err == nil {
 		t.Error("Partition.Refine accepted a wrong oldRows")
 	}
 }

@@ -27,10 +27,10 @@ type Stripped struct {
 	numRows int
 }
 
-// StrippedOf computes the stripped partition of t under attrs.
-func StrippedOf(t *relation.Table, attrs relation.AttrSet) *Stripped {
-	full := Of(t, attrs)
-	return StripPartition(full)
+// StrippedOf computes the stripped partition of the coded view c under
+// attrs.
+func StrippedOf(c *relation.Coded, attrs relation.AttrSet) *Stripped {
+	return StripPartition(OfCoded(c, attrs))
 }
 
 // StripPartition converts a full partition into stripped form, keeping
@@ -57,47 +57,38 @@ func StripPartition(p *Partition) *Stripped {
 }
 
 // StrippedSingle computes the stripped partition of a single column without
-// materializing a full Partition, as TANE does at level 1: every value gets
-// a dictionary id in first-occurrence order, ids are counted, and each row
-// is placed at its class's next free slot. Classes come out in
+// materializing a full Partition, as TANE does at level 1: the column's
+// codes are counted and each row is placed at its class's next free slot.
+// Codes are in first-occurrence order, so classes come out in
 // first-occurrence order with ascending rows, exactly as StrippedOf orders
 // them.
-func StrippedSingle(t *relation.Table, a int) *Stripped {
-	checkRows(t.NumRows())
-	col := t.Column(a)
-	ids := make([]int32, len(col))
-	dict := make(map[string]int32, len(col))
-	var count []int32 // count[id] = rows holding value id
-	for i, v := range col {
-		id, ok := dict[v]
-		if !ok {
-			id = int32(len(count))
-			dict[v] = id
-			count = append(count, 0)
-		}
-		ids[i] = id
-		count[id]++
+func StrippedSingle(c *relation.Coded, a int) *Stripped {
+	checkRows(c.NumRows())
+	codes := c.Column(a)
+	count := make([]int32, c.Cardinality(a)) // count[code] = rows holding it
+	for _, code := range codes {
+		count[code]++
 	}
 	// Turn counts into start offsets; -1 marks a singleton value.
 	var ends []int32
 	off := int32(0)
-	for id, c := range count {
-		if c < 2 {
-			count[id] = -1
+	for code, n := range count {
+		if n < 2 {
+			count[code] = -1
 			continue
 		}
-		count[id] = off
-		off += c
+		count[code] = off
+		off += n
 		ends = append(ends, off)
 	}
 	rows := make([]int32, off)
-	for i, id := range ids {
-		if p := count[id]; p >= 0 {
+	for i, code := range codes {
+		if p := count[code]; p >= 0 {
 			rows[p] = int32(i)
-			count[id]++
+			count[code]++
 		}
 	}
-	return &Stripped{Attrs: relation.SingleAttr(a), rows: rows, ends: ends, numRows: t.NumRows()}
+	return &Stripped{Attrs: relation.SingleAttr(a), rows: rows, ends: ends, numRows: c.NumRows()}
 }
 
 // checkRows panics if a table is too large for int32 row indices.
@@ -250,9 +241,9 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 }
 
 // RefinesAttr reports whether π_X refines π_{A} for a single attribute
-// column, i.e. whether X → A holds. col must be the values of column A.
-// Linear in ||π_X||.
-func (s *Stripped) RefinesAttr(col []string) bool {
+// column, i.e. whether X → A holds. col must be the codes of column A
+// (relation.Coded.Column). Linear in ||π_X||.
+func (s *Stripped) RefinesAttr(col []int32) bool {
 	start := int32(0)
 	for _, end := range s.ends {
 		v := col[s.rows[start]]

@@ -63,38 +63,63 @@ func productModel(x, y *Stripped) [][]int32 {
 
 // kernelTable builds a random table whose first three columns are
 // constant, all-unique and paired (rows 2i and 2i+1 agree), so every
-// shape of class structure shows up next to the random columns.
+// shape of class structure shows up next to the random columns. Random
+// values mix digits and ':' ("1", "1:", ":1", "11", ...), so a key that
+// concatenated cells without length prefixes or fixed-width codes would
+// merge rows like ("1:", "1") and ("1", ":1").
 func kernelTable(rng *rand.Rand, rows, random, domain int) *relation.Table {
 	names := []string{"Same", "Unique", "Pair"}
 	for i := 0; i < random; i++ {
 		names = append(names, fmt.Sprintf("R%d", i))
 	}
+	values := []string{"1", "1:", ":1", "11", "1:1", "", ":", "2:1"}
 	tbl := relation.NewTable(relation.MustSchema(names...))
 	for r := 0; r < rows; r++ {
 		row := []string{"s", fmt.Sprint(r), fmt.Sprint(r / 2)}
 		for i := 0; i < random; i++ {
-			row = append(row, fmt.Sprint(rng.Intn(domain)))
+			row = append(row, values[rng.Intn(min(domain, len(values)))])
 		}
 		tbl.AppendRow(row)
 	}
 	return tbl
 }
 
+// stringKeyClasses groups rows by their length-prefixed projection string
+// (relation.Table.ProjectKey), classes in first-row order: the grouping Of
+// must reproduce from codes.
+func stringKeyClasses(t *relation.Table, attrs relation.AttrSet) [][]int {
+	index := map[string]int{}
+	var out [][]int
+	for i := 0; i < t.NumRows(); i++ {
+		k := t.ProjectKey(i, attrs)
+		ci, ok := index[k]
+		if !ok {
+			ci = len(out)
+			index[k] = ci
+			out = append(out, nil)
+		}
+		out[ci] = append(out[ci], i)
+	}
+	return out
+}
+
 // TestStrippedKernelMatchesOf checks the flat-layout constructors and
 // Product against the Of-derived stripped partition over random tables,
-// including the empty table, constant and all-unique columns. Every call
-// shares one workspace sized for no rows at all, and tables grow through
-// the run, so the workspace is refitted both for more rows and for an x
-// with more classes than any earlier call.
+// including the empty table, constant and all-unique columns, and Of
+// itself against grouping by projection strings. Every call shares one
+// workspace sized for no rows at all, and tables grow through the run, so
+// the workspace is refitted both for more rows and for an x with more
+// classes than any earlier call.
 func TestStrippedKernelMatchesOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ws := NewWorkspace(0)
 	for trial := 0; trial < 120; trial++ {
-		tbl := kernelTable(rng, trial/2, 1+rng.Intn(3), 1+rng.Intn(5))
+		tbl := kernelTable(rng, trial/2, 1+rng.Intn(3), 1+rng.Intn(8))
+		c := relation.Encode(tbl)
 		full := relation.FullAttrSet(tbl.NumAttrs())
 		for a := 0; a < tbl.NumAttrs(); a++ {
 			want := strippedModel(tbl, relation.SingleAttr(a))
-			if got := classesOf(StrippedSingle(tbl, a)); !reflect.DeepEqual(got, want) {
+			if got := classesOf(StrippedSingle(c, a)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: StrippedSingle(%d) = %v, want %v", trial, a, got, want)
 			}
 		}
@@ -104,7 +129,14 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 			if x.IsEmpty() || y.IsEmpty() {
 				continue
 			}
-			px, py := StripPartition(Of(tbl, x)), StrippedOf(tbl, y)
+			var got [][]int
+			for _, cl := range Of(tbl, x).Classes {
+				got = append(got, cl.Rows)
+			}
+			if want := stringKeyClasses(tbl, x); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Of(%v) = %v, string-key grouping %v", trial, x, got, want)
+			}
+			px, py := StripPartition(OfCoded(c, x)), StrippedOf(c, y)
 			if got, want := classesOf(px), strippedModel(tbl, x); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: StripPartition(%v) = %v, want %v", trial, x, got, want)
 			}
@@ -112,7 +144,7 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 			if got, want := classesOf(prod), productModel(px, py); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Product(%v, %v) = %v, want %v", trial, x, y, got, want)
 			}
-			if !sameStripped(prod, StrippedOf(tbl, x.Union(y))) {
+			if !sameStripped(prod, StrippedOf(c, x.Union(y))) {
 				t.Fatalf("trial %d: Product(%v, %v) ≠ π of the union", trial, x, y)
 			}
 			if prod.Attrs != x.Union(y) || prod.NumRows() != tbl.NumRows() {
@@ -135,7 +167,8 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 // workspace a product allocates its header, rows and ends, nothing else.
 func TestProductAllocs(t *testing.T) {
 	tbl := kernelTable(rand.New(rand.NewSource(5)), 400, 3, 4)
-	x, y := StrippedSingle(tbl, 3), StrippedSingle(tbl, 4)
+	c := relation.Encode(tbl)
+	x, y := StrippedSingle(c, 3), StrippedSingle(c, 4)
 	ws := NewWorkspace(tbl.NumRows())
 	Product(x, y, ws)
 	if n := testing.AllocsPerRun(50, func() { Product(x, y, ws) }); n > 3 {

@@ -1,39 +1,105 @@
 package relation
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 // Coded is a dictionary-encoded view of a table: every column's values are
-// mapped to dense int32 codes. Duplicate-projection checks — the inner
-// loop of MAS discovery — then hash one exact uint64 per row, the
-// mixed-radix number its codes spell, instead of a variable-length
-// string; only a projection whose cardinality product overflows 63 bits
-// falls back to hashing the packed codes.
+// mapped to dense int32 codes, and it is the one place in the system where
+// a cell string becomes a code. Everything F² asks of a cell is equality,
+// so MAS discovery, border maintenance, partitions, TANE and Step 4 all
+// read codes from a Coded instead of comparing or hashing strings.
+//
+// Codes are assigned in first-occurrence order: a column's code k is the
+// k-th distinct value met scanning rows from 0. Appending rows therefore
+// never renumbers a code, and Extend codes only the appended suffix.
+//
+// Extend shares the code columns' backing arrays and the dictionaries with
+// the view it extends, the way Table.CloneShared shares columns. Readers
+// of any view are safe, but each lineage has a single writer: at most one
+// live extension of a view may be extended further. An extension that is
+// abandoned (a flush attempt that failed) is detected by Extend's guard,
+// which rebuilds from scratch rather than trust a dictionary another
+// extension has grown.
+//
+// Duplicate-projection checks — the inner loop of MAS discovery — hash one
+// exact uint64 per row, the mixed-radix number its codes spell, instead of
+// a variable-length string; only a projection whose cardinality product
+// overflows 63 bits falls back to the packed-code key of AppendKey.
 type Coded struct {
 	n     int
 	cols  [][]int32
 	cards []int
+	dicts []map[string]int32
 }
 
 // Encode dictionary-encodes all columns of t. The encoding is a snapshot:
-// later mutations of t are not reflected.
+// rows appended to t later are covered only by Extend.
 func Encode(t *Table) *Coded {
-	c := &Coded{n: t.NumRows()}
-	c.cols = make([][]int32, t.NumAttrs())
-	c.cards = make([]int, t.NumAttrs())
-	for a := 0; a < t.NumAttrs(); a++ {
-		dict := make(map[string]int32)
-		col := make([]int32, c.n)
-		src := t.Column(a)
-		for i, v := range src {
+	c := &Coded{
+		cols:  make([][]int32, t.NumAttrs()),
+		cards: make([]int, t.NumAttrs()),
+		dicts: make([]map[string]int32, t.NumAttrs()),
+	}
+	for a := range c.dicts {
+		c.dicts[a] = make(map[string]int32, dictHint(t.Column(a)))
+	}
+	return c.Extend(t, 0)
+}
+
+// dictHint sizes a column's dictionary up front when its first rows are
+// mostly distinct: a high-cardinality column (a key, a ciphertext column)
+// then never rehashes, while a low-cardinality one keeps a small map for
+// as long as its view lives.
+func dictHint(col []string) int {
+	sample := col[:min(len(col), 64)]
+	distinct := make(map[string]struct{}, len(sample))
+	for _, v := range sample {
+		distinct[v] = struct{}{}
+	}
+	if 2*len(distinct) > len(sample) {
+		return len(col)
+	}
+	return 0
+}
+
+// Extend returns a view of t given that c encodes its first oldRows rows,
+// coding only the appended rows t[oldRows:]; c itself still reads as
+// before. The codes of the old rows are kept, so the result equals
+// Encode(t). If c does not cover exactly oldRows rows of a table as wide
+// as t, or another extension of c has grown its dictionaries, Extend
+// rebuilds with Encode instead.
+func (c *Coded) Extend(t *Table, oldRows int) *Coded {
+	if c.n != oldRows || len(c.cols) != t.NumAttrs() || !c.dictsCurrent() {
+		return Encode(t)
+	}
+	out := &Coded{n: t.NumRows(), cols: make([][]int32, len(c.cols)), cards: make([]int, len(c.cols)), dicts: c.dicts}
+	for a, dict := range c.dicts {
+		col := slices.Grow(c.cols[a][:c.n], t.NumRows()-oldRows)
+		for _, v := range t.Column(a)[oldRows:] {
 			code, ok := dict[v]
 			if !ok {
 				code = int32(len(dict))
 				dict[v] = code
 			}
-			col[i] = code
+			col = append(col, code)
 		}
-		c.cols[a] = col
-		c.cards[a] = len(dict)
+		out.cols[a] = col
+		out.cards[a] = len(dict)
 	}
-	return c
+	return out
+}
+
+// dictsCurrent reports whether every dictionary holds exactly the values
+// c's rows code, i.e. no other extension of c has added to them.
+func (c *Coded) dictsCurrent() bool {
+	for a, dict := range c.dicts {
+		if len(dict) != c.cards[a] {
+			return false
+		}
+	}
+	return true
 }
 
 // NumRows returns the number of rows.
@@ -41,6 +107,21 @@ func (c *Coded) NumRows() int { return c.n }
 
 // Cardinality returns the number of distinct values in column a.
 func (c *Coded) Cardinality(a int) int { return c.cards[a] }
+
+// Column returns the dictionary codes of column a. Callers must not
+// modify the returned slice.
+func (c *Coded) Column(a int) []int32 { return c.cols[a] }
+
+// AppendKey appends row's codes over cols to key as little-endian int32s
+// and returns the extended slice: two rows get equal keys iff they agree
+// on every column of cols. It is the map key of every grouping over
+// codes; a lookup as m[string(key)] does not allocate.
+func (c *Coded) AppendKey(key []byte, row int, cols []int) []byte {
+	for _, a := range cols {
+		key = binary.LittleEndian.AppendUint32(key, uint32(c.cols[a][row]))
+	}
+	return key
+}
 
 // HasDuplicateOn reports whether some value tuple over attrs occurs in
 // more than one row, i.e. whether attrs is a non-unique column
@@ -106,17 +187,13 @@ func (c *Coded) hasDuplicateRadix(cols []int) bool {
 	return false
 }
 
-// hasDuplicateBytes keys each row by its codes packed into a byte string:
-// the fallback when the mixed-radix key would overflow.
+// hasDuplicateBytes keys each row by its packed codes: the fallback when
+// the mixed-radix key would overflow.
 func (c *Coded) hasDuplicateBytes(cols []int) bool {
 	seen := make(map[string]struct{}, c.n)
 	key := make([]byte, 0, 4*len(cols))
 	for i := 0; i < c.n; i++ {
-		key = key[:0]
-		for _, a := range cols {
-			v := c.cols[a][i]
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
+		key = c.AppendKey(key[:0], i, cols)
 		if _, dup := seen[string(key)]; dup {
 			return true
 		}
@@ -124,7 +201,3 @@ func (c *Coded) hasDuplicateBytes(cols []int) bool {
 	}
 	return false
 }
-
-// Column returns the dictionary codes of column a. Callers must not
-// modify the returned slice.
-func (c *Coded) Column(a int) []int32 { return c.cols[a] }

@@ -15,7 +15,12 @@
 //   - row order is insertion order and is load-bearing throughout:
 //     partitions keep it inside classes, the incremental engine splits
 //     old from appended rows positionally, and encrypted tables must
-//     replay byte-identically.
+//     replay byte-identically;
+//   - Coded is the only string→code dictionary: codes are dense int32s in
+//     first-occurrence order, so they are stable as rows are appended and
+//     Coded.Extend codes only the new suffix. An extension shares its
+//     view's storage, so each view lineage has a single writer; an
+//     abandoned extension makes the next Extend of its parent rebuild.
 package relation
 
 import (
@@ -291,8 +296,8 @@ func (t *Table) AgreementSet(i, j int) AttrSet {
 
 // KeyOfValues returns the canonical grouping key of a projected value
 // tuple: for any row i, KeyOfValues(t.Project(i, attrs)) == t.ProjectKey(i,
-// attrs). It lets partition refinement rebuild a class index from stored
-// representatives without touching the underlying rows.
+// attrs). It keys value tuples that live outside any table, such as the
+// rows a client holds to compare against a decrypted download.
 func KeyOfValues(vals []string) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -301,16 +306,6 @@ func KeyOfValues(vals []string) string {
 		b.WriteString(v)
 	}
 	return b.String()
-}
-
-// RowsEqualOn reports whether rows i and j agree on every attribute in attrs.
-func (t *Table) RowsEqualOn(i, j int, attrs AttrSet) bool {
-	for _, a := range attrs.Attrs() {
-		if t.cols[a][i] != t.cols[a][j] {
-			return false
-		}
-	}
-	return true
 }
 
 // Freq returns the frequency map of values in column a.
@@ -339,18 +334,6 @@ func (t *Table) HasDuplicateOn(attrs AttrSet) bool {
 		seen[k] = struct{}{}
 	}
 	return false
-}
-
-// ValueSet returns the set of all distinct cell values in the whole table.
-// The F² encryptor uses it to mint fresh values guaranteed absent from D.
-func (t *Table) ValueSet() map[string]struct{} {
-	set := make(map[string]struct{})
-	for _, col := range t.cols {
-		for _, v := range col {
-			set[v] = struct{}{}
-		}
-	}
-	return set
 }
 
 // ApproxBytes returns the approximate payload size of the table in bytes

@@ -86,16 +86,6 @@ func TestProjectKeyDistinguishes(t *testing.T) {
 	}
 }
 
-func TestRowsEqualOn(t *testing.T) {
-	tbl := sampleTable(t)
-	if !tbl.RowsEqualOn(0, 1, NewAttrSet(0, 1)) {
-		t.Error("rows 0,1 should agree on {A,B}")
-	}
-	if tbl.RowsEqualOn(0, 1, NewAttrSet(2)) {
-		t.Error("rows 0,1 should differ on {C}")
-	}
-}
-
 func TestFreqAndDistinct(t *testing.T) {
 	tbl := sampleTable(t)
 	f := tbl.Freq(0)
@@ -114,19 +104,6 @@ func TestHasDuplicateOn(t *testing.T) {
 	}
 	if tbl.HasDuplicateOn(NewAttrSet(0, 1, 2)) {
 		t.Error("{A,B,C} should be unique")
-	}
-}
-
-func TestValueSet(t *testing.T) {
-	tbl := sampleTable(t)
-	vs := tbl.ValueSet()
-	for _, v := range []string{"a1", "b2", "c2"} {
-		if _, ok := vs[v]; !ok {
-			t.Errorf("ValueSet missing %q", v)
-		}
-	}
-	if len(vs) != 6 {
-		t.Errorf("ValueSet size = %d, want 6", len(vs))
 	}
 }
 

@@ -61,11 +61,12 @@ func CheckWitnessedClaims(t *relation.Table, claimed *fd.Set, probes int, seed i
 
 // checkClaimsWith runs the soundness scan and completeness probing with
 // `valid` as the notion of a dependency the claim must cover.
-func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64, valid func(*relation.Table, fd.FD) bool) *Verdict {
+func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64, valid func(*relation.Coded, fd.FD) bool) *Verdict {
 	v := &Verdict{Sound: true}
+	c := relation.Encode(t)
 	// Soundness: every claimed FD must be valid. Exact.
 	for _, f := range claimed.Slice() {
-		if !valid(t, f) {
+		if !valid(c, f) {
 			v.Sound = false
 			v.FalseClaims = append(v.FalseClaims, f)
 		}
@@ -82,7 +83,7 @@ func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64,
 		}
 		seen[f] = true
 		v.Probes++
-		if valid(t, f) && !fd.Implies(claimed, f) {
+		if valid(c, f) && !fd.Implies(claimed, f) {
 			v.Missed = append(v.Missed, f)
 		}
 	}

@@ -43,12 +43,13 @@ func TestOrdersShape(t *testing.T) {
 	}
 	// Planted FDs hold and are witnessed.
 	sch := tbl.Schema()
+	coded := relation.Encode(tbl)
 	date, _ := sch.AttrSetOf("O_ORDERDATE")
 	prio, _ := sch.AttrSetOf("O_ORDERPRIORITY")
-	if !fd.Witnessed(tbl, fd.FD{LHS: date, RHS: sch.Lookup("O_ORDERSTATUS")}) {
+	if !fd.Witnessed(coded, fd.FD{LHS: date, RHS: sch.Lookup("O_ORDERSTATUS")}) {
 		t.Error("O_ORDERDATE→O_ORDERSTATUS not witnessed")
 	}
-	if !fd.Witnessed(tbl, fd.FD{LHS: prio, RHS: sch.Lookup("O_SHIPPRIORITY")}) {
+	if !fd.Witnessed(coded, fd.FD{LHS: prio, RHS: sch.Lookup("O_SHIPPRIORITY")}) {
 		t.Error("O_ORDERPRIORITY→O_SHIPPRIORITY not witnessed")
 	}
 	// No constant columns (F² cannot preserve ∅→A).
@@ -65,16 +66,17 @@ func TestCustomerShape(t *testing.T) {
 		t.Fatalf("Customer has %d attrs, want 21 (Table 1)", tbl.NumAttrs())
 	}
 	sch := tbl.Schema()
+	coded := relation.Encode(tbl)
 	zip, _ := sch.AttrSetOf("C_ZIP")
 	city, _ := sch.AttrSetOf("C_CITY")
-	if !fd.Witnessed(tbl, fd.FD{LHS: zip, RHS: sch.Lookup("C_CITY")}) {
+	if !fd.Witnessed(coded, fd.FD{LHS: zip, RHS: sch.Lookup("C_CITY")}) {
 		t.Error("C_ZIP→C_CITY not witnessed")
 	}
-	if !fd.Witnessed(tbl, fd.FD{LHS: city, RHS: sch.Lookup("C_STATE")}) {
+	if !fd.Witnessed(coded, fd.FD{LHS: city, RHS: sch.Lookup("C_STATE")}) {
 		t.Error("C_CITY→C_STATE not witnessed")
 	}
 	// C_ZIP→C_CITY must be an FD but C_CITY→C_STATE strictly many-to-one.
-	if fd.Holds(tbl, fd.FD{LHS: relation.NewAttrSet(sch.Lookup("C_STATE")), RHS: sch.Lookup("C_CITY")}) {
+	if fd.Holds(coded, fd.FD{LHS: relation.NewAttrSet(sch.Lookup("C_STATE")), RHS: sch.Lookup("C_CITY")}) {
 		t.Error("C_STATE→C_CITY should fail (state is many-to-one)")
 	}
 	for a := 0; a < tbl.NumAttrs(); a++ {
@@ -129,7 +131,7 @@ func TestSyntheticGroundTruthMASs(t *testing.T) {
 }
 
 func TestSyntheticPlantedFDs(t *testing.T) {
-	tbl := Synthetic(SyntheticMinRows, 4)
+	coded := relation.Encode(Synthetic(SyntheticMinRows, 4))
 	// The two column groups are internally bijective.
 	for _, f := range []fd.FD{
 		{LHS: relation.NewAttrSet(0), RHS: 1},
@@ -139,7 +141,7 @@ func TestSyntheticPlantedFDs(t *testing.T) {
 		{LHS: relation.NewAttrSet(3), RHS: 5},
 		{LHS: relation.NewAttrSet(6), RHS: 4},
 	} {
-		if !fd.Witnessed(tbl, f) {
+		if !fd.Witnessed(coded, f) {
 			t.Errorf("planted FD %v not witnessed", f)
 		}
 	}
@@ -150,7 +152,7 @@ func TestSyntheticPlantedFDs(t *testing.T) {
 		{LHS: relation.NewAttrSet(0), RHS: 2}, // driver → shared attribute
 		{LHS: relation.NewAttrSet(2), RHS: 0}, // shared attribute → driver
 	} {
-		if fd.Holds(tbl, f) {
+		if fd.Holds(coded, f) {
 			t.Errorf("unexpected FD %v holds", f)
 		}
 	}
