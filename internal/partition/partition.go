@@ -45,11 +45,12 @@ type Partition struct {
 	numRows int
 
 	// index maps each class's packed code key (relation.Coded.AppendKey)
-	// to its position in Classes. OfCoded builds it and Refine shares it
-	// down the refinement lineage, so successive flushes skip the
-	// O(|classes|) rebuild; it is trusted only while len(index) ==
-	// len(Classes) — an aborted refine leaves extra entries behind, which
-	// the next Refine detects and rebuilds from scratch.
+	// to its position in Classes. The first Refine builds it from each
+	// class's first row and shares it down the refinement lineage, so
+	// successive flushes skip the O(|classes|) rebuild, while a partition
+	// that is never refined holds none. It is trusted only while
+	// len(index) == len(Classes) — an aborted refine leaves extra entries
+	// behind, which the next Refine detects and rebuilds from scratch.
 	index map[string]int
 }
 
@@ -60,10 +61,12 @@ func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
 }
 
 // OfCoded computes π_X over the coded view c, grouping rows by their
-// packed codes over X: it is Refine applied to the empty partition.
+// packed codes over X: it is Refine applied to the empty partition. The
+// class index that grouping builds is dropped, so a partition that is
+// never refined does not keep it.
 func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
-	empty := &Partition{Attrs: attrs, index: make(map[string]int)}
-	p, _, _ := empty.Refine(c, 0) // cannot fail: the empty partition covers 0 rows
+	p, _, _ := (&Partition{Attrs: attrs}).Refine(c, 0) // cannot fail: the empty partition covers 0 rows
+	p.index = nil
 	return p
 }
 

@@ -43,25 +43,9 @@ func Encode(t *Table) *Coded {
 		dicts: make([]map[string]int32, t.NumAttrs()),
 	}
 	for a := range c.dicts {
-		c.dicts[a] = make(map[string]int32, dictHint(t.Column(a)))
+		c.dicts[a] = make(map[string]int32)
 	}
 	return c.Extend(t, 0)
-}
-
-// dictHint sizes a column's dictionary up front when its first rows are
-// mostly distinct: a high-cardinality column (a key, a ciphertext column)
-// then never rehashes, while a low-cardinality one keeps a small map for
-// as long as its view lives.
-func dictHint(col []string) int {
-	sample := col[:min(len(col), 64)]
-	distinct := make(map[string]struct{}, len(sample))
-	for _, v := range sample {
-		distinct[v] = struct{}{}
-	}
-	if 2*len(distinct) > len(sample) {
-		return len(col)
-	}
-	return 0
 }
 
 // Extend returns a view of t given that c encodes its first oldRows rows,
