@@ -68,8 +68,8 @@ func TestHistQuantile(t *testing.T) {
 		{0.05, 0.25}, // rank 0.5: a quarter into [0,1)
 	}
 	for _, c := range cases {
-		if got := histQuantile(counts, buckets, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("histQuantile(q=%g) = %g, want %g", c.q, got, c.want)
+		if got := bucketQuantile(counts, buckets, c.q); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("bucketQuantile(q=%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
 }
@@ -77,14 +77,14 @@ func TestHistQuantile(t *testing.T) {
 func TestHistQuantileInfiniteEdges(t *testing.T) {
 	counts := []uint64{1, 1}
 	buckets := []float64{math.Inf(-1), 1, math.Inf(1)}
-	if got := histQuantile(counts, buckets, 0.25); got < 0 || got > 1 {
+	if got := bucketQuantile(counts, buckets, 0.25); got < 0 || got > 1 {
 		t.Errorf("-Inf lower edge not clamped: got %g", got)
 	}
 	// A rank landing in the +Inf bucket clamps to its finite lower bound.
-	if got := histQuantile(counts, buckets, 1.0); got != 1 {
+	if got := bucketQuantile(counts, buckets, 1.0); got != 1 {
 		t.Errorf("+Inf upper edge: got %g, want 1", got)
 	}
-	if got := histQuantile([]uint64{0, 0}, buckets, 0.5); got != 0 {
+	if got := bucketQuantile([]uint64{0, 0}, buckets, 0.5); got != 0 {
 		t.Errorf("empty histogram: got %g, want 0", got)
 	}
 }

@@ -74,6 +74,18 @@ func (h *HealthRegistry) Register(name string, fn func() ComponentHealth) {
 	h.mu.Unlock()
 }
 
+// Check runs one component's callback; ok is false when no component
+// of that name is registered.
+func (h *HealthRegistry) Check(name string) (ComponentHealth, bool) {
+	h.mu.Lock()
+	fn, ok := h.checks[name]
+	h.mu.Unlock()
+	if !ok {
+		return ComponentHealth{}, false
+	}
+	return fn(), true
+}
+
 // Report runs every registered callback and aggregates the result: the
 // report status is the worst component status, ok when nothing is
 // registered.

@@ -37,12 +37,59 @@ func (r TraceOverheadResult) String() string {
 }
 
 // TraceOverhead measures the cost of span instrumentation on the full
-// encrypt pipeline. Each round runs one untraced op (the production
-// no-trace path: every obs.Start is a nil-check) and one traced op
-// (a live trace attached to the context), alternating which goes first
-// so clock drift and thermal ramps cancel instead of biasing one side.
-// rounds < 3 is raised to 3; an odd count keeps the medians unambiguous.
+// encrypt pipeline: each round runs one untraced op (the production
+// no-trace path: every obs.Start is a nil-check) and one op with a live
+// trace attached to the context. rounds < 3 is raised to 3 and made odd
+// for unambiguous medians.
 func TraceOverhead(ctx context.Context, sc Scale, rounds int) (*TraceOverheadResult, error) {
+	ab, err := interleavedAB(ctx, sc, rounds, func(ctx context.Context, op func(context.Context) error) (time.Duration, error) {
+		opCtx, tr := obs.NewTrace(ctx, "", "overhead")
+		t0 := time.Now()
+		err := op(opCtx)
+		d := time.Since(t0)
+		tr.Finish()
+		return d, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &TraceOverheadResult{
+		Rounds:      ab.rounds,
+		Rows:        ab.rows,
+		BaseMs:      ab.baseMs,
+		TracedMs:    ab.variantMs,
+		OverheadPct: ab.overheadPct(),
+	}, nil
+}
+
+// abResult is one interleaved A/B comparison: the median plain op and
+// the median op run through the variant.
+type abResult struct {
+	rounds, rows      int
+	baseMs, variantMs float64
+}
+
+// overheadPct is (variant-base)/base × 100, 0 without a base.
+func (r abResult) overheadPct() float64 {
+	if r.baseMs <= 0 {
+		return 0
+	}
+	return (r.variantMs - r.baseMs) / r.baseMs * 100
+}
+
+// timedOp runs op one way and returns how long op took.
+type timedOp func(ctx context.Context, op func(context.Context) error) (time.Duration, error)
+
+// interleavedAB compares the plain encrypt pipeline with the same
+// pipeline run through variant, in one process: cross-run baselines
+// cannot resolve a 2% budget — scheduler noise alone is bigger. variant
+// runs op its way and returns the op's duration. Both paths run once
+// first, so first-touch costs (page faults, lazily built caches, a
+// profiler's first start) land outside the measured rounds. Each round
+// runs one plain op and one variant op, alternating which goes first so
+// clock drift and thermal ramps cancel instead of biasing one side.
+// rounds < 3 is raised to 3 and made odd for unambiguous medians.
+func interleavedAB(ctx context.Context, sc Scale, rounds int, variant timedOp) (abResult, error) {
 	if rounds < 3 {
 		rounds = 3
 	}
@@ -51,11 +98,10 @@ func TraceOverhead(ctx context.Context, sc Scale, rounds int) (*TraceOverheadRes
 	}
 	tbl, err := Dataset(workload.NameSynthetic, sc.Rows(encryptRows), sc.Seed)
 	if err != nil {
-		return nil, err
+		return abResult{}, err
 	}
 	cfg := Config(0.25)
 	cfg.Parallelism = sc.Parallelism
-
 	encryptOnce := func(ctx context.Context) error {
 		enc, err := core.NewEncryptor(cfg)
 		if err != nil {
@@ -64,67 +110,32 @@ func TraceOverhead(ctx context.Context, sc Scale, rounds int) (*TraceOverheadRes
 		_, err = enc.Encrypt(ctx, tbl)
 		return err
 	}
-
-	// Warm both paths once so first-touch costs (page faults, lazily
-	// built caches) land outside the measured rounds.
-	if err := encryptOnce(ctx); err != nil {
-		return nil, err
+	plain := func(ctx context.Context, op func(context.Context) error) (time.Duration, error) {
+		t0 := time.Now()
+		err := op(ctx)
+		return time.Since(t0), err
 	}
-	tctx, tr := obs.NewTrace(ctx, "", "warmup")
-	if err := encryptOnce(tctx); err != nil {
-		return nil, err
+	runs := [2]timedOp{plain, variant}
+	for _, run := range runs {
+		if _, err := run(ctx, encryptOnce); err != nil {
+			return abResult{}, err
+		}
 	}
-	tr.Finish()
-
-	base := make([]float64, 0, rounds)
-	traced := make([]float64, 0, rounds)
+	var samples [2][]float64 // plain, variant
 	for i := 0; i < rounds; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return abResult{}, err
 		}
-		runBase := func() error {
-			t0 := time.Now()
-			if err := encryptOnce(ctx); err != nil {
-				return err
+		for j := 0; j < 2; j++ {
+			side := (i + j) % 2
+			d, err := runs[side](ctx, encryptOnce)
+			if err != nil {
+				return abResult{}, err
 			}
-			base = append(base, ms(time.Since(t0)))
-			return nil
-		}
-		runTraced := func() error {
-			opCtx, tr := obs.NewTrace(ctx, "", "overhead")
-			t0 := time.Now()
-			if err := encryptOnce(opCtx); err != nil {
-				return err
-			}
-			d := time.Since(t0)
-			tr.Finish()
-			traced = append(traced, ms(d))
-			return nil
-		}
-		first, second := runBase, runTraced
-		if i%2 == 1 {
-			first, second = runTraced, runBase
-		}
-		if err := first(); err != nil {
-			return nil, err
-		}
-		if err := second(); err != nil {
-			return nil, err
+			samples[side] = append(samples[side], ms(d))
 		}
 	}
-
-	baseMed := median(base)
-	tracedMed := median(traced)
-	res := &TraceOverheadResult{
-		Rounds:   rounds,
-		Rows:     tbl.NumRows(),
-		BaseMs:   baseMed,
-		TracedMs: tracedMed,
-	}
-	if baseMed > 0 {
-		res.OverheadPct = (tracedMed - baseMed) / baseMed * 100
-	}
-	return res, nil
+	return abResult{rounds: rounds, rows: tbl.NumRows(), baseMs: median(samples[0]), variantMs: median(samples[1])}, nil
 }
 
 func median(v []float64) float64 {

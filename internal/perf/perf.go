@@ -17,7 +17,8 @@
 //     harness share one table-generation and measurement path.
 //   - Run executes one workload: warmup ops, then Concurrency goroutines
 //     looping until a duration or op-count bound, each recording into its
-//     own Recorder; recorders merge into p50/p95/p99/max and throughput.
+//     own obs.Histogram; the histograms merge into p50/p95/p99/max and
+//     throughput.
 //     A Profiler can capture CPU/heap/allocs profiles and periodic
 //     runtime.MemStats / goroutine-count samples during the measured
 //     window.

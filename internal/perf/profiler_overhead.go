@@ -7,9 +7,7 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"f2/internal/core"
 	"f2/internal/obs"
-	"f2/internal/workload"
 )
 
 // ProfilerOverheadResult reports the A/B comparison between the plain
@@ -48,104 +46,36 @@ func DefaultProfilerDutyCycle() float64 {
 }
 
 // ProfilerOverhead measures what the continuous profiler's CPU windows
-// cost the encrypt pipeline. Each round runs one unprofiled op and one
+// cost the encrypt pipeline: each round runs one unprofiled op and one
 // op under pprof.StartCPUProfile (samples discarded — the cost is the
-// sampling, not the file I/O), alternating order so clock drift and
-// thermal ramps cancel. dutyCycle is the CPUWindow/Interval fraction to
-// amortize by; ≤0 takes the profiler defaults. rounds < 3 is raised to
-// 3 and made odd for unambiguous medians.
+// sampling, not the file I/O). dutyCycle is the CPUWindow/Interval
+// fraction to amortize by; ≤0 takes the profiler defaults. rounds < 3
+// is raised to 3 and made odd for unambiguous medians.
 func ProfilerOverhead(ctx context.Context, sc Scale, rounds int, dutyCycle float64) (*ProfilerOverheadResult, error) {
-	if rounds < 3 {
-		rounds = 3
-	}
-	if rounds%2 == 0 {
-		rounds++
-	}
 	if dutyCycle <= 0 {
 		dutyCycle = DefaultProfilerDutyCycle()
 	}
-	tbl, err := Dataset(workload.NameSynthetic, sc.Rows(encryptRows), sc.Seed)
+	ab, err := interleavedAB(ctx, sc, rounds, func(ctx context.Context, op func(context.Context) error) (time.Duration, error) {
+		if err := pprof.StartCPUProfile(io.Discard); err != nil {
+			return 0, fmt.Errorf("perf: starting cpu window: %w", err)
+		}
+		t0 := time.Now()
+		err := op(ctx)
+		d := time.Since(t0)
+		pprof.StopCPUProfile()
+		return d, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config(0.25)
-	cfg.Parallelism = sc.Parallelism
-
-	encryptOnce := func(ctx context.Context) error {
-		enc, err := core.NewEncryptor(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = enc.Encrypt(ctx, tbl)
-		return err
-	}
-
-	// Warm both paths: first-touch costs (page faults, the profiler's
-	// first start) land outside the measured rounds.
-	if err := encryptOnce(ctx); err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(io.Discard); err != nil {
-		return nil, fmt.Errorf("perf: cpu profiler unavailable: %w", err)
-	}
-	warmErr := encryptOnce(ctx)
-	pprof.StopCPUProfile()
-	if warmErr != nil {
-		return nil, warmErr
-	}
-
-	base := make([]float64, 0, rounds)
-	profiled := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		runBase := func() error {
-			t0 := time.Now()
-			if err := encryptOnce(ctx); err != nil {
-				return err
-			}
-			base = append(base, ms(time.Since(t0)))
-			return nil
-		}
-		runProfiled := func() error {
-			if err := pprof.StartCPUProfile(io.Discard); err != nil {
-				return fmt.Errorf("perf: starting cpu window: %w", err)
-			}
-			t0 := time.Now()
-			err := encryptOnce(ctx)
-			d := time.Since(t0)
-			pprof.StopCPUProfile()
-			if err != nil {
-				return err
-			}
-			profiled = append(profiled, ms(d))
-			return nil
-		}
-		first, second := runBase, runProfiled
-		if i%2 == 1 {
-			first, second = runProfiled, runBase
-		}
-		if err := first(); err != nil {
-			return nil, err
-		}
-		if err := second(); err != nil {
-			return nil, err
-		}
-	}
-
-	baseMed := median(base)
-	profMed := median(profiled)
-	res := &ProfilerOverheadResult{
-		Rounds:       rounds,
-		Rows:         tbl.NumRows(),
-		BaseMs:       baseMed,
-		ProfiledMs:   profMed,
+	window := ab.overheadPct()
+	return &ProfilerOverheadResult{
+		Rounds:       ab.rounds,
+		Rows:         ab.rows,
+		BaseMs:       ab.baseMs,
+		ProfiledMs:   ab.variantMs,
+		WindowPct:    window,
 		DutyCyclePct: dutyCycle * 100,
-	}
-	if baseMed > 0 {
-		res.WindowPct = (profMed - baseMed) / baseMed * 100
-		res.AmortizedPct = res.WindowPct * dutyCycle
-	}
-	return res, nil
+		AmortizedPct: window * dutyCycle,
+	}, nil
 }

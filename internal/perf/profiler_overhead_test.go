@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestProfilerOverheadMeasures runs the harness at toy scale: the point
-// is that both sides execute, the medians are real, and the amortized
-// figure derives from the duty cycle — not that the toy numbers clear
+// TestProfilerOverheadMeasures runs the interleaved A/B harness at toy
+// scale through both of its variants, the profiler and the tracer: the
+// point is that both sides execute, the medians are real, and the
+// derived percentages follow from them — not that the toy numbers clear
 // any particular budget.
 func TestProfilerOverheadMeasures(t *testing.T) {
 	res, err := ProfilerOverhead(context.Background(), Scale{SizeFactor: 0.05, Seed: 1}, 3, 0)
@@ -34,5 +35,17 @@ func TestProfilerOverheadMeasures(t *testing.T) {
 	}
 	if res2.DutyCyclePct != 50 {
 		t.Fatalf("duty cycle = %v, want 50", res2.DutyCyclePct)
+	}
+
+	// The trace variant runs through the same harness.
+	tr, err := TraceOverhead(context.Background(), Scale{SizeFactor: 0.05, Seed: 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Rounds != 3 || tr.Rows != res.Rows || tr.BaseMs <= 0 || tr.TracedMs <= 0 {
+		t.Fatalf("trace overhead result: %+v", tr)
+	}
+	if want := (tr.TracedMs - tr.BaseMs) / tr.BaseMs * 100; tr.OverheadPct != want {
+		t.Fatalf("overhead %v != (traced-base)/base %v", tr.OverheadPct, want)
 	}
 }

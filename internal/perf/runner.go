@@ -10,12 +10,6 @@ import (
 	"f2/internal/obs"
 )
 
-// stageAcc accumulates one stage's span durations within a worker.
-type stageAcc struct {
-	total time.Duration
-	count int
-}
-
 // RunConfig bounds one measured run of a workload.
 type RunConfig struct {
 	// Concurrency is how many goroutines loop over the op (0 = 1). It is
@@ -83,6 +77,8 @@ type StageStat struct {
 	TotalMs float64 `json:"totalMs"`
 	Count   int     `json:"count"`
 	MeanMs  float64 `json:"meanMs"`
+	P50Ms   float64 `json:"p50Ms"`
+	P99Ms   float64 `json:"p99Ms"`
 }
 
 func ms(ns time.Duration) float64 { return float64(ns.Nanoseconds()) / 1e6 }
@@ -140,18 +136,19 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 		deadline = start.Add(rc.Duration)
 	}
 	var claimed int64 // op tickets; the first ticket always runs
-	recorders := make([]*Recorder, conc)
-	stageAggs := make([]map[string]*stageAcc, conc)
+	// Each worker owns its histograms, so the hot loop takes no lock;
+	// they merge once the workers are done. Errored ops are counted
+	// apart and never enter the latency distribution, so a fast failure
+	// path cannot masquerade as a latency improvement.
+	hists := make([]obs.Histogram, conc)
+	stageHists := make([]map[string]*obs.Histogram, conc)
+	var errCount atomic.Int64
 	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for i := 0; i < conc; i++ {
-		rec := NewRecorder()
-		recorders[i] = rec
-		var stages map[string]*stageAcc
-		if rc.Stages {
-			stages = map[string]*stageAcc{}
-		}
-		stageAggs[i] = stages
+		hist := &hists[i]
+		stages := map[string]*obs.Histogram{}
+		stageHists[i] = stages
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -175,23 +172,25 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 				}
 				t0 := time.Now()
 				err := inst.Op(opCtx)
+				d := time.Since(t0)
 				if err != nil && ctx.Err() != nil {
 					return // cancellation, not an op failure
 				}
 				if err != nil {
 					firstErr.CompareAndSwap(nil, &err)
+					errCount.Add(1)
+					continue
 				}
-				rec.Record(time.Since(t0), err)
-				if tr != nil && err == nil {
+				hist.Observe(d)
+				if tr != nil {
 					tr.Finish()
 					tr.Snapshot().EachSpan(func(name string, d time.Duration) {
-						a := stages[name]
-						if a == nil {
-							a = &stageAcc{}
-							stages[name] = a
+						h := stages[name]
+						if h == nil {
+							h = &obs.Histogram{}
+							stages[name] = h
 						}
-						a.total += d
-						a.count++
+						h.Observe(d)
 					})
 				}
 			}
@@ -200,32 +199,30 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	merged := recorders[0]
-	for _, r := range recorders[1:] {
-		merged.Merge(r)
+	merged := &hists[0]
+	for i := 1; i < conc; i++ {
+		merged.Merge(&hists[i])
 	}
-	var stages map[string]StageStat
-	if rc.Stages {
-		mergedStages := map[string]*stageAcc{}
-		for _, m := range stageAggs {
-			for name, a := range m {
-				t := mergedStages[name]
-				if t == nil {
-					t = &stageAcc{}
-					mergedStages[name] = t
-				}
-				t.total += a.total
-				t.count += a.count
+	mergedStages := stageHists[0]
+	for _, m := range stageHists[1:] {
+		for name, h := range m {
+			if t := mergedStages[name]; t != nil {
+				t.Merge(h)
+			} else {
+				mergedStages[name] = h
 			}
 		}
-		if len(mergedStages) > 0 {
-			stages = make(map[string]StageStat, len(mergedStages))
-			for name, a := range mergedStages {
-				stages[name] = StageStat{
-					TotalMs: ms(a.total),
-					Count:   a.count,
-					MeanMs:  ms(a.total) / float64(a.count),
-				}
+	}
+	var stages map[string]StageStat
+	if len(mergedStages) > 0 {
+		stages = make(map[string]StageStat, len(mergedStages))
+		for name, h := range mergedStages {
+			stages[name] = StageStat{
+				TotalMs: ms(h.Sum()),
+				Count:   h.Count(),
+				MeanMs:  ms(h.Mean()),
+				P50Ms:   ms(h.Quantile(0.50)),
+				P99Ms:   ms(h.Quantile(0.99)),
 			}
 		}
 	}
@@ -234,7 +231,7 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 		Workload:    w.Name,
 		Concurrency: conc,
 		Ops:         merged.Count(),
-		Errors:      merged.Errors(),
+		Errors:      int(errCount.Load()),
 		Cancelled:   ctx.Err() != nil,
 		ElapsedMs:   ms(elapsed),
 		P50Ms:       ms(merged.Quantile(0.50)),

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"f2/internal/obs"
 )
 
 var errTest = errors.New("synthetic op failure")
@@ -203,5 +205,60 @@ func TestRunnerCleanupRuns(t *testing.T) {
 	Run(context.Background(), w, Scale{}, RunConfig{MaxOps: 1}) //nolint:errcheck
 	if !cleaned.Load() {
 		t.Error("cleanup did not run")
+	}
+}
+
+// TestRecorderErrorsExcluded checks errored ops never enter the latency
+// distribution: an absurdly slow failure must not move the quantiles.
+func TestRecorderErrorsExcluded(t *testing.T) {
+	var calls atomic.Int64
+	w := Workload{
+		Name: "test/errors-excluded",
+		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
+			return &Instance{Op: func(ctx context.Context) error {
+				if calls.Add(1) == 2 {
+					time.Sleep(50 * time.Millisecond) // slow, but errored
+					return errTest
+				}
+				return nil
+			}}, nil
+		},
+	}
+	res, err := Run(context.Background(), w, Scale{}, RunConfig{MaxOps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 2 || res.Errors != 1 {
+		t.Fatalf("ops/errors = %d/%d, want 2/1", res.Ops, res.Errors)
+	}
+	if res.MaxMs >= 50 || res.P99Ms >= 50 {
+		t.Errorf("p99/max = %v/%v ms polluted by the errored op", res.P99Ms, res.MaxMs)
+	}
+}
+
+// TestRunnerStageQuantiles: with Stages on, every span of the op trace
+// lands in a per-stage histogram, reported with its p50/p99.
+func TestRunnerStageQuantiles(t *testing.T) {
+	w := Workload{
+		Name: "test/stages",
+		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
+			return &Instance{Op: func(ctx context.Context) error {
+				_, sp := obs.Start(ctx, "stage.sleep")
+				time.Sleep(200 * time.Microsecond)
+				sp.End()
+				return nil
+			}}, nil
+		},
+	}
+	res, err := Run(context.Background(), w, Scale{}, RunConfig{Concurrency: 2, MaxOps: 20, Stages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := res.Stages["stage.sleep"]
+	if !ok {
+		t.Fatalf("stage.sleep missing from %v", res.Stages)
+	}
+	if st.Count != 20 || st.P50Ms < 0.2 || st.P99Ms < st.P50Ms {
+		t.Errorf("stage stats inconsistent: %+v", st)
 	}
 }

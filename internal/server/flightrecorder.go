@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"path/filepath"
 	"runtime"
@@ -273,82 +274,49 @@ func (s *Server) registerHealthChecks() {
 	})
 }
 
-// watchdog is the stall monitor loop: every WatchdogEvery it compares
-// tracked background flushes and the WAL committer backlog against their
-// deadlines, and captures one incident per stall episode.
+// watchdog is the stall monitor loop: every WatchdogEvery it reads the
+// flush and wal health components and captures one incident per stall
+// episode.
 func (s *Server) watchdog() {
 	defer close(s.watchdogDone)
-	every := s.opts.WatchdogEvery
-	t := time.NewTicker(every)
+	t := time.NewTicker(s.opts.WatchdogEvery)
 	defer t.Stop()
-	seen := make(map[string]struct{}) // episodes already captured
+	failing := make(map[string]bool) // components whose episode is captured
 	for {
 		select {
 		case <-s.watchdogStop:
 			return
 		case <-t.C:
-			s.watchdogScan(seen)
+			s.watchdogScan(failing)
 		}
 	}
 }
 
-// watchdogScan runs one watchdog pass. seen dedups episodes: a stalled
-// flush is captured once per job, a stalled committer once per episode
-// (the key clears when the backlog drains, so a later stall fires again).
-func (s *Server) watchdogScan(seen map[string]struct{}) {
-	now := time.Now()
-	if thr := s.opts.FlushStallAfter; thr > 0 {
-		live := make(map[string]struct{})
-		for _, fi := range s.flushesInFlight() {
-			key := "flush:" + fi.jobID
-			live[key] = struct{}{}
-			age := now.Sub(fi.started)
-			if age < thr {
-				continue
-			}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			s.captureStall("flush_stall",
-				fmt.Sprintf("background flush %s on dataset %s has run %s (threshold %s)",
-					fi.jobID, fi.dataset, age.Round(time.Millisecond), thr),
-				map[string]any{
-					"dataset":     fi.dataset,
-					"flushJobId":  fi.jobID,
-					"ageMs":       age.Milliseconds(),
-					"thresholdMs": thr.Milliseconds(),
-				})
+// watchdogScan runs one watchdog pass over the health model, which owns
+// the stall thresholds: a watched component that moves into failing
+// captures one incident, and re-arms once it leaves failing. Every
+// incident carries every open trace, so two flushes stalled at once are
+// one episode and one incident.
+func (s *Server) watchdogScan(failing map[string]bool) {
+	for _, w := range []struct {
+		component, kind string
+		threshold       time.Duration
+	}{
+		{"flush", "flush_stall", s.opts.FlushStallAfter},
+		{"wal", "wal_stall", s.opts.WALStallAfter},
+	} {
+		c, ok := s.health.Check(w.component)
+		now := ok && c.Status == obs.HealthFailing
+		was := failing[w.component]
+		failing[w.component] = now
+		if !now || was {
+			continue
 		}
-		// Finished jobs leave the episode set so the dedup map stays
-		// bounded by the number of concurrent flushes.
-		for key := range seen {
-			if len(key) > 6 && key[:6] == "flush:" {
-				if _, ok := live[key]; !ok {
-					delete(seen, key)
-				}
-			}
-		}
-	}
-	if thr := s.opts.WALStallAfter; thr > 0 && s.st != nil {
-		wh := s.st.WALHealth()
-		if wh.OldestStagedAge >= thr {
-			if _, dup := seen["wal"]; !dup {
-				seen["wal"] = struct{}{}
-				s.captureStall("wal_stall",
-					fmt.Sprintf("oldest staged WAL batch has waited %s (threshold %s); committer heartbeat %s old",
-						wh.OldestStagedAge.Round(time.Millisecond), thr, wh.CommitterBeatAge.Round(time.Millisecond)),
-					map[string]any{
-						"writers":            wh.Writers,
-						"queuedBatches":      wh.QueuedBatches,
-						"oldestStagedAgeMs":  wh.OldestStagedAge.Milliseconds(),
-						"committerBeatAgeMs": wh.CommitterBeatAge.Milliseconds(),
-						"thresholdMs":        thr.Milliseconds(),
-					})
-			}
-		} else {
-			delete(seen, "wal")
-		}
+		detail := map[string]any{"thresholdMs": w.threshold.Milliseconds()}
+		maps.Copy(detail, c.Detail)
+		s.captureStall(w.kind,
+			fmt.Sprintf("%s component failing: %v (threshold %s)", w.component, c.Detail["why"], w.threshold),
+			detail)
 	}
 }
 

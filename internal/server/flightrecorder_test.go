@@ -252,6 +252,53 @@ func TestWatchdogCapturesFlushStall(t *testing.T) {
 	})
 }
 
+// TestWatchdogOneIncidentPerEpisode drives the watchdog over a fake
+// flush component: ok → failing → failing → ok → failing is two stall
+// episodes, so exactly two incidents and two counted stalls, each
+// incident carrying the component's health detail plus the threshold.
+func TestWatchdogOneIncidentPerEpisode(t *testing.T) {
+	srv, _, _ := newFlightServer(t, t.TempDir(), func(o *Options) {
+		o.FlushStallAfter = 50 * time.Millisecond
+		o.WatchdogEvery = time.Hour // the test runs every scan itself
+		o.SlowRequestThreshold = -1
+	})
+	status := obs.HealthOK
+	srv.health.Register("flush", func() obs.ComponentHealth {
+		return obs.ComponentHealth{Status: status, Detail: map[string]any{"why": "fake stall"}}
+	})
+	failing := map[string]bool{}
+	for _, st := range []obs.HealthStatus{obs.HealthOK, obs.HealthFailing, obs.HealthFailing, obs.HealthOK, obs.HealthFailing} {
+		status = st
+		srv.watchdogScan(failing)
+	}
+
+	files, err := srv.incidents.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("%d incidents captured, want 2: %+v", len(files), files)
+	}
+	for _, f := range files {
+		data, err := srv.incidents.Read(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inc obs.Incident
+		if err := json.Unmarshal(data, &inc); err != nil {
+			t.Fatal(err)
+		}
+		if inc.Kind != "flush_stall" || inc.Detail["why"] != "fake stall" || inc.Detail["thresholdMs"] != float64(50) {
+			t.Errorf("incident %s: kind %q detail %v", f.Name, inc.Kind, inc.Detail)
+		}
+	}
+	var b strings.Builder
+	srv.metrics.Render(&b)
+	if !strings.Contains(b.String(), `f2_watchdog_stalls_total{kind="flush_stall"} 2`) {
+		t.Errorf("want two counted flush stalls in:\n%s", b.String())
+	}
+}
+
 // TestSlowRequestRetained: a request past SlowRequestThreshold lands in
 // the incident ring as kind slow_request without counting as a stall.
 func TestSlowRequestRetained(t *testing.T) {

@@ -7,102 +7,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"f2/internal/obs"
 )
-
-// latencyBuckets are the upper bounds of the request-latency histogram,
-// exponential from 1ms to 10s (the F² rebuild of a large dataset sits in
-// the upper buckets, metadata reads in the lowest).
-var latencyBuckets = []time.Duration{
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-	500 * time.Millisecond,
-	2500 * time.Millisecond,
-	10 * time.Second,
-}
-
-// stageBuckets bound the per-stage histogram. Stages are one slice of a
-// request — an in-memory buffer append is single-digit microseconds, a
-// WAL fsync ~100µs, a full rebuild's Step 1 can run for seconds — so the
-// range starts four decades below latencyBuckets' top and ends at 20s.
-// The sub-100µs buckets matter: without them every fast stage collapses
-// into the first bucket and its interpolated quantiles are fiction.
-var stageBuckets = []time.Duration{
-	5 * time.Microsecond,
-	25 * time.Microsecond,
-	100 * time.Microsecond,
-	500 * time.Microsecond,
-	2500 * time.Microsecond,
-	10 * time.Millisecond,
-	50 * time.Millisecond,
-	250 * time.Millisecond,
-	time.Second,
-	5 * time.Second,
-	20 * time.Second,
-}
-
-// opStats accumulates one operation's counters and latency histogram.
-type opStats struct {
-	byClass map[string]uint64 // "2xx", "4xx", "5xx"
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-	buckets []uint64 // len(latencyBuckets)+1, last is +Inf
-}
-
-// stageStats accumulates one pipeline stage's duration histogram, fed
-// from completed trace spans.
-type stageStats struct {
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-	buckets []uint64 // len(stageBuckets)+1, last is +Inf
-}
-
-// quantileFromBuckets derives the q-quantile (0 < q ≤ 1) from a
-// histogram the way Prometheus's histogram_quantile does: locate the
-// bucket holding the target rank through the cumulative counts, then
-// interpolate linearly between the bucket's bounds (the first bucket's
-// lower bound is 0). The open +Inf bucket has no upper bound to
-// interpolate toward, so it reports the exact observed max instead —
-// tighter than the Prometheus convention of clamping to the last finite
-// bound. counts has len(bounds)+1 entries, the last being +Inf.
-func quantileFromBuckets(bounds []time.Duration, counts []uint64, total uint64, max time.Duration, q float64) time.Duration {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			if i == len(bounds) {
-				return max
-			}
-			lo := time.Duration(0)
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			frac := (rank - cum) / float64(c)
-			return lo + time.Duration(float64(hi-lo)*frac)
-		}
-		cum = next
-	}
-	return max
-}
-
-func (s *opStats) quantile(q float64) time.Duration {
-	return quantileFromBuckets(latencyBuckets, s.buckets, s.count, s.max, q)
-}
-
-func (s *stageStats) quantile(q float64) time.Duration {
-	return quantileFromBuckets(stageBuckets, s.buckets, s.count, s.max, q)
-}
 
 // Metrics records per-operation request counts and latency histograms and
 // renders them in Prometheus text exposition format. Gauges (pool depth,
@@ -110,8 +17,9 @@ func (s *stageStats) quantile(q float64) time.Duration {
 // state without Metrics knowing about its producers.
 type Metrics struct {
 	mu         sync.Mutex
-	ops        map[string]*opStats
-	stages     map[string]*stageStats
+	requests   map[string]map[string]uint64 // op -> status class ("2xx", ...) -> count
+	latency    map[string]*obs.Histogram    // op -> request latency
+	stages     map[string]*obs.Histogram    // stage -> span duration
 	gauges     map[string]func() float64
 	gaugeVecs  map[string]func() []GaugeSample
 	counters   map[string]map[string]uint64 // name -> rendered label list -> count
@@ -122,8 +30,9 @@ type Metrics struct {
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		ops:        make(map[string]*opStats),
-		stages:     make(map[string]*stageStats),
+		requests:   make(map[string]map[string]uint64),
+		latency:    make(map[string]*obs.Histogram),
+		stages:     make(map[string]*obs.Histogram),
 		gauges:     make(map[string]func() float64),
 		gaugeVecs:  make(map[string]func() []GaugeSample),
 		counters:   make(map[string]map[string]uint64),
@@ -309,19 +218,13 @@ func (m *Metrics) Observe(op string, status int, d time.Duration) {
 	class := fmt.Sprintf("%dxx", status/100)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.ops[op]
+	byClass, ok := m.requests[op]
 	if !ok {
-		s = &opStats{byClass: make(map[string]uint64), buckets: make([]uint64, len(latencyBuckets)+1)}
-		m.ops[op] = s
+		byClass = make(map[string]uint64)
+		m.requests[op] = byClass
 	}
-	s.byClass[class]++
-	s.count++
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-	i := sort.Search(len(latencyBuckets), func(i int) bool { return d <= latencyBuckets[i] })
-	s.buckets[i]++
+	byClass[class]++
+	histogramFor(m.latency, op).Observe(d)
 }
 
 // ObserveStage records one completed pipeline-stage span (from the
@@ -329,18 +232,17 @@ func (m *Metrics) Observe(op string, status int, d time.Duration) {
 func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.stages[stage]
+	histogramFor(m.stages, stage).Observe(d)
+}
+
+// histogramFor returns the named histogram, adding an empty one first.
+func histogramFor(hs map[string]*obs.Histogram, name string) *obs.Histogram {
+	h, ok := hs[name]
 	if !ok {
-		s = &stageStats{buckets: make([]uint64, len(stageBuckets)+1)}
-		m.stages[stage] = s
+		h = &obs.Histogram{}
+		hs[name] = h
 	}
-	s.count++
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-	i := sort.Search(len(stageBuckets), func(i int) bool { return d <= stageBuckets[i] })
-	s.buckets[i]++
+	return h
 }
 
 // Render writes the registry in Prometheus text format.
@@ -365,26 +267,17 @@ func (m *Metrics) Render(w io.Writer) {
 	}
 	m.mu.Unlock()
 	gaugeVals := make(map[string]float64, len(gaugeFns))
-	names := make([]string, 0, len(gaugeFns))
 	for n, fn := range gaugeFns {
 		gaugeVals[n] = fn()
-		names = append(names, n)
 	}
-	sort.Strings(names)
 	vecVals := make(map[string][]GaugeSample, len(vecFns))
-	vecNames := make([]string, 0, len(vecFns))
 	for n, fn := range vecFns {
 		vecVals[n] = fn()
-		vecNames = append(vecNames, n)
 	}
-	sort.Strings(vecNames)
 	counterFnVals := make(map[string]float64, len(counterFns))
-	counterFnNames := make([]string, 0, len(counterFns))
 	for n, fn := range counterFns {
 		counterFnVals[n] = fn()
-		counterFnNames = append(counterFnNames, n)
 	}
-	sort.Strings(counterFnNames)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -392,12 +285,12 @@ func (m *Metrics) Render(w io.Writer) {
 	writeHeader(w, "f2_uptime_seconds", "gauge")
 	fmt.Fprintf(w, "f2_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
 
-	for _, n := range names {
+	for _, n := range sortedKeys(gaugeVals) {
 		writeHeader(w, n, "gauge")
 		fmt.Fprintf(w, "%s %g\n", n, gaugeVals[n])
 	}
 
-	for _, n := range vecNames {
+	for _, n := range sortedKeys(vecVals) {
 		writeHeader(w, n, "gauge")
 		for _, s := range vecVals[n] {
 			if lbl := renderLabels(s.Labels); lbl != "" {
@@ -408,113 +301,73 @@ func (m *Metrics) Render(w io.Writer) {
 		}
 	}
 
-	for _, n := range counterFnNames {
+	for _, n := range sortedKeys(counterFnVals) {
 		writeHeader(w, n, "counter")
 		fmt.Fprintf(w, "%s %g\n", n, counterFnVals[n])
 	}
 
-	counterNames := make([]string, 0, len(m.counters))
-	for n := range m.counters {
-		counterNames = append(counterNames, n)
-	}
-	sort.Strings(counterNames)
-	for _, n := range counterNames {
+	for _, n := range sortedKeys(m.counters) {
 		writeHeader(w, n, "counter")
-		labels := make([]string, 0, len(m.counters[n]))
-		for l := range m.counters[n] {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
+		for _, l := range sortedKeys(m.counters[n]) {
 			fmt.Fprintf(w, "%s{%s} %d\n", n, l, m.counters[n][l])
 		}
 	}
 
 	if len(m.stages) > 0 {
-		stageNames := make([]string, 0, len(m.stages))
-		for n := range m.stages {
-			stageNames = append(stageNames, n)
-		}
-		sort.Strings(stageNames)
-		writeHeader(w, "f2_stage_duration_seconds", "histogram")
-		for _, n := range stageNames {
-			s := m.stages[n]
-			lbl := escapeLabelValue(n)
-			cum := uint64(0)
-			for i, ub := range stageBuckets {
-				cum += s.buckets[i]
-				fmt.Fprintf(w, "f2_stage_duration_seconds_bucket{stage=\"%s\",le=\"%s\"} %d\n",
-					lbl, formatSeconds(ub), cum)
-			}
-			cum += s.buckets[len(stageBuckets)]
-			fmt.Fprintf(w, "f2_stage_duration_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", lbl, cum)
-			fmt.Fprintf(w, "f2_stage_duration_seconds_sum{stage=\"%s\"} %.6f\n", lbl, s.sum.Seconds())
-			fmt.Fprintf(w, "f2_stage_duration_seconds_count{stage=\"%s\"} %d\n", lbl, s.count)
-			fmt.Fprintf(w, "f2_stage_duration_seconds_max{stage=\"%s\"} %.6f\n", lbl, s.max.Seconds())
-		}
-		// Derived stage quantiles, mirroring the per-request ones below:
-		// the perf harness and dashboards read these without reimplementing
-		// histogram_quantile.
-		writeHeader(w, "f2_stage_duration_quantile_seconds", "gauge")
-		for _, n := range stageNames {
-			s := m.stages[n]
-			lbl := escapeLabelValue(n)
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "f2_stage_duration_quantile_seconds{stage=\"%s\",quantile=\"%g\"} %.6f\n",
-					lbl, q, s.quantile(q).Seconds())
-			}
-		}
+		writeHistograms(w, "f2_stage_duration_seconds", "f2_stage_duration_quantile_seconds", "stage", m.stages)
 	}
 
-	opNames := make([]string, 0, len(m.ops))
-	for n := range m.ops {
-		opNames = append(opNames, n)
-	}
-	sort.Strings(opNames)
-	if len(opNames) > 0 {
+	if len(m.requests) > 0 {
 		writeHeader(w, "f2_http_requests_total", "counter")
-		for _, n := range opNames {
-			s := m.ops[n]
-			classes := make([]string, 0, len(s.byClass))
-			for c := range s.byClass {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				fmt.Fprintf(w, "f2_http_requests_total{op=%q,class=%q} %d\n", n, c, s.byClass[c])
+		for _, op := range sortedKeys(m.requests) {
+			byClass := m.requests[op]
+			for _, c := range sortedKeys(byClass) {
+				fmt.Fprintf(w, "f2_http_requests_total{op=\"%s\",class=\"%s\"} %d\n",
+					escapeLabelValue(op), c, byClass[c])
 			}
 		}
-		writeHeader(w, "f2_http_request_duration_seconds", "histogram")
-		for _, n := range opNames {
-			s := m.ops[n]
-			cum := uint64(0)
-			for i, ub := range latencyBuckets {
-				cum += s.buckets[i]
-				fmt.Fprintf(w, "f2_http_request_duration_seconds_bucket{op=%q,le=\"%s\"} %d\n",
-					n, formatSeconds(ub), cum)
-			}
-			cum += s.buckets[len(latencyBuckets)]
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", n, cum)
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_sum{op=%q} %.6f\n", n, s.sum.Seconds())
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_count{op=%q} %d\n", n, s.count)
-			fmt.Fprintf(w, "f2_http_request_duration_seconds_max{op=%q} %.6f\n", n, s.max.Seconds())
-		}
-		// Server-side derived quantiles: dashboards without a PromQL
-		// engine (and the perf harness) read p50/p95/p99 directly instead
-		// of re-implementing histogram_quantile over the buckets.
-		writeHeader(w, "f2_http_request_latency_quantile_seconds", "gauge")
-		for _, n := range opNames {
-			s := m.ops[n]
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "f2_http_request_latency_quantile_seconds{op=%q,quantile=\"%g\"} %.6f\n",
-					n, q, s.quantile(q).Seconds())
-			}
+		writeHistograms(w, "f2_http_request_duration_seconds", "f2_http_request_latency_quantile_seconds", "op", m.latency)
+	}
+}
+
+// writeHistograms renders one histogram family with one series set per
+// label value — cumulative buckets at the half-decade bounds of the
+// histogram's layout (exact bucket edges, so the counts are exact),
+// +Inf, _sum, _count and _max — and then the p50/p95/p99 gauges derived
+// from the full-resolution histogram under quantileFamily, so dashboards
+// and the perf harness read quantiles without reimplementing
+// histogram_quantile.
+func writeHistograms(w io.Writer, family, quantileFamily, label string, hs map[string]*obs.Histogram) {
+	names := sortedKeys(hs)
+	writeHeader(w, family, "histogram")
+	for _, n := range names {
+		h := hs[n]
+		sel := fmt.Sprintf("%s=\"%s\"", label, escapeLabelValue(n))
+		h.Cumulative(obs.BucketsPerDecade/2, func(le time.Duration, cum int) {
+			// One correctly rounded division (not Duration.Seconds's
+			// sum of parts) prints each bound in its shortest form.
+			fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", family, sel, float64(le)/1e9, cum)
+		})
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", family, sel, h.Count())
+		fmt.Fprintf(w, "%s_sum{%s} %.6f\n", family, sel, h.Sum().Seconds())
+		fmt.Fprintf(w, "%s_count{%s} %d\n", family, sel, h.Count())
+		fmt.Fprintf(w, "%s_max{%s} %.6f\n", family, sel, h.Max().Seconds())
+	}
+	writeHeader(w, quantileFamily, "gauge")
+	for _, n := range names {
+		sel := fmt.Sprintf("%s=\"%s\"", label, escapeLabelValue(n))
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			fmt.Fprintf(w, "%s{%s,quantile=\"%g\"} %.6f\n", quantileFamily, sel, q, hs[n].Quantile(q).Seconds())
 		}
 	}
 }
 
-// formatSeconds renders a bucket bound the Prometheus way ("0.005", "10");
-// %g already emits the shortest form.
-func formatSeconds(d time.Duration) string {
-	return fmt.Sprintf("%g", d.Seconds())
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -4,64 +4,87 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"f2/internal/obs"
 )
 
 // TestQuantileInterpolationExact pins the histogram-quantile
-// interpolation against an exactly-sorted sample. The bucket layout is
-// latencyBuckets = [1ms 5ms 25ms ...]; we place 8 observations in the
-// first bucket and 2 in the second, i.e. the sorted sample
+// interpolation against an exactly-sorted sample. The request histogram
+// has buckets (10^((k-1)/10), 10^(k/10)] µs, each edge clamped to the
+// observed [min, max]. We place 8 observations in the bucket that ends
+// at 1ms (min 900µs) and 2 in the one above it (max 1.2ms), i.e.
 //
-//	x_1 ≤ ... ≤ x_8 ≤ 1ms < x_9, x_10 ≤ 5ms
+//	900µs = x_1 ≤ ... ≤ x_8 ≤ 1ms < x_9 ≤ x_10 = 1.2ms
 //
-// With observations assumed uniform inside their bucket, the q-quantile
-// at rank r = q·10 interpolates linearly between the enclosing bucket's
-// bounds; these closed-form positions are pinned exactly.
+// With observations assumed uniform inside their clamped bucket, the
+// q-quantile at rank r = q·10 interpolates linearly between the
+// bucket's edges; these closed-form positions are pinned exactly.
 func TestQuantileInterpolationExact(t *testing.T) {
 	m := NewMetrics()
-	for i := 0; i < 8; i++ {
-		m.Observe("op", 200, 500*time.Microsecond) // bucket (0, 1ms]
-	}
-	for i := 0; i < 2; i++ {
-		m.Observe("op", 200, 2*time.Millisecond) // bucket (1ms, 5ms]
-	}
-	s := m.ops["op"]
+	observeClampedPair(func(d time.Duration) { m.Observe("op", 200, d) }, 900*time.Microsecond, time.Millisecond, 1200*time.Microsecond)
+	h := m.latency["op"]
 	cases := []struct {
 		q    float64
 		want time.Duration
 	}{
-		// rank 5 of 10 → bucket 0, frac 5/8: 0 + (1ms)·5/8.
-		{0.50, 625 * time.Microsecond},
-		// rank 8 → exactly fills bucket 0: its upper bound.
+		// rank 5 of 10 → first bucket, frac 5/8: 900µs + 100µs·5/8.
+		{0.50, 962500 * time.Nanosecond},
+		// rank 8 → exactly fills the first bucket: its upper bound.
 		{0.80, time.Millisecond},
-		// rank 9.5 → bucket 1, frac 1.5/2: 1ms + 4ms·0.75.
-		{0.95, 4 * time.Millisecond},
-		// rank 9.9 → bucket 1, frac 1.9/2: 1ms + 4ms·0.95.
-		{0.99, 4800 * time.Microsecond},
+		// rank 9.5 → second bucket, frac 1.5/2: 1ms + 200µs·0.75.
+		{0.95, 1150 * time.Microsecond},
+		// rank 9.9 → second bucket, frac 1.9/2: 1ms + 200µs·0.95.
+		{0.99, 1190 * time.Microsecond},
 	}
 	for _, c := range cases {
-		if got := s.quantile(c.q); got != c.want {
+		if got := h.Quantile(c.q); got != c.want {
 			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
 
-// TestQuantileOverflowBucketUsesMax: the +Inf bucket has no upper bound
-// to interpolate toward, so quantiles landing there report the exact
-// observed max.
+// observeClampedPair feeds 8 observations into the bucket that ends at
+// the decade bound edge (the smallest being lo) and 2 into the bucket
+// just above it (the largest being hi), so both buckets interpolate
+// between round edges: [lo, edge] and [edge, hi].
+func observeClampedPair(observe func(time.Duration), lo, edge, hi time.Duration) {
+	observe(lo)
+	for i := 0; i < 7; i++ {
+		observe(edge)
+	}
+	observe(edge + (hi-edge)/2)
+	observe(hi)
+}
+
+// TestQuantileOverflowBucketUsesMax: the bucket past the last finite
+// bound (1000s) has no upper bound of its own, so it interpolates up to
+// the exact observed max, which q=1 reports.
 func TestQuantileOverflowBucketUsesMax(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("op", 200, time.Millisecond)
-	m.Observe("op", 200, 42*time.Second) // beyond the last 10s bound
-	s := m.ops["op"]
-	if got := s.quantile(0.99); got != 42*time.Second {
-		t.Errorf("quantile(0.99) = %v, want the exact max 42s", got)
+	m.Observe("op", 200, 1500*time.Second) // beyond the last 1000s bound
+	h := m.latency["op"]
+	if got := h.Quantile(1); got != 1500*time.Second {
+		t.Errorf("quantile(1) = %v, want the exact max 1500s", got)
+	}
+	// rank 1.98 → overflow bucket, frac 0.98: 1000s + 500s·0.98.
+	if got := h.Quantile(0.99); got != 1490*time.Second {
+		t.Errorf("quantile(0.99) = %v, want 1490s", got)
 	}
 }
 
+// TestQuantileEmptyOp: an op never observed renders no request
+// families (so no quantile of an empty histogram), and an empty
+// histogram's quantile is 0.
 func TestQuantileEmptyOp(t *testing.T) {
-	s := &opStats{buckets: make([]uint64, len(latencyBuckets)+1)}
-	if got := s.quantile(0.5); got != 0 {
+	var empty obs.Histogram
+	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("quantile on empty stats = %v, want 0", got)
+	}
+	var b strings.Builder
+	NewMetrics().Render(&b)
+	if strings.Contains(b.String(), "f2_http_request") {
+		t.Errorf("empty registry renders request families:\n%s", b.String())
 	}
 }
 
@@ -170,19 +193,24 @@ func TestRenderGaugeCallbackMayUseMetrics(t *testing.T) {
 func TestStageHistogramCumulative(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveStage("wal.fsync", 50*time.Microsecond)  // bucket le=0.0001
-	m.ObserveStage("wal.fsync", 300*time.Microsecond) // bucket le=0.0005
-	m.ObserveStage("wal.fsync", 30*time.Second)       // +Inf
+	m.ObserveStage("wal.fsync", 300*time.Microsecond) // bucket le=0.000316227
+	m.ObserveStage("wal.fsync", 30*time.Second)       // bucket le=31.622776601
+	m.ObserveStage("wal.fsync", 1200*time.Second)     // +Inf
 	var b strings.Builder
 	m.Render(&b)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE f2_stage_duration_seconds histogram",
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="3.1622e-05"} 0`,
 		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.0001"} 1`,
-		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.0005"} 2`,
-		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="20"} 2`,
-		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="+Inf"} 3`,
-		`f2_stage_duration_seconds_count{stage="wal.fsync"} 3`,
-		`f2_stage_duration_seconds_max{stage="wal.fsync"} 30.000000`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="0.000316227"} 2`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="10"} 2`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="31.622776601"} 3`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="1000"} 3`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="+Inf"} 4`,
+		`f2_stage_duration_seconds_sum{stage="wal.fsync"} 1230.000350`,
+		`f2_stage_duration_seconds_count{stage="wal.fsync"} 4`,
+		`f2_stage_duration_seconds_max{stage="wal.fsync"} 1200.000000`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stage histogram missing %q in:\n%s", want, out)
@@ -190,24 +218,51 @@ func TestStageHistogramCumulative(t *testing.T) {
 	}
 }
 
+// TestHistogramRenderedBounds: both histogram families render the same
+// 19 finite le bounds — the half-decades from 1µs to 1000s, decades
+// printed exactly ("1e-05", not a float near it) — then +Inf, and the
+// op label is escaped like every other label value.
+func TestHistogramRenderedBounds(t *testing.T) {
+	m := NewMetrics()
+	m.Observe(`we"ird`, 200, time.Millisecond)
+	m.ObserveStage("wal.fsync", time.Millisecond)
+	var b strings.Builder
+	m.Render(&b)
+	want := []string{
+		"1e-06", "3.162e-06", "1e-05", "3.1622e-05", "0.0001", "0.000316227",
+		"0.001", "0.003162277", "0.01", "0.031622776", "0.1", "0.316227766",
+		"1", "3.16227766", "10", "31.622776601", "100", "316.227766016", "1000", "+Inf",
+	}
+	for _, prefix := range []string{
+		`f2_http_request_duration_seconds_bucket{op="we\"ird",le="`,
+		`f2_stage_duration_seconds_bucket{stage="wal.fsync",le="`,
+	} {
+		var got []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				got = append(got, rest[:strings.IndexByte(rest, '"')])
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s bounds:\n got %v\nwant %v", prefix, got, want)
+		}
+	}
+}
+
 // TestMetricsRenderQuantileGauges checks the derived gauges land in the
-// Prometheus exposition with the pinned interpolated values.
+// Prometheus exposition with the pinned interpolated values (the sample
+// of TestQuantileInterpolationExact).
 func TestMetricsRenderQuantileGauges(t *testing.T) {
 	m := NewMetrics()
-	for i := 0; i < 8; i++ {
-		m.Observe("flush", 200, 500*time.Microsecond)
-	}
-	for i := 0; i < 2; i++ {
-		m.Observe("flush", 200, 2*time.Millisecond)
-	}
+	observeClampedPair(func(d time.Duration) { m.Observe("flush", 200, d) }, 900*time.Microsecond, time.Millisecond, 1200*time.Microsecond)
 	var b strings.Builder
 	m.Render(&b)
 	out := b.String()
 	for _, want := range []string{
 		`# TYPE f2_http_request_latency_quantile_seconds gauge`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.5"} 0.000625`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.95"} 0.004000`,
-		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.99"} 0.004800`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.5"} 0.000963`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.95"} 0.001150`,
+		`f2_http_request_latency_quantile_seconds{op="flush",quantile="0.99"} 0.001190`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered metrics missing %q in:\n%s", want, out)
@@ -216,41 +271,36 @@ func TestMetricsRenderQuantileGauges(t *testing.T) {
 }
 
 // TestStageQuantileSubHundredMicros pins the stage-histogram
-// interpolation against an exactly-sorted sample placed in the new
-// sub-100µs buckets (5µs, 25µs): 8 observations in (0, 5µs] and 2 in
-// (5µs, 25µs], so rank r = q·10 interpolates inside known bounds.
+// interpolation in the sub-100µs range against an exactly-sorted
+// sample: 8 observations in the bucket that ends at 10µs (min 8µs) and
+// 2 in the one above it (max 12µs), so rank r = q·10 interpolates
+// inside known edges.
 func TestStageQuantileSubHundredMicros(t *testing.T) {
 	m := NewMetrics()
-	for i := 0; i < 8; i++ {
-		m.ObserveStage("buffer.append", 3*time.Microsecond) // bucket (0, 5µs]
-	}
-	for i := 0; i < 2; i++ {
-		m.ObserveStage("buffer.append", 10*time.Microsecond) // bucket (5µs, 25µs]
-	}
-	s := m.stages["buffer.append"]
+	observeClampedPair(func(d time.Duration) { m.ObserveStage("buffer.append", d) }, 8*time.Microsecond, 10*time.Microsecond, 12*time.Microsecond)
+	h := m.stages["buffer.append"]
 	cases := []struct {
 		q    float64
 		want time.Duration
 	}{
-		// rank 5 of 10 → bucket 0, frac 5/8: 0 + 5µs·5/8.
-		{0.50, 3125 * time.Nanosecond},
-		// rank 8 → exactly fills bucket 0: its upper bound.
-		{0.80, 5 * time.Microsecond},
-		// rank 9.5 → bucket 1, frac 1.5/2: 5µs + 20µs·0.75.
-		{0.95, 20 * time.Microsecond},
-		// rank 9.9 → bucket 1, frac 1.9/2: 5µs + 20µs·0.95.
-		{0.99, 24 * time.Microsecond},
+		// rank 5 of 10 → first bucket, frac 5/8: 8µs + 2µs·5/8.
+		{0.50, 9250 * time.Nanosecond},
+		// rank 8 → exactly fills the first bucket: its upper bound.
+		{0.80, 10 * time.Microsecond},
+		// rank 9.5 → second bucket, frac 1.5/2: 10µs + 2µs·0.75.
+		{0.95, 11500 * time.Nanosecond},
+		// rank 9.9 → second bucket, frac 1.9/2: 10µs + 2µs·0.95.
+		{0.99, 11900 * time.Nanosecond},
 	}
 	for _, c := range cases {
-		if got := s.quantile(c.q); got != c.want {
+		if got := h.Quantile(c.q); got != c.want {
 			t.Errorf("stage quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
 
 // TestStageBucketsResolveFastStages: a 3µs and a 10µs observation land
-// in distinct buckets (before the 5µs/25µs bounds existed, both fell
-// into the first bucket and fast stages were indistinguishable).
+// in distinct rendered buckets, so fast stages stay distinguishable.
 func TestStageBucketsResolveFastStages(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveStage("buffer.append", 3*time.Microsecond)
@@ -259,8 +309,9 @@ func TestStageBucketsResolveFastStages(t *testing.T) {
 	m.Render(&b)
 	out := b.String()
 	for _, want := range []string{
-		`f2_stage_duration_seconds_bucket{stage="buffer.append",le="5e-06"} 1`,
-		`f2_stage_duration_seconds_bucket{stage="buffer.append",le="2.5e-05"} 2`,
+		`f2_stage_duration_seconds_bucket{stage="buffer.append",le="1e-06"} 0`,
+		`f2_stage_duration_seconds_bucket{stage="buffer.append",le="3.162e-06"} 1`,
+		`f2_stage_duration_seconds_bucket{stage="buffer.append",le="1e-05"} 2`,
 		`f2_stage_duration_quantile_seconds{stage="buffer.append",quantile="0.5"}`,
 	} {
 		if !strings.Contains(out, want) {

@@ -67,9 +67,11 @@ check_logs() {
 
 # /metrics must be a well-formed Prometheus exposition: every sample
 # family carries HELP and TYPE, no series (name+labels) appears twice,
+# every histogram is cumulative (within one series set, le rises, the
+# bucket counts never fall, and le="+Inf" equals the matching _count),
 # and the flight recorder's f2_runtime_* series are present. A renamed
-# gauge or a double-registered callback shows up here, not in a scrape
-# dashboard three weeks later.
+# gauge, a double-registered callback or a renderer emitting per-bucket
+# counts shows up here, not in a scrape dashboard three weeks later.
 check_metrics() {
   local metrics="$1"
   local problems
@@ -88,8 +90,39 @@ check_metrics() {
       sub(/_(bucket|sum|count|max)$/, "", base)   # histogram children share the family HELP/TYPE
       if (!(fam in help) && !(base in help)) { print "missing HELP for " fam; bad = 1 }
       if (!(fam in type) && !(base in type)) { print "missing TYPE for " fam; bad = 1 }
+      value = $NF + 0
+      if (fam ~ /_bucket$/) {
+        le = series
+        sub(/.*le="/, "", le)
+        sub(/".*/, "", le)
+        set = series                    # the series set: family and labels but le
+        sub(/,?le="[^"]*"/, "", set)
+        sub(/_bucket/, "", set)
+        sub(/\{\}$/, "", set)
+        if (set in lastle) {
+          if (lastle[set] == "+Inf" || (le != "+Inf" && le + 0 <= lastle[set] + 0)) {
+            print "bucket le not rising: " series; bad = 1
+          }
+          if (value < lastcount[set]) { print "bucket count falls (not cumulative): " series; bad = 1 }
+        }
+        lastle[set] = le
+        lastcount[set] = value
+        if (le == "+Inf") inf[set] = value
+      } else if (fam ~ /_count$/) {
+        set = series
+        sub(/_count/, "", set)
+        count[set] = value
+      }
     }
-    END { exit bad }
+    END {
+      for (set in lastle) {
+        if (!(set in inf)) { print "histogram without le=\"+Inf\": " set; bad = 1 }
+        else if (!(set in count) || count[set] != inf[set]) {
+          print "le=\"+Inf\" bucket " inf[set] " != _count " count[set] " for " set; bad = 1
+        }
+      }
+      exit bad
+    }
   ' 2>&1)" || {
     printf '%s\n' "$problems" >&2
     die "malformed /metrics exposition (details above)"
