@@ -63,7 +63,10 @@ func DefaultWorkloads() *Registry {
 			"witnessed TANE FD discovery on the plaintext table"),
 		fdWorkload("fd/discover-encrypted", true,
 			"witnessed TANE FD discovery on the encrypted view (the untrusted server's job)"),
-		storeSnapshotWorkload(),
+		storeSnapshotWorkload("store/snapshot", false,
+			"rotation of an unchanged dataset: every chunk re-linked (marshal + SHA-256 + stat) + sealed index fsync + rename"),
+		storeSnapshotWorkload("store/snapshot-cold", true,
+			"first snapshot under a fresh dataset id (marshal + compress + chunk fsync + index) + Delete"),
 		storeRecoverWorkload("store/recover", storeRows, false,
 			"boot recovery: snapshot hydrate + WAL tail replay + updater restore"),
 		storeBootIndexWorkload("store/boot-index", storeRows, false,
@@ -292,12 +295,17 @@ func storeRecord(ctx context.Context, sc Scale, baseRows int) (*store.Record, *r
 	}, tbl, nil
 }
 
-// storeSnapshotWorkload measures one durable snapshot write (serialize,
-// seal the key, fsync, atomic rename).
-func storeSnapshotWorkload() Workload {
+// storeSnapshotWorkload measures one durable snapshot write. Warm, it
+// saves the same record every op, so after the first op every chunk is
+// re-linked by name: the op is marshal + SHA-256 + stat per chunk plus
+// the sealed index, and never compresses or fsyncs a chunk. Cold, each
+// op saves under a fresh dataset id — every chunk is compressed, written
+// and fsynced — and then deletes the dataset, inside the timed op, so
+// the directory stays one dataset deep.
+func storeSnapshotWorkload(name string, cold bool, desc string) Workload {
 	return Workload{
-		Name:           "store/snapshot",
-		Desc:           "durable snapshot write of an encrypted dataset (seal + fsync + rename)",
+		Name:           name,
+		Desc:           desc,
 		MaxConcurrency: 1, // one dataset dir; concurrent rotations would measure rename races
 		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
 			dir, err := os.MkdirTemp("", "f2perf-store-*")
@@ -315,15 +323,25 @@ func storeSnapshotWorkload() Workload {
 				os.RemoveAll(dir)
 				return nil, err
 			}
+			op := func(ctx context.Context) error { return st.SaveSnapshot(ctx, rec) }
+			if cold {
+				var n atomic.Int64
+				op = func(ctx context.Context) error {
+					fresh := *rec
+					fresh.ID = fmt.Sprintf("%s-%d", rec.ID, n.Add(1))
+					if err := st.SaveSnapshot(ctx, &fresh); err != nil {
+						return err
+					}
+					return st.Delete(fresh.ID)
+				}
+			}
 			return &Instance{
 				RowsPerOp: tbl.NumRows(),
 				Cleanup: func() error {
 					st.Close()
 					return os.RemoveAll(dir)
 				},
-				Op: func(ctx context.Context) error {
-					return st.SaveSnapshot(ctx, rec)
-				},
+				Op: op,
 			}, nil
 		},
 	}

@@ -11,9 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"f2/internal/core"
 	"f2/internal/partition"
+	"f2/internal/pool"
 	"f2/internal/relation"
 )
 
@@ -493,4 +495,152 @@ func TestHostileIndexRejected(t *testing.T) {
 			t.Fatal("name/content mismatch hydrated without error")
 		}
 	})
+}
+
+// setChunkWidth replaces the store's chunk pool with one of width n.
+func setChunkWidth(s *Store, n int) {
+	s.chunks.Close()
+	s.chunks = pool.New(n)
+}
+
+// TestRotationBytesIndependentOfWidth: the chunk jobs of a rotation run
+// on a pool, but what lands on disk must not depend on its width or
+// schedule — the same record saved serially and eight wide leaves
+// byte-equal chunk directories and the same index up to the randomly
+// sealed key. Hydrating at either width gives the same state.
+func TestRotationBytesIndependentOfWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	cfg := testConfig("width")
+	upd := newUpdater(t, cfg, testTable(rng, 300))
+	if err := upd.Buffer([][]string{testRow(rng, 900), testRow(rng, 901)}); err != nil {
+		t.Fatal(err)
+	}
+	const id = "ds_666666666666"
+	rec := record(id, cfg, upd, 0)
+
+	save := func(width int) (chunks map[string][]byte, index map[string]any, state []byte) {
+		dir := t.TempDir()
+		s, err := OpenOptions(dir, Options{ChunkRows: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		setChunkWidth(s, width)
+		if err := s.SaveSnapshot(context.Background(), rec); err != nil {
+			t.Fatal(err)
+		}
+		chunks = map[string][]byte{}
+		for name := range chunkDirNames(t, dir, id) {
+			b, err := os.ReadFile(filepath.Join(dir, datasetsDir, id, chunksDirName, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks[name] = b
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, datasetsDir, id, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &index); err != nil {
+			t.Fatal(err)
+		}
+		index["keyEnc"] = "masked"
+		st, err := s.LoadState(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, err = json.Marshal(st); err != nil {
+			t.Fatal(err)
+		}
+		return chunks, index, state
+	}
+	serial, serialIdx, serialState := save(1)
+	wide, wideIdx, wideState := save(8)
+	if len(serial) < 40 {
+		t.Fatalf("only %d chunks — the record is too small to exercise the pool", len(serial))
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Fatalf("chunk directories differ: %d files at width 1, %d at width 8", len(serial), len(wide))
+	}
+	if !reflect.DeepEqual(serialIdx, wideIdx) {
+		t.Fatal("index differs between width 1 and width 8 beyond keyEnc")
+	}
+	if string(serialState) != string(wideState) {
+		t.Fatal("hydrated state differs between width 1 and width 8")
+	}
+}
+
+// TestRepeatedChunkWrittenOnce: a payload that repeats within one
+// rotation (here, identical buffered rows) is written once and counted
+// as re-linked after, even when the pool could write both copies at once.
+func TestRepeatedChunkWrittenOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{ChunkRows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	setChunkWidth(s, 8)
+	const id = "ds_888888888888"
+	cfg := testConfig("repeat")
+	rng := rand.New(rand.NewSource(9))
+	upd := newUpdater(t, cfg, testTable(rng, 10))
+	row := testRow(rng, 500)
+	if err := upd.Buffer([][]string{row, row, row, row, row, row}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot(context.Background(), record(id, cfg, upd, 0)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, datasetsDir, id, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := parseIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, m := range [][]chunkRef{idx.Current.Chunks, idx.Encrypted.Chunks, idx.Origins.Chunks, idx.Buffer.Chunks} {
+		refs += len(m)
+	}
+	distinct := len(referencedChunks(t, dir, id))
+	st := s.SnapshotStats()
+	if refs-distinct < 2 || st.ChunksWritten != uint64(distinct) || st.ChunksReused != uint64(refs-distinct) {
+		t.Fatalf("%d chunk refs, %d distinct: wrote %d, re-linked %d", refs, distinct, st.ChunksWritten, st.ChunksReused)
+	}
+}
+
+// slowFirstSource fails every chunk, the first one in manifest order
+// last.
+type slowFirstSource struct{ first string }
+
+func (c slowFirstSource) ReadChunk(name string) ([]byte, error) {
+	if name == c.first {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil, fmt.Errorf("chunk %s unreadable", name)
+}
+
+// TestHydrationErrorIsLowestChunk: when chunks of a section fail on
+// different workers, hydration reports the failure at the lowest
+// manifest position, even though it is the last to fail.
+func TestHydrationErrorIsLowestChunk(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	setChunkWidth(s, 8)
+	m := sectionManifest{Rows: 16}
+	for i := 0; i < 16; i++ {
+		m.Chunks = append(m.Chunks, chunkRef{Name: fmt.Sprintf("%064x", i), Rows: 1})
+	}
+	src := slowFirstSource{first: m.Chunks[0].Name}
+	for run := 0; run < 10; run++ {
+		_, err := readSection[[]string](context.Background(), s, src, m, "current")
+		if err == nil || !strings.Contains(err.Error(), src.first) {
+			t.Fatalf("run %d: hydration reported %v, want the failure of chunk 0", run, err)
+		}
+	}
 }

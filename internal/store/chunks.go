@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // Chunked snapshots store the bulky, append-mostly sections of a dataset
@@ -80,36 +81,57 @@ func validChunkName(name string) bool {
 	return true
 }
 
+// Compressor and decompressor state is pooled: a fresh BestSpeed
+// flate.Writer allocates over a megabyte, more than most chunks it
+// compresses. Reset is documented to leave a writer (or reader) in the
+// state NewWriter (NewReader) returns, so a pooled one produces the same
+// bytes; TestPooledFrameMatchesFresh and FuzzChunkFrame hold it to that.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.BestSpeed)
+		if err != nil {
+			panic(err) // BestSpeed is a valid level; only a bug gets here
+		}
+		return zw
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
 // encodeChunkFrame frames a payload for storage: DEFLATE-compressed when
 // that helps, raw when it does not (already-dense payloads).
 func encodeChunkFrame(payload []byte) ([]byte, error) {
 	if len(payload) > maxChunkBytes {
 		return nil, fmt.Errorf("store: chunk payload is %d bytes, max %d", len(payload), maxChunkBytes)
 	}
-	codec := byte(chunkCodecFlate)
+	// Compress straight behind a reserved header, so a compressed frame
+	// is the buffer itself with no copy of the body.
 	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	var header [chunkHeaderSize]byte
+	buf.Grow(chunkHeaderSize + len(payload)/2)
+	buf.Write(header[:])
+	zw := flateWriters.Get().(*flate.Writer)
+	zw.Reset(&buf)
+	_, err := zw.Write(payload)
+	if err == nil {
+		err = zw.Close()
+	}
+	zw.Reset(nil) // drop the buffer before pooling the writer
+	flateWriters.Put(zw)
 	if err != nil {
-		return nil, fmt.Errorf("store: chunk compressor: %w", err)
-	}
-	if _, err := zw.Write(payload); err != nil {
 		return nil, fmt.Errorf("store: compressing chunk: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("store: compressing chunk: %w", err)
-	}
-	body := buf.Bytes()
-	if len(body) >= len(payload) {
+	frame := buf.Bytes()
+	codec := byte(chunkCodecFlate)
+	if len(frame)-chunkHeaderSize >= len(payload) {
 		codec = chunkCodecRaw
-		body = payload
+		frame = make([]byte, chunkHeaderSize+len(payload))
+		copy(frame[chunkHeaderSize:], payload)
 	}
-	frame := make([]byte, chunkHeaderSize+len(body))
 	copy(frame[0:4], chunkMagic)
 	frame[4] = chunkFrameVersion
 	frame[5] = codec
 	binary.BigEndian.PutUint32(frame[6:10], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(payload))
-	copy(frame[chunkHeaderSize:], body)
 	return frame, nil
 }
 
@@ -141,29 +163,52 @@ func decodeChunkFrame(frame []byte) ([]byte, error) {
 		}
 		payload = body
 	case chunkCodecFlate:
-		// LimitReader bounds the inflation at the declared size plus one
-		// byte: a body that inflates past its header is corrupt, and the
-		// extra byte lets the size check below distinguish "too long"
-		// from "exactly right".
-		zr := flate.NewReader(bytes.NewReader(body))
-		buf := make([]byte, 0, size)
-		w := bytes.NewBuffer(buf)
-		n, err := io.Copy(w, io.LimitReader(zr, int64(size)+1))
-		if cerr := zr.Close(); err == nil {
-			err = cerr
+		var err error
+		if payload, err = inflate(body, int(size)); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("store: inflating chunk: %w", err)
-		}
-		if n != int64(size) {
-			return nil, fmt.Errorf("store: chunk inflates to %d bytes, header says %d", n, size)
-		}
-		payload = w.Bytes()
 	default:
 		return nil, fmt.Errorf("store: unknown chunk codec %d", codec)
 	}
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(frame[10:14]) {
 		return nil, errors.New("store: chunk payload checksum mismatch")
+	}
+	return payload, nil
+}
+
+// inflate decompresses a flate body that must inflate to exactly size
+// bytes: shorter is truncation, longer is corruption (one byte past size
+// is read to tell the two apart), and nothing past size+1 is ever read.
+func inflate(body []byte, size int) ([]byte, error) {
+	zr := flateReaders.Get().(io.ReadCloser)
+	reset := zr.(flate.Resetter).Reset
+	defer func() {
+		// Drop the body before pooling; Reset on a flate reader cannot fail.
+		_ = reset(bytes.NewReader(nil), nil)
+		flateReaders.Put(zr)
+	}()
+	if err := reset(bytes.NewReader(body), nil); err != nil {
+		return nil, fmt.Errorf("store: inflating chunk: %w", err)
+	}
+	payload := make([]byte, size)
+	n, err := io.ReadFull(zr, payload)
+	switch {
+	case err == nil:
+		var extra [1]byte
+		var m int
+		m, err = io.ReadFull(zr, extra[:])
+		n += m
+		if err == io.EOF {
+			err = nil
+		}
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		err = nil // short: reported by the size check below
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: inflating chunk: %w", err)
+	}
+	if n != size {
+		return nil, fmt.Errorf("store: chunk inflates to %d bytes, header says %d", n, size)
 	}
 	return payload, nil
 }

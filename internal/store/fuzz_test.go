@@ -2,6 +2,11 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,6 +32,99 @@ func fuzzFrameSeed(f *testing.F, payload []byte) {
 	f.Add(frame)
 }
 
+// freshFrame is the reference encoder: encodeChunkFrame's format built
+// with a flate.Writer of its own, as the encoder did before its
+// compressor state was pooled.
+func freshFrame(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	zw, err := flate.NewWriter(&body, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	codec, b := byte(chunkCodecFlate), body.Bytes()
+	if len(b) >= len(payload) {
+		codec, b = chunkCodecRaw, payload
+	}
+	frame := make([]byte, chunkHeaderSize, chunkHeaderSize+len(b))
+	copy(frame, chunkMagic)
+	frame[4] = chunkFrameVersion
+	frame[5] = codec
+	binary.BigEndian.PutUint32(frame[6:10], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(payload))
+	return append(frame, b...)
+}
+
+// checkPooledMatchesFresh asserts the pooled encoder's frame for payload
+// equals the reference encoder's, byte for byte.
+func checkPooledMatchesFresh(t testing.TB, payload []byte) {
+	t.Helper()
+	got, err := encodeChunkFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := freshFrame(t, payload); !bytes.Equal(got, want) {
+		t.Fatalf("pooled frame of a %d-byte payload differs from a fresh writer's (%d vs %d bytes)", len(payload), len(got), len(want))
+	}
+}
+
+// TestPooledFrameMatchesFresh: payloads of different sizes and kinds go
+// through the pooled compressor in sequence — so each reuses state the
+// previous one left — and every frame must equal a fresh writer's.
+// Chunk names are content addresses of the payload, but the frame bytes
+// are what a later rotation re-links, so they must not drift either.
+func TestPooledFrameMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	rows := func(n int) []byte {
+		var b bytes.Buffer
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `["a%d","b%d","id%d"],`, rng.Intn(3), rng.Intn(4), i)
+		}
+		return b.Bytes()
+	}
+	payloads := [][]byte{
+		rows(2000),   // compressible, several flate blocks
+		noise(70000), // incompressible: raw codec
+		{},           // empty
+		rows(3),      // small, after a large one
+		noise(5),     // tiny incompressible
+		rows(20000),  // larger than flate's window
+		bytes.Repeat([]byte("x"), 1<<16),
+		noise(300),
+	}
+	raw := 0
+	for round := 0; round < 2; round++ {
+		for _, p := range payloads {
+			checkPooledMatchesFresh(t, p)
+			frame, err := encodeChunkFrame(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frame[5] == chunkCodecRaw {
+				raw++
+			}
+			back, err := decodeChunkFrame(frame)
+			if err != nil || !bytes.Equal(back, p) {
+				t.Fatalf("pooled frame of a %d-byte payload does not round-trip: %v", len(p), err)
+			}
+		}
+	}
+	if raw == 0 {
+		t.Fatal("no payload took the raw codec")
+	}
+}
+
 func FuzzChunkFrame(f *testing.F) {
 	fuzzFrameSeed(f, []byte(`[["a0","b1","id7"],["a2","b0","id8"]]`))
 	fuzzFrameSeed(f, bytes.Repeat([]byte("x"), 4096)) // compressible → flate codec
@@ -34,6 +132,9 @@ func FuzzChunkFrame(f *testing.F) {
 	f.Add([]byte("F2CK"))                             // bare magic
 	f.Add([]byte{})                                   // empty frame
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Any bytes are also a payload: the pooled encoder must frame
+		// them exactly as a fresh writer would.
+		checkPooledMatchesFresh(t, data)
 		payload, err := decodeChunkFrame(data)
 		if err != nil {
 			return
@@ -52,6 +153,7 @@ func FuzzChunkFrame(f *testing.F) {
 		if !bytes.Equal(back, payload) {
 			t.Fatal("payload changed across re-encode")
 		}
+		checkPooledMatchesFresh(t, payload)
 	})
 }
 

@@ -74,82 +74,131 @@ func (s *Store) rot(id string) *sync.RWMutex {
 	return rl
 }
 
-// chunkWriter accumulates one rotation's chunk writes against a backend,
-// updating the store-wide counters and honoring the crash-injection test
-// hook.
+// chunkWriter plans one rotation's chunk jobs against a backend, updating
+// the store-wide counters and honoring the crash-injection test hook.
+// Jobs run concurrently, so the hook is serialized: each checkpoint
+// still marks one completed step.
 type chunkWriter struct {
 	cs    ChunkStore
 	stats *snapStats
-	crash func(point string) error
+	jobs  []func() error
+	// queued names the chunks jobs will write, so a payload repeated
+	// within one rotation is written once and re-linked after, as if
+	// the first copy were already stored.
+	queued map[string]struct{}
+
+	crashMu sync.Mutex
+	crash   func(point string) error
 }
 
 func (w *chunkWriter) checkpoint(point string) error {
 	if w.crash == nil {
 		return nil
 	}
+	w.crashMu.Lock()
+	defer w.crashMu.Unlock()
+	//lint:ignore f2vet/lockheld the lock exists to serialize this test-only hook, which never calls back into the store
 	return w.crash(point)
 }
 
-// put stores one payload by content address, skipping the write (and the
-// compression) when the backend already holds it.
-func (w *chunkWriter) put(payload []byte, rows int) (chunkRef, error) {
-	name := chunkName(payload)
-	ref := chunkRef{Name: name, Rows: rows, Bytes: len(payload)}
-	has, err := w.cs.HasChunk(name)
-	if err != nil {
-		return chunkRef{}, err
-	}
-	if has {
-		w.stats.chunksReused.Add(1)
-		w.stats.bytesReused.Add(uint64(len(payload)))
-		return ref, nil
-	}
+// write compresses and durably stores one new chunk.
+func (w *chunkWriter) write(name string, payload []byte) error {
 	frame, err := encodeChunkFrame(payload)
 	if err != nil {
-		return chunkRef{}, err
+		return err
 	}
 	if err := w.cs.WriteChunk(name, frame); err != nil {
-		return chunkRef{}, err
+		return err
 	}
 	w.stats.chunksWritten.Add(1)
 	w.stats.bytesWritten.Add(uint64(len(frame)))
-	if err := w.checkpoint("chunk"); err != nil {
-		return chunkRef{}, err
-	}
-	return ref, nil
+	return w.checkpoint("chunk")
 }
 
-// writeSection chunks a row-shaped section into fixed row-ranges. Because
-// flushes only append to these sections, every range except the trailing
-// partial one keeps its content — and its name — across rotations.
-func writeSection[T any](w *chunkWriter, items []T, per int) (sectionManifest, error) {
-	m := sectionManifest{Rows: len(items)}
-	for start := 0; start < len(items); start += per {
-		end := min(start+per, len(items))
+// planSection cuts a row-shaped section into fixed row-ranges. Each range
+// is marshaled, named and probed on the calling goroutine; a range whose
+// chunk already exists is re-linked there, and only new chunks become
+// jobs (compress, write, fsync) for the pool.
+func planSection[T any](w *chunkWriter, items []T, per int) (sectionManifest, error) {
+	m := sectionManifest{Rows: len(items), Chunks: make([]chunkRef, (len(items)+per-1)/per)}
+	for i := range m.Chunks {
+		start, end := i*per, min((i+1)*per, len(items))
 		payload, err := json.Marshal(items[start:end])
 		if err != nil {
 			return sectionManifest{}, fmt.Errorf("store: encoding chunk: %w", err)
 		}
-		ref, err := w.put(payload, end-start)
-		if err != nil {
-			return sectionManifest{}, err
+		name := chunkName(payload)
+		m.Chunks[i] = chunkRef{Name: name, Rows: end - start, Bytes: len(payload)}
+		_, has := w.queued[name]
+		if !has {
+			if has, err = w.cs.HasChunk(name); err != nil {
+				return sectionManifest{}, err
+			}
 		}
-		m.Chunks = append(m.Chunks, ref)
+		if has {
+			w.stats.chunksReused.Add(1)
+			w.stats.bytesReused.Add(uint64(len(payload)))
+			continue
+		}
+		w.queued[name] = struct{}{}
+		w.jobs = append(w.jobs, func() error { return w.write(name, payload) })
 	}
 	return m, nil
 }
 
-func writeTableSection(w *chunkWriter, t *relation.JSONTable, per int) (tableManifest, error) {
-	m, err := writeSection(w, t.Rows, per)
-	if err != nil {
-		return tableManifest{}, err
+func planTableSection(w *chunkWriter, t *relation.JSONTable, per int) (tableManifest, error) {
+	m, err := planSection(w, t.Rows, per)
+	return tableManifest{Columns: t.Columns, Rows: m.Rows, Chunks: m.Chunks}, err
+}
+
+// plan fills idx's four section manifests, queueing a job for every
+// chunk that is not stored yet.
+func (w *chunkWriter) plan(idx *indexFile, sec *core.StateSections, per int) error {
+	var err error
+	if idx.Current, err = planTableSection(w, sec.Current, per); err != nil {
+		return err
 	}
-	return tableManifest{Columns: t.Columns, Rows: m.Rows, Chunks: m.Chunks}, nil
+	if idx.Encrypted, err = planTableSection(w, sec.Encrypted, per); err != nil {
+		return err
+	}
+	if idx.Origins, err = planSection(w, sec.Origins, per); err != nil {
+		return err
+	}
+	idx.Buffer, err = planSection(w, sec.Buffer, per)
+	return err
+}
+
+// forEachChunk runs fn(i) for every i in [0, n) on the store's chunk
+// pool and returns the error of the lowest i that failed, so a failure
+// reads the same at every width and schedule. That i is always found:
+// the pool claims indices in order and waits for every claimed one, so
+// when job i fails every job before it has run. The work is never
+// cancelled midway — a rotation half-done by cancellation is no better
+// than one half-done by a crash — so ctx only carries the trace.
+func (s *Store) forEachChunk(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	err := s.chunks.ForEach(context.WithoutCancel(ctx), n, func(_ context.Context, i int) error {
+		errs[i] = fn(i)
+		return errs[i]
+	})
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("store: chunk pool: %w", err)
+	}
+	return nil
 }
 
 // rotateSnapshot writes one dataset's chunked snapshot: all chunks first
 // (durable before anything references them), then the atomically rotated
 // index, then the GC sweep of chunks the new index no longer references.
+// Chunks that already exist are re-linked while planning, on the calling
+// goroutine; the new chunks of all four sections are then written as one
+// batch of jobs on the store's pool, each fsynced before the one
+// directory sync below.
 // Callers hold the dataset's rotation lock exclusively.
 func (s *Store) rotateSnapshot(ctx context.Context, rec *Record, keyEnc string, sec *core.StateSections) error {
 	dir := s.datasetDir(rec.ID)
@@ -157,9 +206,7 @@ func (s *Store) rotateSnapshot(ctx context.Context, rec *Record, keyEnc string, 
 		return fmt.Errorf("store: creating dataset directory: %w", err)
 	}
 	cs := newDirChunks(filepath.Join(dir, chunksDirName))
-	w := &chunkWriter{cs: cs, stats: &s.snap, crash: s.testCrash}
-
-	_, cw := obs.Start(ctx, "snapshot.chunks")
+	w := &chunkWriter{cs: cs, stats: &s.snap, queued: make(map[string]struct{}), crash: s.testCrash}
 	idx := &indexFile{
 		Version:   indexVersion,
 		ID:        rec.ID,
@@ -171,30 +218,20 @@ func (s *Store) rotateSnapshot(ctx context.Context, rec *Record, keyEnc string, 
 		ChunkRows: s.chunkRows,
 		Meta:      sec.Meta,
 	}
-	var err error
-	if idx.Current, err = writeTableSection(w, sec.Current, s.chunkRows); err != nil {
-		cw.End()
-		return err
-	}
-	if idx.Encrypted, err = writeTableSection(w, sec.Encrypted, s.chunkRows); err != nil {
-		cw.End()
-		return err
-	}
-	if idx.Origins, err = writeSection(w, sec.Origins, s.chunkRows); err != nil {
-		cw.End()
-		return err
-	}
-	if idx.Buffer, err = writeSection(w, sec.Buffer, s.chunkRows); err != nil {
-		cw.End()
-		return err
+	_, cw := obs.Start(ctx, "snapshot.chunks")
+	err := w.plan(idx, sec, s.chunkRows)
+	if err == nil {
+		err = s.forEachChunk(ctx, len(w.jobs), func(i int) error { return w.jobs[i]() })
 	}
 	// All referenced chunks must be durable before the index can name
 	// them — the directory sync is what pins the renames.
-	if err := cs.Sync(); err != nil {
-		cw.End()
-		return err
+	if err == nil {
+		err = cs.Sync()
 	}
 	cw.End()
+	if err != nil {
+		return err
+	}
 
 	if err := w.checkpoint("index"); err != nil {
 		return err
@@ -261,16 +298,16 @@ func gcChunks(cs ChunkStore, idx *indexFile, crash func(string) error) error {
 // needs the tables. Held shared against the rotation lock, so a
 // concurrent rotation's GC cannot unlink chunks mid-read.
 func (s *Store) LoadState(ctx context.Context, id string) (*core.UpdaterState, error) {
-	_, sp := obs.Start(ctx, "snapshot.hydrate")
+	ctx, sp := obs.Start(ctx, "snapshot.hydrate")
 	defer sp.End()
 	rl := s.rot(id)
 	rl.RLock()
-	st, err := s.readState(id)
+	st, err := s.readState(ctx, id)
 	rl.RUnlock()
 	return st, err
 }
 
-func (s *Store) readState(id string) (*core.UpdaterState, error) {
+func (s *Store) readState(ctx context.Context, id string) (*core.UpdaterState, error) {
 	dir := s.datasetDir(id)
 	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
@@ -281,19 +318,19 @@ func (s *Store) readState(id string) (*core.UpdaterState, error) {
 		return nil, err
 	}
 	cs := newDirChunks(filepath.Join(dir, chunksDirName))
-	cur, err := readTableSection(cs, idx.Current, "current")
+	cur, err := readTableSection(ctx, s, cs, idx.Current, "current")
 	if err != nil {
 		return nil, err
 	}
-	enc, err := readTableSection(cs, idx.Encrypted, "encrypted")
+	enc, err := readTableSection(ctx, s, cs, idx.Encrypted, "encrypted")
 	if err != nil {
 		return nil, err
 	}
-	origins, err := readSection[core.RowOrigin](cs, idx.Origins, "origins")
+	origins, err := readSection[core.RowOrigin](ctx, s, cs, idx.Origins, "origins")
 	if err != nil {
 		return nil, err
 	}
-	buffer, err := readSection[[]string](cs, idx.Buffer, "buffer")
+	buffer, err := readSection[[]string](ctx, s, cs, idx.Buffer, "buffer")
 	if err != nil {
 		return nil, err
 	}
@@ -327,30 +364,44 @@ func readChunkPayload(src ByteSource, name string) ([]byte, error) {
 
 // readSection reassembles one row-shaped section from its manifest,
 // enforcing the per-chunk and per-section row counts the index declared.
-func readSection[T any](src ByteSource, m sectionManifest, section string) ([]T, error) {
-	out := make([]T, 0, len(m.Chunks))
-	for _, ref := range m.Chunks {
+// The chunks are fetched, verified and decoded on the store's pool, each
+// into its own slot, and joined in manifest order. The output is sized
+// from the rows actually decoded, never from the index's claims.
+func readSection[T any](ctx context.Context, s *Store, src ByteSource, m sectionManifest, section string) ([]T, error) {
+	parts := make([][]T, len(m.Chunks))
+	err := s.forEachChunk(ctx, len(m.Chunks), func(i int) error {
+		ref := m.Chunks[i]
 		payload, err := readChunkPayload(src, ref.Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var items []T
-		if err := json.Unmarshal(payload, &items); err != nil {
-			return nil, fmt.Errorf("store: decoding %s chunk %s: %w", section, ref.Name, err)
+		if err := json.Unmarshal(payload, &parts[i]); err != nil {
+			return fmt.Errorf("store: decoding %s chunk %s: %w", section, ref.Name, err)
 		}
-		if len(items) != ref.Rows {
-			return nil, fmt.Errorf("store: %s chunk %s holds %d rows, manifest says %d", section, ref.Name, len(items), ref.Rows)
+		if len(parts[i]) != ref.Rows {
+			return fmt.Errorf("store: %s chunk %s holds %d rows, manifest says %d", section, ref.Name, len(parts[i]), ref.Rows)
 		}
-		out = append(out, items...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(out) != m.Rows {
-		return nil, fmt.Errorf("store: %s section has %d rows, manifest says %d", section, len(out), m.Rows)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n != m.Rows {
+		return nil, fmt.Errorf("store: %s section has %d rows, manifest says %d", section, n, m.Rows)
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
 	}
 	return out, nil
 }
 
-func readTableSection(src ByteSource, t tableManifest, section string) (*relation.JSONTable, error) {
-	rows, err := readSection[[]string](src, sectionManifest{Rows: t.Rows, Chunks: t.Chunks}, section)
+func readTableSection(ctx context.Context, s *Store, src ByteSource, t tableManifest, section string) (*relation.JSONTable, error) {
+	rows, err := readSection[[]string](ctx, s, src, sectionManifest{Rows: t.Rows, Chunks: t.Chunks}, section)
 	if err != nil {
 		return nil, err
 	}

@@ -1,22 +1,22 @@
 package store
 
 import (
+	"crypto/cipher"
+	"crypto/rand"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"f2/internal/core"
 	"f2/internal/crypt"
 )
 
-// keyEnvelope prefixes the dataset key before master-key encryption. The
-// stream cipher has no MAC, so the prefix doubles as an integrity check:
-// decrypting with the wrong master key yields garbage that fails the
-// prefix test instead of silently installing a wrong key.
-const keyEnvelope = "f2-dataset-key:"
+// keySealVersion is the first byte of a sealed dataset key: the version
+// of the layout version‖nonce‖AES-GCM seal that follows it.
+const keySealVersion = 1
 
 // configFile mirrors core.Config minus the key.
 type configFile struct {
@@ -64,34 +64,43 @@ func (c configFile) config(key crypt.Key) core.Config {
 	}
 }
 
-// sealKey encrypts a dataset key under the master cipher for storage.
-func sealKey(master *crypt.ProbCipher, key crypt.Key) (string, error) {
-	text, err := key.MarshalText()
-	if err != nil {
-		return "", err
-	}
-	sealed, err := master.EncryptCell(keyEnvelope + string(text))
-	if err != nil {
+// sealKey encrypts a dataset key under the master AEAD for storage, as
+// base64(version‖nonce‖seal). The dataset id is the associated data, so
+// a sealed key copied into another dataset's index fails to open.
+func sealKey(master cipher.AEAD, id string, key crypt.Key) (string, error) {
+	out := make([]byte, 1+master.NonceSize(), 1+master.NonceSize()+len(key)+master.Overhead())
+	out[0] = keySealVersion
+	if _, err := rand.Read(out[1:]); err != nil {
 		return "", fmt.Errorf("store: sealing dataset key: %w", err)
 	}
-	return sealed, nil
+	out = master.Seal(out, out[1:], key[:], []byte(id))
+	return base64.StdEncoding.EncodeToString(out), nil
 }
 
-// openKey inverts sealKey, verifying the envelope prefix so a wrong
-// master key surfaces as an error rather than a garbage key.
-func openKey(master *crypt.ProbCipher, sealed string) (crypt.Key, error) {
-	plain, err := master.DecryptCell(sealed)
+// openKey inverts sealKey. Any tag failure — a wrong master key, a
+// flipped bit, a key sealed for another dataset — is an error, never a
+// garbage key.
+func openKey(master cipher.AEAD, id, sealed string) (crypt.Key, error) {
+	raw, err := base64.StdEncoding.DecodeString(sealed)
 	if err != nil {
 		return crypt.Key{}, fmt.Errorf("store: unsealing dataset key: %w", err)
 	}
-	text, ok := strings.CutPrefix(plain, keyEnvelope)
-	if !ok {
-		return crypt.Key{}, fmt.Errorf("store: dataset key envelope mismatch (wrong master key?)")
+	if len(raw) == 0 || raw[0] != keySealVersion {
+		return crypt.Key{}, errors.New("store: unsealing dataset key: unknown seal version")
+	}
+	n := 1 + master.NonceSize()
+	if len(raw) < n {
+		return crypt.Key{}, errors.New("store: unsealing dataset key: sealed key truncated")
+	}
+	plain, err := master.Open(nil, raw[1:n], raw[n:], []byte(id))
+	if err != nil {
+		return crypt.Key{}, errors.New("store: dataset key fails authentication (wrong master key, tampered, or sealed for another dataset)")
 	}
 	var key crypt.Key
-	if err := key.UnmarshalText([]byte(text)); err != nil {
-		return crypt.Key{}, fmt.Errorf("store: unsealing dataset key: %w", err)
+	if len(plain) != len(key) {
+		return crypt.Key{}, fmt.Errorf("store: unsealed dataset key is %d bytes, want %d", len(plain), len(key))
 	}
+	copy(key[:], plain)
 	return key, nil
 }
 

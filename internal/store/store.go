@@ -38,16 +38,20 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
 	"f2/internal/core"
 	"f2/internal/crypt"
 	"f2/internal/obs"
+	"f2/internal/pool"
 )
 
 const (
@@ -102,9 +106,16 @@ type Loaded struct {
 // by that dataset's committer goroutine, and compaction flows through the
 // same committer, so callers need no external ordering of their own.
 type Store struct {
-	dir       string
-	master    *crypt.ProbCipher
+	dir string
+	// master seals dataset keys at rest (AES-GCM under master.key).
+	master    cipher.AEAD
 	chunkRows int
+
+	// chunks runs every chunk job of every rotation and hydration, so
+	// concurrent saves and loads of different datasets share one bound
+	// (GOMAXPROCS workers). Tests may swap in a pool of another width.
+	chunks    *pool.Pool
+	closeOnce sync.Once
 
 	mu   sync.Mutex
 	wals map[string]*walWriter // group-commit writers by dataset id
@@ -160,14 +171,19 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	cipher, err := crypt.NewProbCipher(master, crypt.PRFAESCTR)
+	block, err := aes.NewCipher(master[:])
+	if err != nil {
+		return nil, fmt.Errorf("store: master cipher: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("store: master cipher: %w", err)
 	}
 	return &Store{
 		dir:       dir,
-		master:    cipher,
+		master:    aead,
 		chunkRows: chunkRows,
+		chunks:    pool.New(runtime.GOMAXPROCS(0)),
 		wals:      make(map[string]*walWriter),
 		rots:      make(map[string]*sync.RWMutex),
 		gcDebt:    make(map[string]string),
@@ -178,9 +194,14 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Close drains every dataset's committer (staged groups are written and
-// fsynced first) and releases the WAL handles. Snapshots and acknowledged
-// batches are already durable; Close loses nothing.
+// fsynced first), releases the WAL handles, and stops the chunk pool.
+// Snapshots and acknowledged batches are already durable; Close loses
+// nothing. A save or load that reaches the chunk pool after Close fails
+// with pool.ErrClosed and writes no index, so callers close the store
+// after their last save (the server's Close waits out its background
+// flushes first).
 func (s *Store) Close() error {
+	s.closeOnce.Do(s.chunks.Close)
 	s.mu.Lock()
 	writers := s.wals
 	s.wals = make(map[string]*walWriter)
@@ -249,7 +270,7 @@ func (s *Store) SaveSnapshot(ctx context.Context, rec *Record) error {
 	sctx, sp := obs.Start(ctx, "snapshot.save")
 	defer sp.End()
 	_, seal := obs.Start(sctx, "snapshot.seal")
-	keyEnc, err := sealKey(s.master, rec.Config.Key)
+	keyEnc, err := sealKey(s.master, rec.ID, rec.Config.Key)
 	seal.End()
 	if err != nil {
 		return err
@@ -464,7 +485,7 @@ func (s *Store) loadOne(id string) (*Loaded, error) {
 	if idx.ID != id {
 		return nil, fmt.Errorf("snapshot id %q does not match directory %q", idx.ID, id)
 	}
-	key, err := openKey(s.master, idx.KeyEnc)
+	key, err := openKey(s.master, id, idx.KeyEnc)
 	if err != nil {
 		return nil, err
 	}

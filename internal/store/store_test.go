@@ -2,7 +2,9 @@ package store
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -206,6 +208,86 @@ func TestDatasetKeySealedAtRest(t *testing.T) {
 	}
 }
 
+// TestSealedKeyTamperRejected: the sealed dataset key is authenticated
+// and bound to its dataset id. A single flipped bit, an unknown seal
+// version, or a sealed key copied into another dataset's index must keep
+// that dataset from booting — reported in skipped — while the untouched
+// dataset next to it still loads.
+func TestSealedKeyTamperRejected(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const a, b = "ds_a1a1a1a1a1a1", "ds_b2b2b2b2b2b2"
+	for i, id := range []string{a, b} {
+		cfg := testConfig("tamper-" + id)
+		upd := newUpdater(t, cfg, testTable(rand.New(rand.NewSource(int64(i))), 20))
+		if err := s.SaveSnapshot(context.Background(), record(id, cfg, upd, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	indexPath := func(id string) string { return filepath.Join(dir, datasetsDir, id, snapshotName) }
+	readIndex := func(id string) (raw []byte, idx map[string]any) {
+		raw, err := os.ReadFile(indexPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &idx); err != nil {
+			t.Fatal(err)
+		}
+		return raw, idx
+	}
+	sealedA := func() []byte {
+		_, idx := readIndex(a)
+		raw, err := base64.StdEncoding.DecodeString(idx["keyEnc"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	tamper := func(name, victim, keyEnc string) {
+		t.Run(name, func(t *testing.T) {
+			orig, idx := readIndex(victim)
+			idx["keyEnc"] = keyEnc
+			data, err := json.Marshal(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(indexPath(victim), data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := os.WriteFile(indexPath(victim), orig, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			loaded, skipped, err := s.LoadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(loaded) != 1 || loaded[0].ID == victim || len(skipped) != 1 || !strings.HasPrefix(skipped[0], victim+": ") {
+				t.Fatalf("tampered %s: loaded %d, skipped %v", victim, len(loaded), skipped)
+			}
+		})
+	}
+	for _, bit := range []int{8 + 3, 20 * 8, len(sealedA())*8 - 1} { // nonce, seal, tag
+		flipped := sealedA()
+		flipped[bit/8] ^= 1 << (bit % 8)
+		tamper(fmt.Sprintf("bit-%d", bit), a, base64.StdEncoding.EncodeToString(flipped))
+	}
+	future := sealedA()
+	future[0] = keySealVersion + 1
+	tamper("unknown-version", a, base64.StdEncoding.EncodeToString(future))
+	tamper("moved-to-other-dataset", b, base64.StdEncoding.EncodeToString(sealedA()))
+
+	if loaded := loadOnly(t, s); len(loaded) != 2 {
+		t.Fatalf("restored indexes: loaded %d datasets, want 2", len(loaded))
+	}
+}
+
 // TestWALPartialTailTolerated simulates a crash mid-append: the torn
 // final record is dropped, the acknowledged ones survive.
 func TestWALPartialTailTolerated(t *testing.T) {
@@ -296,7 +378,7 @@ func TestReplaySkipsCoveredBatches(t *testing.T) {
 	}
 	// Rotate in a snapshot covering seq ≤ 2 without SaveSnapshot's WAL
 	// compaction — exactly the disk state after a crash between the two.
-	keyEnc, err := sealKey(s.master, cfg.Key)
+	keyEnc, err := sealKey(s.master, id, cfg.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
