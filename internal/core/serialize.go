@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"f2/internal/relation"
 )
@@ -9,8 +10,10 @@ import (
 // This file is the serialization boundary of the update engine: an
 // Updater's durable state as plain, JSON-encodable structs, produced by
 // Updater.State and consumed by RestoreUpdater. The persistence layer
-// (internal/store) wraps these in its snapshot file format; keeping the
-// shapes here means the store never reaches into core's internals.
+// (internal/store) encodes these in its snapshot file format; keeping the
+// shapes here means the store never reaches into core's internals. The
+// tables travel as *relation.Table, so the store encodes straight from
+// their columns and hydrates straight into them.
 //
 // The retained incremental plan (Result.state — MAS partitions, ECG
 // instance assignments, Step-4 node set, fresh-minter position) is
@@ -25,34 +28,35 @@ import (
 // buffer, and the latest encryption result. It contains no key material —
 // the caller persists the Config (and its key) separately.
 type UpdaterState struct {
-	Strategy           string              `json:"strategy"`
-	FlushFraction      float64             `json:"flushFraction"`
-	MinFlushRows       int                 `json:"minFlushRows"`
-	Rebuilds           int                 `json:"rebuilds"`
-	IncrementalFlushes int                 `json:"incrementalFlushes"`
-	LastFlush          string              `json:"lastFlush"`
-	Current            *relation.JSONTable `json:"current"`
-	Buffer             [][]string          `json:"buffer"`
-	Result             *ResultState        `json:"result"`
+	Strategy           string          `json:"strategy"`
+	FlushFraction      float64         `json:"flushFraction"`
+	MinFlushRows       int             `json:"minFlushRows"`
+	Rebuilds           int             `json:"rebuilds"`
+	IncrementalFlushes int             `json:"incrementalFlushes"`
+	LastFlush          string          `json:"lastFlush"`
+	Current            *relation.Table `json:"current"`
+	Buffer             *relation.Table `json:"buffer"`
+	Result             *ResultState    `json:"result"`
 }
 
 // ResultState is the serializable slice of a Result: the ciphertext
 // table, per-row provenance, the discovered MASs, and the report.
 type ResultState struct {
-	Encrypted *relation.JSONTable `json:"encrypted"`
-	Origins   []RowOrigin         `json:"origins"`
-	MASs      []relation.AttrSet  `json:"mass"`
-	Report    Report              `json:"report"`
+	Encrypted *relation.Table    `json:"encrypted"`
+	Origins   []RowOrigin        `json:"origins"`
+	MASs      []relation.AttrSet `json:"mass"`
+	Report    Report             `json:"report"`
 }
 
-// State captures the updater's durable state. The returned structs share
-// no mutable storage with the updater, so a snapshot taken between
-// operations stays consistent while the updater moves on.
+// State captures the updater's durable state without copying a cell: the
+// tables are Views and Origins a capacity-clipped slice of the live
+// ones. Tables, Origins and the buffer only grow by appending (a flush
+// appends to a CloneShared base; an aborted one re-queues by appending
+// the newer rows to its own buffer), so nothing the updater does later
+// writes inside what the capture covers, and a snapshot taken between
+// operations stays consistent while the updater moves on. Callers must
+// not write into the captured tables.
 func (u *Updater) State() *UpdaterState {
-	buf := make([][]string, u.buffer.NumRows())
-	for i := range buf {
-		buf[i] = u.buffer.Row(i)
-	}
 	return &UpdaterState{
 		Strategy:           u.Strategy.String(),
 		FlushFraction:      u.FlushFraction,
@@ -60,8 +64,8 @@ func (u *Updater) State() *UpdaterState {
 		Rebuilds:           u.Rebuilds,
 		IncrementalFlushes: u.IncrementalFlushes,
 		LastFlush:          string(u.LastFlush),
-		Current:            u.current.JSON(),
-		Buffer:             buf,
+		Current:            u.current.View(),
+		Buffer:             u.buffer.View(),
 		Result:             u.last.State(),
 	}
 }
@@ -71,8 +75,8 @@ func (u *Updater) State() *UpdaterState {
 // the file comment).
 func (r *Result) State() *ResultState {
 	return &ResultState{
-		Encrypted: r.Encrypted.JSON(),
-		Origins:   append([]RowOrigin(nil), r.Origins...),
+		Encrypted: r.Encrypted.View(),
+		Origins:   r.Origins[:len(r.Origins):len(r.Origins)],
 		MASs:      append([]relation.AttrSet(nil), r.MASs...),
 		Report:    r.Report,
 	}
@@ -102,10 +106,10 @@ type UpdaterMeta struct {
 // rows, small between flushes.
 type StateSections struct {
 	Meta      *UpdaterMeta
-	Current   *relation.JSONTable
-	Encrypted *relation.JSONTable
+	Current   *relation.Table
+	Encrypted *relation.Table
 	Origins   []RowOrigin
-	Buffer    [][]string
+	Buffer    *relation.Table
 }
 
 // Sections decomposes the state. The returned sections alias the state's
@@ -141,7 +145,7 @@ func AssembleState(sec *StateSections) (*UpdaterState, error) {
 		return nil, fmt.Errorf("core: assemble: incomplete state sections")
 	}
 	if sec.Buffer == nil {
-		sec.Buffer = [][]string{}
+		sec.Buffer = relation.NewTable(sec.Current.Schema())
 	}
 	return &UpdaterState{
 		Strategy:           sec.Meta.Strategy,
@@ -186,9 +190,11 @@ func ParseFlushMode(s string) (FlushMode, error) {
 // RestoreUpdater rebuilds an Updater from a captured state. The state is
 // validated structurally (table shapes, provenance length, strategy and
 // mode names); cfg must carry the same key the state was encrypted under,
-// or later decryptions will produce garbage.
+// or later decryptions will produce garbage. The tables are taken as
+// they are, through Views, so the restored updater's appends never write
+// into the state's storage.
 func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
-	if st == nil || st.Current == nil || st.Result == nil || st.Result.Encrypted == nil {
+	if st == nil || st.Current == nil || st.Buffer == nil || st.Result == nil || st.Result.Encrypted == nil {
 		return nil, fmt.Errorf("core: restore: incomplete updater state")
 	}
 	enc, err := NewEncryptor(cfg)
@@ -203,17 +209,10 @@ func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	current, err := st.Current.Table()
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: plaintext table: %w", err)
-	}
-	buffer := relation.NewTable(current.Schema().Clone())
-	if err := buffer.AppendRows(st.Buffer); err != nil {
-		return nil, fmt.Errorf("core: restore: buffer: %w", err)
-	}
-	encrypted, err := st.Result.Encrypted.Table()
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: encrypted table: %w", err)
+	current, buffer, encrypted := st.Current.View(), st.Buffer.View(), st.Result.Encrypted.View()
+	if !slices.Equal(buffer.Schema().Names(), current.Schema().Names()) {
+		return nil, fmt.Errorf("core: restore: buffer columns %v, plaintext has %v",
+			buffer.Schema().Names(), current.Schema().Names())
 	}
 	if encrypted.NumAttrs() != current.NumAttrs() {
 		return nil, fmt.Errorf("core: restore: encrypted table has %d attributes, plaintext has %d",
@@ -225,7 +224,7 @@ func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
 	}
 	last := &Result{
 		Encrypted: encrypted,
-		Origins:   append([]RowOrigin(nil), st.Result.Origins...),
+		Origins:   st.Result.Origins[:len(st.Result.Origins):len(st.Result.Origins)],
 		MASs:      append([]relation.AttrSet(nil), st.Result.MASs...),
 		Report:    st.Result.Report,
 		// state stays nil: the first flush rebuilds and repopulates it.

@@ -127,20 +127,19 @@ func TestStateSectionsRoundTrip(t *testing.T) {
 	}
 	st := u.State()
 	sec := st.Sections()
-	// Round-trip each section through JSON independently, as the store's
-	// chunk codec does.
+	// Round-trip each section through JSON independently, the way the
+	// store persists each section on its own.
 	var meta UpdaterMeta
 	roundTrip(t, sec.Meta, &meta)
-	var cur, enc relation.JSONTable
+	var cur, enc, buffer relation.Table
 	roundTrip(t, sec.Current, &cur)
 	roundTrip(t, sec.Encrypted, &enc)
 	var origins []RowOrigin
 	roundTrip(t, sec.Origins, &origins)
-	var buffer [][]string
 	roundTrip(t, sec.Buffer, &buffer)
 
 	back, err := AssembleState(&StateSections{
-		Meta: &meta, Current: &cur, Encrypted: &enc, Origins: origins, Buffer: buffer,
+		Meta: &meta, Current: &cur, Encrypted: &enc, Origins: origins, Buffer: &buffer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,14 +200,22 @@ func TestRestoreUpdaterRejectsCorruptState(t *testing.T) {
 		{"nil result", func(st *UpdaterState) { st.Result = nil }},
 		{"bad strategy", func(st *UpdaterState) { st.Strategy = "turbo" }},
 		{"bad flush mode", func(st *UpdaterState) { st.LastFlush = "sideways" }},
-		{"ragged buffer", func(st *UpdaterState) { st.Buffer = [][]string{{"too", "few"}} }},
+		{"nil buffer", func(st *UpdaterState) { st.Buffer = nil }},
+		{"ragged buffer", func(st *UpdaterState) {
+			st.Buffer = relation.MustFromRows(relation.MustSchema("too", "few"), [][]string{{"too", "few"}})
+		}},
+		{"renamed buffer", func(st *UpdaterState) {
+			names := st.Current.Schema().Names()
+			names[0] += "'"
+			st.Buffer = relation.NewTable(relation.MustSchema(names...))
+		}},
 		{"origin mismatch", func(st *UpdaterState) { st.Result.Origins = st.Result.Origins[:1] }},
 		{"schema mismatch", func(st *UpdaterState) {
-			st.Result.Encrypted.Columns = st.Result.Encrypted.Columns[:2]
-			rows := st.Result.Encrypted.Rows
-			for i := range rows {
-				rows[i] = rows[i][:2]
+			enc := st.Result.Encrypted.JSON()
+			for i := range enc.Rows {
+				enc.Rows[i] = enc.Rows[i][:2]
 			}
+			st.Result.Encrypted = relation.MustFromRows(relation.MustSchema(enc.Columns[:2]...), enc.Rows)
 		}},
 	}
 	for _, tc := range corrupt {
@@ -233,14 +240,14 @@ func TestStateIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := u.State()
-	rowsBefore := len(st.Current.Rows)
+	rowsBefore := st.Current.NumRows()
 	if err := u.Buffer([][]string{base.Row(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := u.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Current.Rows) != rowsBefore || len(st.Buffer) != 0 {
+	if st.Current.NumRows() != rowsBefore || st.Buffer.NumRows() != 0 {
 		t.Fatal("State shares storage with the live updater")
 	}
 }

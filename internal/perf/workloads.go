@@ -64,9 +64,9 @@ func DefaultWorkloads() *Registry {
 		fdWorkload("fd/discover-encrypted", true,
 			"witnessed TANE FD discovery on the encrypted view (the untrusted server's job)"),
 		storeSnapshotWorkload("store/snapshot", false,
-			"rotation of an unchanged dataset: every chunk re-linked (marshal + SHA-256 + stat) + sealed index fsync + rename"),
+			"rotation of an unchanged dataset: every chunk re-linked (encode + SHA-256 + stat) + sealed index fsync + rename"),
 		storeSnapshotWorkload("store/snapshot-cold", true,
-			"first snapshot under a fresh dataset id (marshal + compress + chunk fsync + index) + Delete"),
+			"first snapshot under a fresh dataset id (encode + compress + chunk fsync + index) + Delete"),
 		storeRecoverWorkload("store/recover", storeRows, false,
 			"boot recovery: snapshot hydrate + WAL tail replay + updater restore"),
 		storeBootIndexWorkload("store/boot-index", storeRows, false,
@@ -297,7 +297,7 @@ func storeRecord(ctx context.Context, sc Scale, baseRows int) (*store.Record, *r
 
 // storeSnapshotWorkload measures one durable snapshot write. Warm, it
 // saves the same record every op, so after the first op every chunk is
-// re-linked by name: the op is marshal + SHA-256 + stat per chunk plus
+// re-linked by name: the op is encode + SHA-256 + stat per chunk plus
 // the sealed index, and never compresses or fsyncs a chunk. Cold, each
 // op saves under a fresh dataset id — every chunk is compressed, written
 // and fsynced — and then deletes the dataset, inside the timed op, so

@@ -137,11 +137,15 @@ func (p *Pool) Run(ctx context.Context, fn Task) error {
 // finished. On a one-worker pool the calls run inline, in index order.
 //
 // Indices are claimed dynamically (an atomic counter, not static
-// striping), so uneven task costs still balance. The first error —
-// including a recovered panic or ctx cancellation — stops further indices
-// from being claimed and is returned; fn may therefore be skipped for
-// some indices on failure, and callers must treat the batch's output as
-// invalid as a whole.
+// striping), so uneven task costs still balance. The first failure — an
+// error or a recovered panic — stops further indices from being claimed;
+// fn may therefore be skipped for some indices, and callers must treat
+// the batch's output as invalid as a whole. The error returned is that
+// of the lowest failing index, so it does not depend on the width or the
+// schedule: indices are claimed in order and every claimed call
+// finishes, so when index i fails every index below it has run. A
+// cancellation that stops the batch between calls is returned only when
+// no call failed.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -174,6 +178,8 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 
 	var next atomic.Int64
 	var stop atomic.Bool
+	var mu sync.Mutex
+	failed, failure := n, error(nil) // lowest failing index and its error
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for r := 0; r < w; r++ {
@@ -189,9 +195,14 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 					if err := ctx.Err(); err != nil {
 						return err
 					}
-					if err := fn(ctx, i); err != nil {
+					if err := protect(ctx, func(ctx context.Context) error { return fn(ctx, i) }); err != nil {
 						stop.Store(true)
-						return err
+						mu.Lock()
+						if i < failed {
+							failed, failure = i, err
+						}
+						mu.Unlock()
+						return nil
 					}
 				}
 				return nil
@@ -199,20 +210,17 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, 
 		}(r)
 	}
 	wg.Wait()
-	// Prefer a task's own failure over a bare cancellation error: the
-	// former explains the latter.
-	var ctxErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			ctxErr = err
-			continue
-		}
-		return err
+	if failure != nil {
+		return failure
 	}
-	return ctxErr
+	// No call failed: what is left is a cancellation, while a slot was
+	// queued or between calls, or a closed pool.
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close stops accepting work and waits for running tasks to finish.

@@ -75,6 +75,26 @@ func TestForEachPropagatesError(t *testing.T) {
 	}
 }
 
+// TestForEachErrorIsLowestIndex: when every task fails and index 0
+// fails last, ForEach still reports index 0's error, at every width.
+func TestForEachErrorIsLowestIndex(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		p := New(workers)
+		defer p.Close()
+		for run := 0; run < 10; run++ {
+			err := p.ForEach(context.Background(), 64, func(ctx context.Context, i int) error {
+				if i == 0 {
+					time.Sleep(5 * time.Millisecond)
+				}
+				return fmt.Errorf("task %d failed", i)
+			})
+			if err == nil || err.Error() != "task 0 failed" {
+				t.Fatalf("workers=%d run %d: got %v, want task 0's error", workers, run, err)
+			}
+		}
+	}
+}
+
 func TestForEachRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := New(workers)

@@ -154,6 +154,25 @@ func FromRows(schema *Schema, rows [][]string) (*Table, error) {
 	return t, nil
 }
 
+// FromColumns builds a table over column-major data, taking ownership
+// of cols: column a becomes cols[a] without a copy. Every column must
+// have the same length, and there must be one per schema attribute.
+func FromColumns(schema *Schema, cols [][]string) (*Table, error) {
+	if len(cols) != schema.NumAttrs() {
+		return nil, fmt.Errorf("relation: %d columns, schema has %d", len(cols), schema.NumAttrs())
+	}
+	t := &Table{schema: schema, cols: cols}
+	if len(cols) > 0 {
+		t.n = len(cols[0])
+	}
+	for a, col := range cols {
+		if len(col) != t.n {
+			return nil, fmt.Errorf("relation: column %d has %d rows, column 0 has %d", a, len(col), t.n)
+		}
+	}
+	return t, nil
+}
+
 // MustFromRows is FromRows but panics on error; for tests and literals.
 func MustFromRows(schema *Schema, rows [][]string) *Table {
 	t, err := FromRows(schema, rows)
@@ -253,6 +272,20 @@ func (t *Table) CloneShared() *Table {
 	out := NewTable(t.schema.Clone())
 	out.n = t.n
 	copy(out.cols, t.cols)
+	return out
+}
+
+// View returns a table that shares t's storage and is fixed at t's
+// current rows. Each column's capacity is clipped to its length, so an
+// append to the view reallocates that column instead of writing into
+// spare capacity t may fill later: t and any number of its views grow
+// independently. Because tables only grow by appending, rows appended to
+// t are never seen by the view, and the view's cells never change.
+func (t *Table) View() *Table {
+	out := &Table{schema: t.schema, cols: make([][]string, len(t.cols)), n: t.n}
+	for a, col := range t.cols {
+		out.cols[a] = col[:t.n:t.n]
+	}
 	return out
 }
 

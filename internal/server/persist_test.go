@@ -495,8 +495,8 @@ func dirFiles(t *testing.T, root string) map[string]string {
 // TestV1SnapshotRejectedSafely: a pre-chunking (v1) monolithic snapshot
 // is an unreadable dataset like any other. Boot skips it with an ERROR
 // naming the version, registers nothing for it, leaves its files
-// byte-identical on disk, and still brings up the healthy v2 dataset
-// next to it.
+// byte-identical on disk, and still brings up the healthy dataset next
+// to it.
 func TestV1SnapshotRejectedSafely(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newDurableServer(t, dir, 1)

@@ -176,8 +176,8 @@ func TestCrashMidRotationRecovery(t *testing.T) {
 				}
 			}
 			st := back.State()
-			got := append([][]string{}, st.Current.Rows...)
-			got = append(got, st.Buffer...)
+			got := st.Current.JSON().Rows
+			got = append(got, st.Buffer.JSON().Rows...)
 			tbl, err := relation.FromRows(acked.Schema().Clone(), got)
 			if err != nil {
 				t.Fatal(err)
@@ -479,7 +479,8 @@ func TestHostileIndexRejected(t *testing.T) {
 	// whose payload does not hash to the name — the content-address check
 	// must catch the swap even though the CRC is fine.
 	t.Run("wrong-content", func(t *testing.T) {
-		frame, err := encodeChunkFrame([]byte(`[["x","y","z"]]`))
+		one := relation.MustFromRows(relation.MustSchema("A", "B", "C"), [][]string{{"x", "y", "z"}})
+		frame, err := encodeChunkFrame(encodeTableChunk(one, 0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -642,5 +643,196 @@ func TestHydrationErrorIsLowestChunk(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), src.first) {
 			t.Fatalf("run %d: hydration reported %v, want the failure of chunk 0", run, err)
 		}
+	}
+}
+
+// tableCopy is a deep copy of a table's schema and cells.
+type tableCopy struct {
+	names []string
+	cols  [][]string
+}
+
+func copyTable(t *relation.Table) tableCopy {
+	c := tableCopy{names: t.Schema().Names(), cols: make([][]string, t.NumAttrs())}
+	for a := range c.cols {
+		c.cols[a] = append([]string{}, t.Column(a)...)
+	}
+	return c
+}
+
+// TestCapturedStateImmutable: State shares the updater's storage instead
+// of copying it, so everything the updater does next — an incremental
+// flush, a rebuild, an aborted flush with rows appended meanwhile — must
+// leave the captured tables and origins exactly as they were, while a
+// SaveSnapshot of the capture reads them concurrently. Run under -race
+// in CI.
+func TestCapturedStateImmutable(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{ChunkRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const id = "ds_999999999999"
+	cfg := testConfig("captured")
+	upd := newUpdater(t, cfg, testTable(rng, 120))
+	if err := upd.Buffer([][]string{testRow(rng, 700)}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := upd.State()
+	want := []tableCopy{copyTable(st.Current), copyTable(st.Result.Encrypted), copyTable(st.Buffer)}
+	wantOrigins := append([]core.RowOrigin{}, st.Result.Origins...)
+
+	saved := make(chan error, 1)
+	go func() {
+		saved <- s.SaveSnapshot(context.Background(), &Record{ID: id, Name: "t", Config: cfg, Updater: st})
+	}()
+
+	ctx := context.Background()
+	// Incremental flush: appends into the spare capacity of the captured
+	// tables' and origins' backing arrays.
+	if err := upd.Buffer([][]string{borderStableRow(upd.Current(), upd.Result().MASs[0], rng, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := upd.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if upd.LastFlush != core.FlushModeIncremental {
+		t.Fatalf("first flush ran %s, want incremental", upd.LastFlush)
+	}
+	// Rebuild.
+	upd.Strategy = core.UpdateRebuild
+	if err := upd.Buffer([][]string{testRow(rng, 701)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := upd.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	upd.Strategy = core.UpdateIncremental
+	// Aborted flush: the plan's buffer takes the rows appended after
+	// BeginFlush back onto its end.
+	if err := upd.Buffer([][]string{testRow(rng, 702)}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := upd.BeginFlush()
+	if err != nil || plan == nil {
+		t.Fatalf("BeginFlush: %v, %v", plan, err)
+	}
+	if err := upd.Buffer([][]string{testRow(rng, 703), testRow(rng, 704)}); err != nil {
+		t.Fatal(err)
+	}
+	upd.AbortFlush(plan)
+
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	got := []tableCopy{copyTable(st.Current), copyTable(st.Result.Encrypted), copyTable(st.Buffer)}
+	for i, name := range []string{"current", "encrypted", "buffer"} {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("captured %s table changed after the updater moved on", name)
+		}
+	}
+	if !reflect.DeepEqual(st.Result.Origins, wantOrigins) {
+		t.Fatal("captured origins changed after the updater moved on")
+	}
+	back, err := s.LoadState(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := []tableCopy{copyTable(back.Current), copyTable(back.Result.Encrypted), copyTable(back.Buffer)}
+	if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(back.Result.Origins, wantOrigins) {
+		t.Fatal("the snapshot of the captured state does not hydrate to it")
+	}
+}
+
+// TestOddCellsRoundTripExactly: cells JSON cannot carry — invalid UTF-8,
+// which encoding/json rewrites to U+FFFD — and other edge cases (empty
+// cells, NUL bytes, long cells) come back byte for byte through
+// SaveSnapshot, LoadState and RestoreUpdater, in the plaintext, the
+// pending buffer and the ciphertext.
+func TestOddCellsRoundTripExactly(t *testing.T) {
+	odd := []string{"", "\x00", "a\x00b", "\xff\xfe", "caf\xc3", "é", strings.Repeat("\x80", 300), "\"quoted\"\n"}
+	tbl := relation.NewTable(relation.MustSchema("A", "B", "ID"))
+	for i := 0; i < 40; i++ {
+		if err := tbl.AppendRow([]string{odd[i%len(odd)], odd[(i/2)%len(odd)], fmt.Sprintf("id\xff%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{ChunkRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const id = "ds_aaaaaaaaaaaa"
+	cfg := testConfig("odd")
+	upd := newUpdater(t, cfg, tbl)
+	if err := upd.Buffer([][]string{{"\xff", "", "pending\x00"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot(context.Background(), record(id, cfg, upd, 0)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.LoadState(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.RestoreUpdater(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := upd.State(), back.State()
+	for _, pair := range []struct {
+		name      string
+		want, got *relation.Table
+	}{
+		{"current", want.Current, got.Current},
+		{"buffer", want.Buffer, got.Buffer},
+		{"encrypted", want.Result.Encrypted, got.Result.Encrypted},
+	} {
+		if !reflect.DeepEqual(copyTable(pair.got), copyTable(pair.want)) {
+			t.Fatalf("%s section did not round-trip byte for byte", pair.name)
+		}
+	}
+	if !reflect.DeepEqual(got.Result.Origins, want.Result.Origins) {
+		t.Fatal("origins did not round-trip")
+	}
+	if !reflect.DeepEqual(decryptRows(t, cfg, back), tbl.SortedRows()) {
+		t.Fatal("restored dataset does not decrypt to the odd plaintext")
+	}
+}
+
+// TestV2IndexSkipped: an index in the previous format version (JSON row
+// chunks) is not read; boot reports the dataset as skipped.
+func TestV2IndexSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const id = "ds_bbbbbbbbbbbb"
+	cfg := testConfig("v2")
+	upd := newUpdater(t, cfg, testTable(rand.New(rand.NewSource(2)), 20))
+	if err := s.SaveSnapshot(context.Background(), record(id, cfg, upd, 0)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, datasetsDir, id, snapshotName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, indexVersion), `"version":2`, 1)
+	if err := os.WriteFile(path, []byte(v2), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	loaded, skipped, err := s.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 0 || len(skipped) != 1 || !strings.Contains(skipped[0], "version 2") {
+		t.Fatalf("loaded %d, skipped %q: want the v2 dataset skipped", len(loaded), skipped)
 	}
 }

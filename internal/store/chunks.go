@@ -18,14 +18,14 @@ import (
 
 // Chunked snapshots store the bulky, append-mostly sections of a dataset
 // (plaintext rows, ciphertext rows, provenance) as content-addressed data
-// chunks: each fixed row-range is serialized, compressed, CRC-framed, and
-// written to a file named by the hex SHA-256 of its *uncompressed*
-// payload. Because flushes grow these sections by appending (incremental
-// flushes never reorder settled rows), every full chunk keeps its content
-// — and therefore its name — across rotations, so a rotation re-links
-// existing chunks instead of rewriting the dataset. Naming by the
-// uncompressed payload keeps dedup stable even if the codec or
-// compression level changes between versions.
+// chunks: each fixed row-range is encoded (codec.go), compressed,
+// CRC-framed, and written to a file named by the hex SHA-256 of its
+// *uncompressed* payload. Because flushes grow these sections by
+// appending (incremental flushes never reorder settled rows), every full
+// chunk keeps its content — and therefore its name — across rotations,
+// so a rotation re-links existing chunks instead of rewriting the
+// dataset. Naming by the uncompressed payload keeps dedup stable even if
+// the compression level changes between versions.
 //
 // Chunk frame layout:
 //
@@ -51,6 +51,14 @@ const (
 	// maxChunkBytes caps the uncompressed payload so a hostile length
 	// field cannot drive a multi-gigabyte allocation during decode.
 	maxChunkBytes = 1 << 30
+
+	// maxDeflateRatio is DEFLATE's largest expansion: a 258-byte match
+	// coded in two bits. A flate body of n bytes inflates to at most
+	// n*maxDeflateRatio plus deflateSlack (room for the bits a final
+	// partial byte holds), so a frame declaring more is rejected before
+	// the payload buffer is sized from its claim.
+	maxDeflateRatio = 1032
+	deflateSlack    = 1 << 10
 
 	// chunkNameLen is the length of a chunk name: hex SHA-256.
 	chunkNameLen = 2 * sha256.Size
@@ -138,7 +146,8 @@ func encodeChunkFrame(payload []byte) ([]byte, error) {
 // decodeChunkFrame inverts encodeChunkFrame. Every field is validated
 // before it is trusted: magic, frame version, codec, the length cap, and
 // finally the CRC of the decompressed payload. Hostile input errors; it
-// never panics and never allocates more than maxChunkBytes.
+// never panics, and never allocates more than maxChunkBytes or more than
+// the body could inflate to.
 func decodeChunkFrame(frame []byte) ([]byte, error) {
 	if len(frame) < chunkHeaderSize {
 		return nil, fmt.Errorf("store: chunk frame truncated at %d bytes", len(frame))
@@ -163,6 +172,9 @@ func decodeChunkFrame(frame []byte) ([]byte, error) {
 		}
 		payload = body
 	case chunkCodecFlate:
+		if uint64(size) > uint64(len(body))*maxDeflateRatio+deflateSlack {
+			return nil, fmt.Errorf("store: %d-byte flate body cannot inflate to the %d bytes its header claims", len(body), size)
+		}
 		var err error
 		if payload, err = inflate(body, int(size)); err != nil {
 			return nil, err

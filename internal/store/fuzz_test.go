@@ -9,16 +9,19 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"f2/internal/core"
+	"f2/internal/relation"
 )
 
-// The three decoders that consume bytes straight off disk — the chunk
-// frame, the snapshot index blob, and the WAL record stream — are exactly
-// the surfaces a corrupt disk or hostile data directory reaches first.
-// Each fuzz target asserts the decoder's contract on arbitrary input:
+// The decoders that consume bytes straight off disk — the chunk frame,
+// the columnar chunk payload, the snapshot index blob, and the WAL record
+// stream — are exactly the surfaces a corrupt disk or hostile data
+// directory reaches first. Each fuzz target asserts the decoder's contract on arbitrary input:
 // return an error or a validated value, never panic, never over-read,
 // never allocate beyond its caps. Seed corpora are checked in under
 // testdata/fuzz; CI runs each target briefly on every push.
@@ -157,6 +160,180 @@ func FuzzChunkFrame(f *testing.F) {
 	})
 }
 
+// TestDeclaredSizeBoundedByBody: a flate frame's declared size is
+// checked against what its body could inflate to before anything is
+// sized from it — a 16-byte frame claiming 64 MiB errors without
+// allocating the claim — while the most compressible payloads still
+// round-trip.
+func TestDeclaredSizeBoundedByBody(t *testing.T) {
+	frame := make([]byte, chunkHeaderSize, chunkHeaderSize+2)
+	copy(frame, chunkMagic)
+	frame[4] = chunkFrameVersion
+	frame[5] = chunkCodecFlate
+	binary.BigEndian.PutUint32(frame[6:10], 64<<20)
+	frame = append(frame, 0x03, 0x00) // an empty final fixed-Huffman block
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeChunkFrame(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 16-byte frame claiming 64 MiB decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting a 16-byte frame allocated %d bytes", grew)
+	}
+	for _, p := range [][]byte{make([]byte, 8<<20), bytes.Repeat([]byte("ab"), 1<<20)} {
+		frame, err := encodeChunkFrame(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeChunkFrame(frame)
+		if err != nil || !bytes.Equal(back, p) {
+			t.Fatalf("a %d-byte payload compressed to %d bytes does not round-trip: %v", len(p), len(frame), err)
+		}
+	}
+}
+
+// TestChunkPayloadRejectsHostile pins the columnar decoders' rules on
+// claims the payload cannot back: each input must error.
+func TestChunkPayloadRejectsHostile(t *testing.T) {
+	tables := map[string][]byte{
+		"empty":          {},
+		"4G rows":        {0xff, 0xff, 0xff, 0xff, 0x0f, 0x01},
+		"zero columns":   {0x01, 0x00, 0x00},
+		"65 columns":     {0x00, 0x41},
+		"cells overrun":  {0x02, 0x02, 0x01, 0x01, 0x01, 0x01, 'a', 'b', 'c'},
+		"cell overrun":   {0x01, 0x01, 0x05, 'a'},
+		"trailing bytes": {0x01, 0x01, 0x01, 'a', 'b'},
+		"truncated":      {0x01, 0x01, 0x81},
+		"overlong":       bytes.Repeat([]byte{0xff}, 11),
+	}
+	for name, p := range tables {
+		if cols, err := decodeTableChunk(p); err == nil {
+			t.Errorf("table chunk %q decoded to %d columns", name, len(cols))
+		}
+	}
+	origins := map[string][]byte{
+		"empty":          {},
+		"rows unbacked":  {0x02, 0x00, 0x00, 0x00, 0x00, 0x00},
+		"trailing bytes": {0x01, 0x00, 0x00, 0x00, 0x00},
+		"truncated":      {0x01, 0x00, 0x00, 0x80},
+	}
+	for name, p := range origins {
+		if o, err := decodeOrigins(p); err == nil {
+			t.Errorf("origins chunk %q decoded to %d origins", name, len(o))
+		}
+	}
+}
+
+// fuzzTable builds a table from fuzz bytes: the first byte picks the
+// width, then each cell is a length byte (mod 16) and that many bytes,
+// so cells are empty, hold NULs and are not valid UTF-8 as often as not.
+func fuzzTable(data []byte) *relation.Table {
+	if len(data) == 0 {
+		return nil
+	}
+	width := 1 + int(data[0]%4)
+	var cells []string
+	for rest := data[1:]; len(rest) > 0; {
+		n := min(int(rest[0]%16), len(rest)-1)
+		cells = append(cells, string(rest[1:1+n]))
+		rest = rest[1+n:]
+	}
+	names := []string{"A", "B", "C", "D"}[:width]
+	tbl := relation.NewTable(relation.MustSchema(names...))
+	for len(cells) >= width {
+		if err := tbl.AppendRow(cells[:width]); err != nil {
+			panic(err) // the width is the schema's
+		}
+		cells = cells[width:]
+	}
+	return tbl
+}
+
+// fuzzOrigins builds provenance from fuzz bytes, nine bytes a row: a
+// kind, then eight bytes read as a signed source row (so -1 and extreme
+// values occur) and as a carried set with its high bits set.
+func fuzzOrigins(data []byte) []core.RowOrigin {
+	var out []core.RowOrigin
+	for ; len(data) >= 9; data = data[9:] {
+		w := binary.LittleEndian.Uint64(data[1:9])
+		out = append(out, core.RowOrigin{
+			Kind:      core.RowKind(data[0]),
+			SourceRow: int(int64(w) >> (data[0] % 64)),
+			Carried:   relation.AttrSet(w ^ 1<<63),
+		})
+	}
+	return out
+}
+
+// FuzzChunkPayload holds the columnar chunk codec to two properties.
+// Hostile bytes: both decoders error or return a value, never panic, and
+// never allocate much more than the payload could back. Tables and
+// origins built from the input (empty cells, NULs, invalid UTF-8, source
+// row -1, high carried bits) round-trip exactly through encode→decode,
+// whole and as a row range.
+func FuzzChunkPayload(f *testing.F) {
+	seed := relation.MustFromRows(relation.MustSchema("A", "B"), [][]string{{"a", ""}, {"\x00\xff", "é"}})
+	f.Add(encodeTableChunk(seed, 0, 2))
+	origins, err := encodeOrigins([]core.RowOrigin{
+		{Kind: core.RowOriginal, SourceRow: 7, Carried: 3},
+		{Kind: core.RowFakeEC, SourceRow: -1, Carried: 1 << 63},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(origins)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01}) // 4G rows claimed
+	f.Add([]byte{0x01, 0x01, 0x05, 'a'})              // cell longer than the payload
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cols, terr := decodeTableChunk(data)
+		origins, oerr := decodeOrigins(data)
+		runtime.ReadMemStats(&after)
+		// Cell headers are 16 bytes and a cell needs at least one
+		// payload byte; origins are 24 bytes and need three.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 48*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if terr == nil && len(cols[0])*len(cols) > len(data) {
+			t.Fatalf("%d bytes decoded to %d×%d cells", len(data), len(cols[0]), len(cols))
+		}
+		if oerr == nil && 3*len(origins) > len(data) {
+			t.Fatalf("%d bytes decoded to %d origins", len(data), len(origins))
+		}
+
+		if tbl := fuzzTable(data); tbl != nil {
+			n := tbl.NumRows()
+			for _, r := range [][2]int{{0, n}, {n / 3, n}} {
+				back, err := decodeTableChunk(encodeTableChunk(tbl, r[0], r[1]))
+				if err != nil {
+					t.Fatalf("rows %v do not decode: %v", r, err)
+				}
+				for a := range back {
+					if want := tbl.Column(a)[r[0]:r[1]]; !reflect.DeepEqual(back[a], want) && len(want)+len(back[a]) > 0 {
+						t.Fatalf("rows %v column %d: got %q, want %q", r, a, back[a], want)
+					}
+				}
+			}
+		}
+		want := fuzzOrigins(data)
+		payload, err := encodeOrigins(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeOrigins(payload)
+		if err != nil {
+			t.Fatalf("origins do not decode: %v", err)
+		}
+		if len(back)+len(want) > 0 && !reflect.DeepEqual(back, want) {
+			t.Fatalf("origins: got %+v, want %+v", back, want)
+		}
+	})
+}
+
 func FuzzIndexBlob(f *testing.F) {
 	// A real index shape, produced by the marshal path.
 	seed, err := marshalIndex(&indexFile{
@@ -173,7 +350,12 @@ func FuzzIndexBlob(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"version":2}`))
+	// The previous format version is a rejected input, not a legacy one.
+	v2 := bytes.Replace(seed, []byte(fmt.Sprintf(`"version":%d`, indexVersion)), []byte(`"version":2`), 1)
+	if _, err := parseIndex(v2); err == nil {
+		f.Fatal("a version-2 index parsed")
+	}
+	f.Add(v2)
 	f.Add([]byte(`{"version":1,"id":"x","updater":{}}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {

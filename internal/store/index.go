@@ -8,7 +8,7 @@ import (
 	"f2/internal/core"
 )
 
-// The v2 snapshot is an index blob plus content-addressed chunks. The
+// The v3 snapshot is an index blob plus content-addressed chunks. The
 // index — still named snapshot.json, still rotated atomically — is the
 // only thing boot reads eagerly: identity, sealed key, configuration, WAL
 // watermark, the updater's table-free metadata, and a manifest naming the
@@ -29,7 +29,9 @@ import (
 // them — even interrupted halfway — can only remove garbage.
 
 // indexVersion is the snapshot format version of the chunked index.
-const indexVersion = 2
+// Version 3 stores chunk payloads in the columnar codec (codec.go);
+// version 2 stored JSON row arrays and is not read.
+const indexVersion = 3
 
 // chunkRef names one chunk of a section and what it covers.
 type chunkRef struct {
@@ -56,7 +58,7 @@ type tableManifest struct {
 	Chunks  []chunkRef `json:"chunks,omitempty"`
 }
 
-// indexFile is the on-disk JSON shape of a v2 snapshot index.
+// indexFile is the on-disk JSON shape of a v3 snapshot index.
 type indexFile struct {
 	Version int        `json:"version"`
 	ID      string     `json:"id"`
@@ -85,7 +87,7 @@ func marshalIndex(f *indexFile) ([]byte, error) {
 	return data, nil
 }
 
-// parseIndex decodes and validates a v2 index blob. Validation covers
+// parseIndex decodes and validates a v3 index blob. Validation covers
 // everything hydration will rely on — version, presence, chunk-name
 // shape, and per-section row accounting — so a hostile or corrupt index
 // is rejected here instead of steering chunk reads or assembling a

@@ -2,10 +2,10 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,17 +115,17 @@ func (w *chunkWriter) write(name string, payload []byte) error {
 	return w.checkpoint("chunk")
 }
 
-// planSection cuts a row-shaped section into fixed row-ranges. Each range
-// is marshaled, named and probed on the calling goroutine; a range whose
-// chunk already exists is re-linked there, and only new chunks become
-// jobs (compress, write, fsync) for the pool.
-func planSection[T any](w *chunkWriter, items []T, per int) (sectionManifest, error) {
-	m := sectionManifest{Rows: len(items), Chunks: make([]chunkRef, (len(items)+per-1)/per)}
+// planSection cuts a section of rows rows into fixed row-ranges. Each
+// range is encoded, named and probed on the calling goroutine; a range
+// whose chunk already exists is re-linked there, and only new chunks
+// become jobs (compress, write, fsync) for the pool.
+func (w *chunkWriter) planSection(rows, per int, encode func(start, end int) ([]byte, error)) (sectionManifest, error) {
+	m := sectionManifest{Rows: rows, Chunks: make([]chunkRef, (rows+per-1)/per)}
 	for i := range m.Chunks {
-		start, end := i*per, min((i+1)*per, len(items))
-		payload, err := json.Marshal(items[start:end])
+		start, end := i*per, min((i+1)*per, rows)
+		payload, err := encode(start, end)
 		if err != nil {
-			return sectionManifest{}, fmt.Errorf("store: encoding chunk: %w", err)
+			return sectionManifest{}, err
 		}
 		name := chunkName(payload)
 		m.Chunks[i] = chunkRef{Name: name, Rows: end - start, Bytes: len(payload)}
@@ -146,50 +146,44 @@ func planSection[T any](w *chunkWriter, items []T, per int) (sectionManifest, er
 	return m, nil
 }
 
-func planTableSection(w *chunkWriter, t *relation.JSONTable, per int) (tableManifest, error) {
-	m, err := planSection(w, t.Rows, per)
-	return tableManifest{Columns: t.Columns, Rows: m.Rows, Chunks: m.Chunks}, err
+func (w *chunkWriter) planTable(t *relation.Table, per int) (sectionManifest, error) {
+	return w.planSection(t.NumRows(), per, func(start, end int) ([]byte, error) {
+		return encodeTableChunk(t, start, end), nil
+	})
+}
+
+func (w *chunkWriter) planTableSection(t *relation.Table, per int) (tableManifest, error) {
+	m, err := w.planTable(t, per)
+	return tableManifest{Columns: t.Schema().Names(), Rows: m.Rows, Chunks: m.Chunks}, err
 }
 
 // plan fills idx's four section manifests, queueing a job for every
 // chunk that is not stored yet.
 func (w *chunkWriter) plan(idx *indexFile, sec *core.StateSections, per int) error {
 	var err error
-	if idx.Current, err = planTableSection(w, sec.Current, per); err != nil {
+	if idx.Current, err = w.planTableSection(sec.Current, per); err != nil {
 		return err
 	}
-	if idx.Encrypted, err = planTableSection(w, sec.Encrypted, per); err != nil {
+	if idx.Encrypted, err = w.planTableSection(sec.Encrypted, per); err != nil {
 		return err
 	}
-	if idx.Origins, err = planSection(w, sec.Origins, per); err != nil {
+	idx.Origins, err = w.planSection(len(sec.Origins), per, func(start, end int) ([]byte, error) {
+		return encodeOrigins(sec.Origins[start:end])
+	})
+	if err != nil {
 		return err
 	}
-	idx.Buffer, err = planSection(w, sec.Buffer, per)
+	idx.Buffer, err = w.planTable(sec.Buffer, per)
 	return err
 }
 
 // forEachChunk runs fn(i) for every i in [0, n) on the store's chunk
-// pool and returns the error of the lowest i that failed, so a failure
-// reads the same at every width and schedule. That i is always found:
-// the pool claims indices in order and waits for every claimed one, so
-// when job i fails every job before it has run. The work is never
-// cancelled midway — a rotation half-done by cancellation is no better
-// than one half-done by a crash — so ctx only carries the trace.
+// pool. The pool reports the lowest failing i, so a failure reads the
+// same at every width and schedule. The work is never cancelled midway —
+// a rotation half-done by cancellation is no better than one half-done
+// by a crash — so ctx only carries the trace.
 func (s *Store) forEachChunk(ctx context.Context, n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	err := s.chunks.ForEach(context.WithoutCancel(ctx), n, func(_ context.Context, i int) error {
-		errs[i] = fn(i)
-		return errs[i]
-	})
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: chunk pool: %w", err)
-	}
-	return nil
+	return s.chunks.ForEach(context.WithoutCancel(ctx), n, func(_ context.Context, i int) error { return fn(i) })
 }
 
 // rotateSnapshot writes one dataset's chunked snapshot: all chunks first
@@ -330,7 +324,11 @@ func (s *Store) readState(ctx context.Context, id string) (*core.UpdaterState, e
 	if err != nil {
 		return nil, err
 	}
-	buffer, err := readSection[[]string](ctx, s, cs, idx.Buffer, "buffer")
+	// The buffer holds pending plaintext rows: the current section's
+	// schema, so the index records it once.
+	buffer, err := readTableSection(ctx, s, cs, tableManifest{
+		Columns: idx.Current.Columns, Rows: idx.Buffer.Rows, Chunks: idx.Buffer.Chunks,
+	}, "buffer")
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +336,7 @@ func (s *Store) readState(ctx context.Context, id string) (*core.UpdaterState, e
 		Meta:      idx.Meta,
 		Current:   cur,
 		Encrypted: enc,
-		Origins:   origins,
+		Origins:   slices.Concat(origins...),
 		Buffer:    buffer,
 	})
 }
@@ -362,24 +360,35 @@ func readChunkPayload(src ByteSource, name string) ([]byte, error) {
 	return payload, nil
 }
 
-// readSection reassembles one row-shaped section from its manifest,
-// enforcing the per-chunk and per-section row counts the index declared.
-// The chunks are fetched, verified and decoded on the store's pool, each
-// into its own slot, and joined in manifest order. The output is sized
-// from the rows actually decoded, never from the index's claims.
-func readSection[T any](ctx context.Context, s *Store, src ByteSource, m sectionManifest, section string) ([]T, error) {
+// readSection fetches, verifies and decodes one section's chunks on the
+// store's pool, each into its own slot, and returns them in manifest
+// order, enforcing the per-chunk and per-section row counts the index
+// declared. A table chunk decodes to its columns (T is []string), an
+// origins chunk to its origins (T is core.RowOrigin).
+func readSection[T []string | core.RowOrigin](ctx context.Context, s *Store, src ByteSource, m sectionManifest, section string) ([][]T, error) {
 	parts := make([][]T, len(m.Chunks))
+	rows := make([]int, len(m.Chunks))
 	err := s.forEachChunk(ctx, len(m.Chunks), func(i int) error {
 		ref := m.Chunks[i]
 		payload, err := readChunkPayload(src, ref.Name)
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(payload, &parts[i]); err != nil {
+		switch p := any(&parts[i]).(type) {
+		case *[][]string:
+			*p, err = decodeTableChunk(payload)
+			if err == nil {
+				rows[i] = len((*p)[0])
+			}
+		case *[]core.RowOrigin:
+			*p, err = decodeOrigins(payload)
+			rows[i] = len(*p)
+		}
+		if err != nil {
 			return fmt.Errorf("store: decoding %s chunk %s: %w", section, ref.Name, err)
 		}
-		if len(parts[i]) != ref.Rows {
-			return fmt.Errorf("store: %s chunk %s holds %d rows, manifest says %d", section, ref.Name, len(parts[i]), ref.Rows)
+		if rows[i] != ref.Rows {
+			return fmt.Errorf("store: %s chunk %s holds %d rows, manifest says %d", section, ref.Name, rows[i], ref.Rows)
 		}
 		return nil
 	})
@@ -387,23 +396,47 @@ func readSection[T any](ctx context.Context, s *Store, src ByteSource, m section
 		return nil, err
 	}
 	n := 0
-	for _, p := range parts {
-		n += len(p)
+	for _, r := range rows {
+		n += r
 	}
 	if n != m.Rows {
 		return nil, fmt.Errorf("store: %s section has %d rows, manifest says %d", section, n, m.Rows)
 	}
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return parts, nil
 }
 
-func readTableSection(ctx context.Context, s *Store, src ByteSource, t tableManifest, section string) (*relation.JSONTable, error) {
-	rows, err := readSection[[]string](ctx, s, src, sectionManifest{Rows: t.Rows, Chunks: t.Chunks}, section)
+// readTableSection hydrates one table section straight into columns.
+// The chunks' columns are joined into one backing array per section,
+// each column's capacity clipped to its length so appending to one
+// reallocates it rather than running into the next. A one-chunk section
+// keeps the chunk's own columns, which are clipped the same way.
+func readTableSection(ctx context.Context, s *Store, src ByteSource, t tableManifest, section string) (*relation.Table, error) {
+	sch, err := relation.NewSchema(t.Columns...)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s section schema: %w", section, err)
+	}
+	parts, err := readSection[[]string](ctx, s, src, sectionManifest{Rows: t.Rows, Chunks: t.Chunks}, section)
 	if err != nil {
 		return nil, err
 	}
-	return &relation.JSONTable{Columns: t.Columns, Rows: rows}, nil
+	width := sch.NumAttrs()
+	for i, p := range parts {
+		if len(p) != width {
+			return nil, fmt.Errorf("store: %s chunk %s has %d columns, schema has %d", section, t.Chunks[i].Name, len(p), width)
+		}
+	}
+	cols := make([][]string, width)
+	if len(parts) == 1 {
+		cols = parts[0]
+	} else {
+		cells := make([]string, 0, t.Rows*width)
+		for a := range cols {
+			start := len(cells)
+			for _, p := range parts {
+				cells = append(cells, p[a]...)
+			}
+			cols[a] = cells[start:len(cells):len(cells)]
+		}
+	}
+	return relation.FromColumns(sch, cols)
 }

@@ -253,7 +253,7 @@ func (s *Store) datasetDir(id string) string {
 	return filepath.Join(s.dir, datasetsDir, id)
 }
 
-// SaveSnapshot durably records rec as a v2 chunked snapshot: section
+// SaveSnapshot durably records rec as a v3 chunked snapshot: section
 // chunks are written (or re-linked when their content already exists)
 // first, the index blob rotates atomically after they are durable, the
 // GC sweeps chunks the new index dropped, and on success the WAL is

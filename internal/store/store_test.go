@@ -482,8 +482,8 @@ func TestCrashMidFlushRecovery(t *testing.T) {
 		// Every acknowledged row is either flushed (in Current) or
 		// pending (in the buffer); together they must equal acked.
 		st := back.State()
-		got := append([][]string{}, st.Current.Rows...)
-		got = append(got, st.Buffer...)
+		got := st.Current.JSON().Rows
+		got = append(got, st.Buffer.JSON().Rows...)
 		tbl, err := relation.FromRows(acked.Schema().Clone(), got)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
