@@ -63,12 +63,10 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		Agreements: make(map[relation.AttrSet][2]int),
 	}
 	m := t.NumAttrs()
-	all := relation.FullAttrSet(m).Attrs()
 	cols := make([][]int32, m)
 	for a := range cols {
 		cols[a] = coded.Column(a)
 	}
-	key := make([]byte, 0, 4*m)
 	// The postings are cached on the Result lineage; they are reusable
 	// only when they cover exactly the already-encrypted prefix (an
 	// aborted attempt leaves rows != oldRows behind, which must rebuild —
@@ -76,16 +74,12 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	// so cached postings stay valid even when Extend had to re-encode.
 	idx := prev.postings
 	if idx == nil || idx.rows != oldRows || len(idx.post) != m {
-		idx = &postingsIndex{rows: oldRows, post: make([][][]int32, m), twins: make(map[string][2]int32, oldRows+16)}
+		idx = &postingsIndex{rows: oldRows, post: make([][][]int32, m)}
 		for a, col := range cols {
 			idx.post[a] = make([][]int32, coded.Cardinality(a))
 			for i, code := range col[:oldRows] {
 				idx.post[a][code] = append(idx.post[a][code], int32(i))
 			}
-		}
-		for i := 0; i < oldRows; i++ {
-			key = coded.AppendKey(key[:0], i, all)
-			idx.noteTwin(key, i)
 		}
 	}
 	// Codes the append coined get empty postings.
@@ -157,7 +151,6 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	// posting ascending and stopping at the first row with no other
 	// agreement, which by ascending order is that pattern's min witness.
 	const heavyCut = 64
-	fullSet := relation.FullAttrSet(m)
 	for i := oldRows; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, false, fmt.Errorf("mas: maintain: %w", err)
@@ -176,69 +169,45 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 				idx.gen = 1
 			}
 		}
-		// Exact-duplicate shortcut. If row i's full code vector already
-		// appeared at a row scanned in THIS call, then every agreement set
-		// row i realizes equals one an earlier pair of this call realized
-		// (agree(j,i) = agree(j,twin) for all j), so they are all in
-		// ref.Agreements already — except the full set R from the twin pair
-		// itself, which gets recorded here with the pairwise scan's exact
-		// witness (the globally first twin). Duplicate-heavy append streams
-		// are the steady state of this workload, so most rows skip the
-		// posting accumulation entirely.
-		twinShortcut := false
-		var firstTwin int32
-		if m > 0 {
-			key = coded.AppendKey(key[:0], i, all)
-			if tw, ok := idx.noteTwin(key, i); ok {
-				firstTwin = tw[0]
-				twinShortcut = tw[1] >= int32(oldRows)
+		for a, col := range cols {
+			if a == heavy {
+				continue
+			}
+			for _, j := range idx.post[a][col[i]] {
+				if acc[j].IsEmpty() {
+					touched = append(touched, j)
+				}
+				acc[j] = acc[j].Add(a)
 			}
 		}
-		if twinShortcut {
-			if _, seen := ref.Agreements[fullSet]; !seen {
-				record(fullSet, firstTwin)
+		if heavy >= 0 {
+			hv := cols[heavy]
+			hid := hv[i]
+			for _, j := range touched {
+				a := acc[j]
+				if hv[j] == hid {
+					a = a.Add(heavy)
+					acc[j] = a // keep nonzero: the walk below skips touched rows
+				}
+				record(a, j)
+			}
+			// The heavy-only pattern {heavy}: its min witness is the first
+			// posting entry that agrees with row i on nothing else.
+			for _, j := range idx.post[heavy][hid] {
+				if acc[j].IsEmpty() {
+					record(relation.AttrSet(0).Add(heavy), j)
+					break
+				}
 			}
 		} else {
-			for a, col := range cols {
-				if a == heavy {
-					continue
-				}
-				for _, j := range idx.post[a][col[i]] {
-					if acc[j].IsEmpty() {
-						touched = append(touched, j)
-					}
-					acc[j] = acc[j].Add(a)
-				}
-			}
-			if heavy >= 0 {
-				hv := cols[heavy]
-				hid := hv[i]
-				for _, j := range touched {
-					a := acc[j]
-					if hv[j] == hid {
-						a = a.Add(heavy)
-						acc[j] = a // keep nonzero: the walk below skips touched rows
-					}
-					record(a, j)
-				}
-				// The heavy-only pattern {heavy}: its min witness is the first
-				// posting entry that agrees with row i on nothing else.
-				for _, j := range idx.post[heavy][hid] {
-					if acc[j].IsEmpty() {
-						record(relation.AttrSet(0).Add(heavy), j)
-						break
-					}
-				}
-			} else {
-				for _, j := range touched {
-					record(acc[j], j)
-				}
-			}
 			for _, j := range touched {
-				acc[j] = 0
+				record(acc[j], j)
 			}
-			touched = touched[:0]
 		}
+		for _, j := range touched {
+			acc[j] = 0
+		}
+		touched = touched[:0]
 		for k, a := range rowSets {
 			if _, seen := ref.Agreements[a]; seen {
 				continue
@@ -283,17 +252,4 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		ref.Deltas[mas] = d
 	}
 	return ref, true, nil
-}
-
-// noteTwin records row i as the last holder of the full code key and
-// returns the {first, last} rows that held it before, if any.
-func (idx *postingsIndex) noteTwin(key []byte, i int) (prev [2]int32, ok bool) {
-	prev, ok = idx.twins[string(key)]
-	tw := prev
-	if !ok {
-		tw[0] = int32(i)
-	}
-	tw[1] = int32(i)
-	idx.twins[string(key)] = tw
-	return prev, ok
 }

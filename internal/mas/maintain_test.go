@@ -2,11 +2,13 @@ package mas
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"f2/internal/relation"
+	"f2/internal/workload"
 )
 
 // TestBruteForceAtMaxAttrs is the regression for the mask-enumeration
@@ -219,5 +221,180 @@ func checkMaintainedLike(t *testing.T, trial int, prev *Result, tbl *relation.Ta
 			ref.Result.Coded.Cardinality(a) != fresh.Coded.Cardinality(a) {
 			t.Fatalf("trial %d: after an abandoned flush, codes of column %d diverge", trial, a)
 		}
+	}
+}
+
+// pairwiseAgreements is the reference for Refreshed.Agreements: for i
+// ascending from oldRows and j ascending below i, the first pair realizing
+// each non-empty agreement set not seen yet.
+func pairwiseAgreements(tbl *relation.Table, oldRows int) map[relation.AttrSet][2]int {
+	out := make(map[relation.AttrSet][2]int)
+	for i := oldRows; i < tbl.NumRows(); i++ {
+		for j := 0; j < i; j++ {
+			a := tbl.AgreementSet(j, i)
+			if _, seen := out[a]; !seen && !a.IsEmpty() {
+				out[a] = [2]int{j, i}
+			}
+		}
+	}
+	return out
+}
+
+// TestMaintainBorderAgreementsMatchPairwise holds Agreements, whose exact
+// witness pairs Step 4's ciphertext depends on, to the pairwise scan over
+// three shapes: small random tables whose appends repeat rows within the
+// batch, tables with a value whose posting list reaches 64 rows or more
+// (the heavy-posting path), and schemas wider than the stamped set table.
+// Every stable append is maintained once more from the refreshed result,
+// through the cached postings.
+func TestMaintainBorderAgreementsMatchPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shapes := []struct {
+		name               string
+		minAttrs, maxAttrs int
+		minRows, maxRows   int
+		domain             func(a int) int
+	}{
+		{"small", 2, 6, 4, 40, func(int) int { return 1 + rng.Intn(3) }},
+		{"heavy", 3, 5, 150, 300, func(a int) int {
+			if a == 0 {
+				return 1 + rng.Intn(2)
+			}
+			return 2 + rng.Intn(30)
+		}},
+		{"wide", setStampMaxAttrs + 1, setStampMaxAttrs + 4, 10, 40, func(int) int { return 1 + rng.Intn(3) }},
+	}
+	randomRow := func(domains []int, spare int) []string {
+		row := make([]string, len(domains))
+		for a := range row {
+			row[a] = fmt.Sprintf("%c%d", 'a'+a, rng.Intn(domains[a]+spare))
+		}
+		return row
+	}
+	batch := func(tbl *relation.Table, domains []int) *relation.Table {
+		out := tbl.Clone()
+		n := 1 + rng.Intn(6)
+		start := out.NumRows()
+		for r := 0; r < n; r++ {
+			switch k := rng.Intn(4); {
+			case k == 0 && r > 0: // a duplicate of an earlier row of this batch
+				out.AppendRow(out.Row(start + rng.Intn(r)))
+			case k == 1: // a duplicate of an old row
+				out.AppendRow(out.Row(rng.Intn(start)))
+			default: // one value more than the old rows drew from, so codes get coined
+				out.AppendRow(randomRow(domains, 1))
+			}
+		}
+		return out
+	}
+	for _, sh := range shapes {
+		stable := 0
+		for trial := 0; trial < 60; trial++ {
+			attrs := sh.minAttrs + rng.Intn(sh.maxAttrs-sh.minAttrs+1)
+			domains := make([]int, attrs)
+			for a := range domains {
+				domains[a] = sh.domain(a)
+			}
+			names := make([]string, attrs)
+			for a := range names {
+				names[a] = fmt.Sprintf("C%d", a)
+			}
+			tbl := relation.NewTable(relation.MustSchema(names...))
+			for r := sh.minRows + rng.Intn(sh.maxRows-sh.minRows+1); r > 0; r-- {
+				tbl.AppendRow(randomRow(domains, 0))
+			}
+			if trial%2 == 0 { // a full-row duplicate pins the border at R
+				tbl.AppendRow(tbl.Row(0))
+			}
+			prev, err := DiscoverCtx(context.Background(), tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				next := batch(tbl, domains)
+				ref, ok, err := MaintainBorder(context.Background(), prev, next, tbl.NumRows())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				stable++
+				if want := pairwiseAgreements(next, tbl.NumRows()); !reflect.DeepEqual(ref.Agreements, want) {
+					t.Fatalf("%s trial %d round %d: Agreements = %v, pairwise = %v\n%v", sh.name, trial, round, ref.Agreements, want, next)
+				}
+				prev, tbl = ref.Result, next
+			}
+		}
+		if stable < 30 {
+			t.Fatalf("%s: only %d stable appends checked", sh.name, stable)
+		}
+	}
+}
+
+// BenchmarkMaintainBorder replays flushes of 10% of the table through
+// MaintainBorder: the ingest workload's shape (synthetic-4000 and a fresh
+// synthetic stream), a growing orders table, and orders re-appending its
+// own rows. A flush that moves the border is rediscovered off the clock,
+// as the updater's fallback would; fallbacks/op counts them.
+func BenchmarkMaintainBorder(b *testing.B) {
+	const flushes = 10
+	growth := func(base int) int {
+		n, total := base, 0
+		for f := 0; f < flushes; f++ {
+			total += n / 10
+			n += n / 10
+		}
+		return total
+	}
+	synthetic := workload.Synthetic(4000, 7)
+	orders := workload.Orders(2000+growth(2000), 1)
+	ordersBase := relation.MustFromRows(orders.Schema(), orders.JSON().Rows[:2000])
+	cases := []struct {
+		name   string
+		base   *relation.Table
+		stream [][]string
+	}{
+		{"synthetic-4000", synthetic, workload.Synthetic(growth(4000), 14).JSON().Rows},
+		{"orders-2000", ordersBase, orders.JSON().Rows[2000:]},
+		{"orders-2000-reappend", ordersBase, append(append([][]string{}, ordersBase.JSON().Rows...), ordersBase.JSON().Rows...)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			fallbacks := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tbl := c.base.Clone()
+				prev, err := DiscoverCtx(context.Background(), tbl)
+				if err != nil {
+					b.Fatal(err)
+				}
+				next := 0
+				for f := 0; f < flushes; f++ {
+					old := tbl.NumRows()
+					add := old / 10
+					if err := tbl.AppendRows(c.stream[next : next+add]); err != nil {
+						b.Fatal(err)
+					}
+					next += add
+					b.StartTimer()
+					ref, ok, err := MaintainBorder(context.Background(), prev, tbl, old)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if ok {
+						prev = ref.Result
+						continue
+					}
+					fallbacks++
+					if prev, err = DiscoverCtx(context.Background(), tbl); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
+		})
 	}
 }

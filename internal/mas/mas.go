@@ -71,13 +71,6 @@ type postingsIndex struct {
 	setMinJ []int32
 	setGen  []uint32
 	gen     uint32
-
-	// twins maps a row's full code vector (relation.Coded.AppendKey) to
-	// {first, last} row id holding it. An appended row whose vector
-	// already appeared in the same maintain call realizes exactly the
-	// agreement sets its twin did plus the full attribute set — the scan
-	// shortcuts those rows to an O(1) check.
-	twins map[string][2]int32
 }
 
 // Discover finds all MASs of t with the DUCC-style border search of

@@ -43,15 +43,6 @@ type Partition struct {
 	Attrs   relation.AttrSet
 	Classes []*EC
 	numRows int
-
-	// index maps each class's packed code key (relation.Coded.AppendKey)
-	// to its position in Classes. The first Refine builds it from each
-	// class's first row and shares it down the refinement lineage, so
-	// successive flushes skip the O(|classes|) rebuild, while a partition
-	// that is never refined holds none. It is trusted only while
-	// len(index) == len(Classes) — an aborted refine leaves extra entries
-	// behind, which the next Refine detects and rebuilds from scratch.
-	index map[string]int
 }
 
 // Of computes π_X for table t. Callers grouping one table under several
@@ -61,12 +52,9 @@ func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
 }
 
 // OfCoded computes π_X over the coded view c, grouping rows by their
-// packed codes over X: it is Refine applied to the empty partition. The
-// class index that grouping builds is dropped, so a partition that is
-// never refined does not keep it.
+// packed codes over X: it is Refine applied to the empty partition.
 func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
 	p, _, _ := (&Partition{Attrs: attrs}).Refine(c, 0) // cannot fail: the empty partition covers 0 rows
-	p.index = nil
 	return p
 }
 

@@ -28,8 +28,7 @@ func (d Delta) Changed() bool { return len(d.Grown) > 0 || len(d.Born) > 0 }
 // are shared by reference, grown classes are copied before their row lists
 // are extended), so a caller that aborts mid-update can keep using p.
 //
-// Cost is O(Δ·|X|) once the class index is built: the index is shared
-// down the lineage, and when it must be rebuilt it is keyed from each
+// Cost is O(|classes|·|X| + Δ·|X|): the class index is keyed from each
 // class's first row, whose codes c keeps, not by re-hashing the old rows.
 func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, error) {
 	if p.numRows != oldRows {
@@ -42,17 +41,13 @@ func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, e
 	out.Classes = append(make([]*EC, 0, len(p.Classes)), p.Classes...)
 	cols := p.Attrs.Attrs()
 	// Keys are composed in a reused buffer: the lookup on string(key) does
-	// not allocate, so in the steady state (appended rows landing in
-	// existing classes) the whole loop is allocation-free.
+	// not allocate, so an appended row landing in an existing class costs
+	// no allocation.
 	key := make([]byte, 0, 4*len(cols))
-	index := p.index
-	if index == nil || len(index) != len(p.Classes) {
-		index = make(map[string]int, len(p.Classes)+16)
-		for i, cl := range p.Classes {
-			key = c.AppendKey(key[:0], cl.Rows[0], cols)
-			index[string(key)] = i
-		}
-		p.index = index
+	index := make(map[string]int, len(p.Classes)+16)
+	for i, cl := range p.Classes {
+		key = c.AppendKey(key[:0], cl.Rows[0], cols)
+		index[string(key)] = i
 	}
 	var d Delta
 	cloned := make(map[int]bool)
@@ -75,6 +70,5 @@ func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, e
 		}
 		out.Classes[ci].Rows = append(out.Classes[ci].Rows, r)
 	}
-	out.index = index
 	return out, d, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"f2/internal/relation"
@@ -113,5 +114,51 @@ func TestRefineRejectsMismatchedRowCount(t *testing.T) {
 	p := Of(tbl, relation.SingleAttr(0))
 	if _, _, err := p.Refine(relation.Encode(tbl), 4); err == nil {
 		t.Error("Partition.Refine accepted a wrong oldRows")
+	}
+}
+
+// TestRefineIsPure refines one partition from two goroutines at once, over
+// two different appended suffixes, as a retried flush may after an
+// abandoned one. Refine only reads its receiver: under -race neither call
+// may write shared state, each result must equal grouping from scratch,
+// and the receiver must keep its classes.
+func TestRefineIsPure(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	base := randomRefineTable(rng, 3, 200, 3)
+	set := relation.NewAttrSet(0, 2)
+	p := Of(base, set)
+	before := make([]*EC, len(p.Classes))
+	for i, c := range p.Classes {
+		before[i] = &EC{Rows: append([]int(nil), c.Rows...)}
+	}
+	var tables [2]*relation.Table
+	for g := range tables {
+		tables[g] = base.Clone()
+		extra := randomRefineTable(rng, 3, 50, 4)
+		for i := 0; i < extra.NumRows(); i++ {
+			tables[g].AppendRow(extra.Row(i))
+		}
+	}
+	var got [2]*Partition
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], _, errs[g] = p.Refine(relation.Encode(tables[g]), base.NumRows())
+		}(g)
+	}
+	wg.Wait()
+	for g := range tables {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if want := Of(tables[g], set); !reflect.DeepEqual(got[g].Classes, want.Classes) {
+			t.Errorf("refine %d: classes differ from grouping the whole table", g)
+		}
+	}
+	if !reflect.DeepEqual(p.Classes, before) || p.NumRows() != base.NumRows() {
+		t.Fatal("Refine modified its receiver")
 	}
 }

@@ -272,7 +272,7 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req appendRowsRequest
-	if !s.decodeAppendRows(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {

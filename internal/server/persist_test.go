@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -686,5 +687,80 @@ func TestRecoverySkipsCorruptDataset(t *testing.T) {
 	// The corrupt directory is left on disk for inspection, not deleted.
 	if _, err := os.Stat(badDir); err != nil {
 		t.Fatalf("corrupt dataset directory removed: %v", err)
+	}
+}
+
+// recoveredRows decrypts the dataset's current ciphertext in process,
+// so the cells come back as stored, not as a JSON response re-encodes
+// them.
+func recoveredRows(t *testing.T, srv *Server, id string) [][]string {
+	t.Helper()
+	ds, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatalf("no dataset %s", id)
+	}
+	ds.Lock()
+	res := ds.upd.Result()
+	ds.Unlock()
+	dec, err := core.NewDecryptor(ds.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := dec.Recover(context.Background(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back.JSON().Rows
+}
+
+// TestInvalidUTF8AppendSurvivesRestart appends a cell holding a raw 0xff
+// byte to two copies of one dataset and crash-restarts one of them before
+// any flush, so its rows reach the flush through WAL replay. The cell is
+// stored as U+FFFD, as encoding/json decodes it, so both copies must hold
+// the same plaintext and the same FDs. Had the request path kept the raw
+// byte, the base rows' "a\uFFFDb" would stay a different value from the
+// appended one, A → B would survive in one copy only, and the two
+// plaintexts would differ in that cell.
+func TestInvalidUTF8AppendSurvivesRestart(t *testing.T) {
+	base := [][]string{{"a\uFFFDb", "x"}, {"a\uFFFDb", "x"}, {"c", "y"}, {"c", "y"}, {"d", "z"}}
+	const body = "{\"rows\":[[\"a\xffb\",\"w\"]]}"
+	want := append(append([][]string{}, base...), []string{"a\uFFFDb", "w"})
+
+	var plain [2][][]string
+	var decrypted, fds [2][]byte
+	for c := range plain {
+		dir := t.TempDir()
+		srv, ts := newDurableServer(t, dir, 1)
+		id := createBuffering(t, ts.URL, base)
+		if resp, out := postRaw(t, ts.URL+"/v1/datasets/"+id+"/rows", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("copy %d: append: status %d, body %s", c, resp.StatusCode, out)
+		}
+		if c == 1 { // crash: a new server over the same directory, nothing flushed
+			srv, ts = newDurableServer(t, dir, 1)
+		}
+		if resp, out := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+id+"/flush?wait=1", map[string]any{}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("copy %d: flush: status %d, body %s", c, resp.StatusCode, out)
+		}
+		resp, out := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+id+"/decrypt", map[string]any{})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("copy %d: decrypt: status %d, body %s", c, resp.StatusCode, out)
+		}
+		decrypted[c] = out
+		if resp, fds[c] = doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+id+"/fds", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("copy %d: fds: status %d, body %s", c, resp.StatusCode, fds[c])
+		}
+		plain[c] = recoveredRows(t, srv, id)
+	}
+	if !reflect.DeepEqual(plain[0], want) {
+		t.Errorf("uninterrupted copy decrypts to %q, want %q", plain[0], want)
+	}
+	if !reflect.DeepEqual(plain[1], plain[0]) {
+		t.Errorf("restarted copy decrypts to %q, uninterrupted copy to %q", plain[1], plain[0])
+	}
+	if !bytes.Equal(decrypted[1], decrypted[0]) {
+		t.Errorf("decrypt responses differ:\n restarted: %s\n uninterrupted: %s", decrypted[1], decrypted[0])
+	}
+	if !bytes.Equal(fds[1], fds[0]) {
+		t.Errorf("FDs differ:\n restarted: %s\n uninterrupted: %s", fds[1], fds[0])
 	}
 }

@@ -284,6 +284,120 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// postRaw POSTs body verbatim, so tests can send bytes json.Marshal
+// would never produce.
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
+}
+
+// bufferedRows returns the rows the dataset's updater holds pending.
+func bufferedRows(t *testing.T, srv *Server, id string) [][]string {
+	t.Helper()
+	ds, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatalf("no dataset %s", id)
+	}
+	ds.Lock()
+	defer ds.Unlock()
+	return ds.upd.State().Buffer.JSON().Rows
+}
+
+// createBuffering creates a two-column dataset whose appends stay
+// pending: its flush threshold is far above what a test appends.
+func createBuffering(t *testing.T, base string, rows [][]string) string {
+	t.Helper()
+	resp, body := doJSON(t, http.MethodPost, base+"/v1/datasets", map[string]any{
+		"name":          "buffering",
+		"columns":       []string{"A", "B"},
+		"rows":          rows,
+		"keySeed":       "server-test-key",
+		"flushFraction": 100,
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d, body %s", resp.StatusCode, body)
+	}
+	var created struct {
+		Dataset Summary `json:"dataset"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	return created.Dataset.ID
+}
+
+// TestAppendRowsBodies pins how POST /v1/datasets/{id}/rows decodes its
+// body: every body encoding/json accepts under decodeBody's rules buffers
+// exactly the rows json.Unmarshal yields, and malformed, unknown-field,
+// trailing-data and wrongly shaped bodies are 400s that buffer nothing.
+func TestAppendRowsBodies(t *testing.T) {
+	srv, ts := newTestServer(t, 1)
+	id := createBuffering(t, ts.URL, [][]string{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b2"}, {"a3", "b3"}})
+	url := ts.URL + "/v1/datasets/" + id + "/rows"
+
+	accept := []string{
+		`{"rows":[["a","b"],["c","d"]]}`,
+		` { "rows" : [ [ "x" , "y" ] ] } `,
+		"{\n\t\"rows\": [[\"a\",\"b\"],\n [\"c\",\"d\"]]\r\n}",
+		`{"rows":[["üñïçödé","line"]]}`,
+		`{"rows":[["", ""]]}`,
+		`{"rows":[["a\"b","c\\d"]]}`,
+		`{"rows":[["a\u0041","\/"]]}`,
+		`{"Rows":[["a","b"]]}`, // encoding/json matches keys case-insensitively
+		// Invalid UTF-8 becomes U+FFFD, whether or not another cell of the
+		// body carries an escape.
+		"{\"rows\":[[\"a\xffb\",\"c\"]]}",
+		"{\"rows\":[[\"a\xffb\",\"\\u0063\"]]}",
+	}
+	for _, body := range accept {
+		var want appendRowsRequest
+		if err := json.Unmarshal([]byte(body), &want); err != nil {
+			t.Fatalf("json.Unmarshal(%q): %v", body, err)
+		}
+		before := len(bufferedRows(t, srv, id))
+		if resp, out := postRaw(t, url, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %q: status %d, body %s", body, resp.StatusCode, out)
+		}
+		if got := bufferedRows(t, srv, id)[before:]; !reflect.DeepEqual(got, want.Rows) {
+			t.Errorf("append %q buffered %q, json.Unmarshal gives %q", body, got, want.Rows)
+		}
+	}
+
+	reject := []string{
+		``,
+		`{}`,
+		`{"rows":[]}`,
+		`{"rows":[[]]}`,                   // a row of no cells
+		`{"rows":[["a"],["b","c","d"]]}`,  // ragged
+		`{"rows":[["a","b"]],"extra":1}`,  // unknown field
+		`{"rows":[["a","b"]]} trailing`,   // trailing data
+		`{"rows":[["a","b"],null]}`,       // null row
+		`{"rows":[[1,"b"]]}`,              // non-string cell
+		`{"rows":[["a","b"]]`,             // truncated
+		`{"rows":[["a","b",]]}`,           // trailing comma
+		"{\"rows\":[[\"a\x01b\",\"c\"]]}", // raw control byte
+		`[{"rows":[]}]`,                   // wrong top level
+	}
+	before := bufferedRows(t, srv, id)
+	for _, body := range reject {
+		if resp, out := postRaw(t, url, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("append %q: status %d, want 400 (body %s)", body, resp.StatusCode, out)
+		}
+	}
+	if got := bufferedRows(t, srv, id); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected appends changed the buffer: %q, want %q", got, before)
+	}
+}
+
 // TestConcurrentAppendsOneDataset races many append batches (some
 // triggering buffered rebuilds) against one dataset; afterwards every row
 // must be present exactly once. Run with -race.
