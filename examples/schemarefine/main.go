@@ -15,6 +15,7 @@ import (
 	"f2/internal/core"
 	"f2/internal/crypt"
 	"f2/internal/fd"
+	"f2/internal/partition"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -50,9 +51,9 @@ func main() {
 	// Server side: propose decompositions. For each minimal FD X→A where
 	// X is not a key of the (encrypted) relation, suggest extracting the
 	// sub-relation X∪{A} and dropping A from the main relation.
-	encCoded := relation.Encode(res.Encrypted)
+	plis := partition.NewCache(relation.Encode(res.Encrypted))
 	isKey := func(x relation.AttrSet) bool {
-		return !encCoded.HasDuplicateOn(x)
+		return !plis.Get(x).HasDuplicate()
 	}
 	type proposal struct {
 		lhs relation.AttrSet

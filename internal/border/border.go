@@ -27,6 +27,8 @@
 package border
 
 import (
+	"slices"
+
 	"f2/internal/relation"
 )
 
@@ -38,8 +40,8 @@ type Finder struct {
 	pred     func(relation.AttrSet) bool
 
 	cache    map[relation.AttrSet]bool
-	positive map[relation.AttrSet]bool // verified maximal satisfying sets
-	negative map[relation.AttrSet]bool // verified minimal violating sets
+	positive []relation.AttrSet // verified maximal satisfying sets
+	negative []relation.AttrSet // verified minimal violating sets
 	// trans holds the minimal transversals of negative: every set in it
 	// meets every minimal violating set, and no proper subset does.
 	trans []relation.AttrSet
@@ -61,15 +63,10 @@ func Find(universe relation.AttrSet, pred func(relation.AttrSet) bool) ([]relati
 		attrs:    universe.Attrs(),
 		pred:     pred,
 		cache:    make(map[relation.AttrSet]bool),
-		positive: make(map[relation.AttrSet]bool),
-		negative: make(map[relation.AttrSet]bool),
 		trans:    []relation.AttrSet{0}, // the empty family's sole transversal
 	}
 	f.run()
-	var out []relation.AttrSet
-	for x := range f.positive {
-		out = append(out, x)
-	}
+	out := f.positive
 	relation.SortAttrSets(out)
 	f.stats.Negative = len(f.negative)
 	return out, f.stats
@@ -82,13 +79,13 @@ func (f *Finder) eval(x relation.AttrSet) bool {
 	if v, ok := f.cache[x]; ok {
 		return v
 	}
-	for s := range f.positive {
+	for _, s := range f.positive {
 		if x.SubsetOf(s) {
 			f.cache[x] = true
 			return true
 		}
 	}
-	for s := range f.negative {
+	for _, s := range f.negative {
 		if s.SubsetOf(x) {
 			f.cache[x] = false
 			return false
@@ -108,7 +105,7 @@ func (f *Finder) run() {
 	// the unique maximal set. (Common in the false-positive search, where
 	// most dependencies are violated outright.)
 	if f.eval(f.universe) {
-		f.positive[f.universe] = true
+		f.addPositive(f.universe)
 		return
 	}
 	// Phase 1: greedy walks from the satisfying singletons.
@@ -150,7 +147,7 @@ func (f *Finder) walkUp(x relation.AttrSet) {
 			f.walkDown(sup)
 		}
 		if !climbed {
-			f.positive[x] = true
+			f.addPositive(x)
 			return
 		}
 	}
@@ -182,11 +179,19 @@ func (f *Finder) walkDown(x relation.AttrSet) {
 // transversal family. A walk may end on a set found before; only a new
 // one changes the family.
 func (f *Finder) addNegative(x relation.AttrSet) {
-	if f.negative[x] {
+	if slices.Contains(f.negative, x) {
 		return
 	}
-	f.negative[x] = true
+	f.negative = append(f.negative, x)
 	f.trans = fold(f.trans, x)
+}
+
+// addPositive records a maximal satisfying set; two walks may end on the
+// same one.
+func (f *Finder) addPositive(x relation.AttrSet) {
+	if !slices.Contains(f.positive, x) {
+		f.positive = append(f.positive, x)
+	}
 }
 
 // fold is one step of Berge's algorithm: given the minimal transversals
@@ -248,11 +253,11 @@ func (f *Finder) advance() bool {
 	f.stats.Rounds++
 	progress := false
 	for _, cand := range f.maximalAvoiding() {
-		if f.positive[cand] {
+		if slices.Contains(f.positive, cand) {
 			continue
 		}
 		if f.eval(cand) {
-			f.positive[cand] = true
+			f.addPositive(cand)
 			progress = true
 		} else {
 			f.walkDown(cand)

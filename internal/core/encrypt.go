@@ -164,6 +164,8 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	sp.SetAttr("uniquenessChecks", disc.Checked)
 	sp.SetAttr("borderRounds", disc.Border.Rounds)
 	sp.SetAttr("negativeBorder", disc.Border.Negative)
+	sp.SetAttr("pliProducts", disc.PLIs.Products)
+	sp.SetAttr("pliEvictions", disc.PLIs.Evictions)
 	sp.End()
 	res.Report.TimeMAX = time.Since(start)
 
@@ -213,10 +215,13 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	fpPatterns := make(map[relation.AttrSet]bool)
 	if !e.cfg.SkipFPElimination {
 		var err error
-		if fpPatterns, err = e.eliminateFalsePositives(sctx, t, disc.Coded, plans, out, res); err != nil {
+		var pli partition.CacheStats
+		if fpPatterns, pli, err = e.eliminateFalsePositives(sctx, t, disc.Coded, plans, out, res); err != nil {
 			sp.End()
 			return nil, err
 		}
+		sp.SetAttr("pliProducts", pli.Products)
+		sp.SetAttr("pliEvictions", pli.Evictions)
 	}
 	sp.SetAttr("fpNodes", res.Report.FPNodes)
 	sp.SetAttr("fpPatterns", res.Report.FPPatterns)

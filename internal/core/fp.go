@@ -36,13 +36,21 @@ type fpWitness struct {
 // nodes proportional to the border, not to the holding region of the
 // lattice, and subsumes the paper's "mark descendants checked" pruning.
 //
+// The predicate reads the stripped partition (PLI) of X from a
+// partition.Cache: X→Y is violated iff some class of π_X holds two Y
+// codes. Its witness is the pair (f, r) where r is the smallest row whose
+// Y code differs from that of f, the first row of r's X class. That pair
+// is fixed by D alone — not by the order of the PLI's classes, which
+// depends on the subset it was built from — so the ciphertext does not
+// depend on what the cache held or evicted.
+//
 // The per-Y border searches are independent — violation is a property of
 // (X, Y) pairs on D — so they fan out across the pool, one RHS attribute
-// per task, all reading the same coded table and representative rows.
-// Witness caches are per-Y (a node carries its Y), so the probe results
-// do not depend on how the searches are scheduled. The searches mint
-// nothing; the artificial pairs are then emitted serially in ascending-Y,
-// sorted-X order.
+// per task. Each task reads PLIs from its own fork of one cache, sharing
+// only the read-only single-column PLIs, and keeps its own witnesses, so
+// the probe results do not depend on how the searches are scheduled. The
+// searches mint nothing; the artificial pairs are then emitted serially
+// in ascending-Y, sorted-X order.
 //
 // Deviation from the paper (documented in docs/DESIGN.md): the paper's
 // artificial pairs agree exactly on X and differ everywhere else, which
@@ -61,17 +69,15 @@ type fpWitness struct {
 // the set of emitted patterns; the incremental engine keeps that set to
 // decide which newly violated dependencies still need witnessing after
 // an append.
-func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, coded *relation.Coded, plans []*masPlan, out *relation.Table, res *Result) (map[relation.AttrSet]bool, error) {
-	// A violated X needs a row pair agreeing on X, so X must be a
-	// non-unique column combination — equivalently, contained in some MAS
-	// (Step 1 already computed them all). That containment test is a few
-	// bitmask operations and prunes most oracle calls before they scan
-	// the representatives.
+func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Table, coded *relation.Coded, plans []*masPlan, out *relation.Table, res *Result) (map[relation.AttrSet]bool, partition.CacheStats, error) {
+	// The predicate asks only about X with X∪{Y} inside some MAS (Step 1
+	// already computed them all): a few bitmask operations, and the
+	// containment keeps the predicate downward closed.
 	masSets := make([]relation.AttrSet, 0, len(plans))
 	for _, p := range plans {
 		masSets = append(masSets, p.attrs)
 	}
-	nonUnique := func(x relation.AttrSet) bool {
+	covered := func(x relation.AttrSet) bool {
 		for _, m := range masSets {
 			if x.SubsetOf(m) {
 				return true
@@ -80,32 +86,21 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		return false
 	}
 
-	// One representative row per class of each MAS partition, shared
-	// read-only by the concurrent per-Y searches.
-	reps := make([][]int, len(plans))
-	for i, p := range plans {
-		reps[i] = firstRows(p.part)
-	}
-	repFor := func(attrs relation.AttrSet) []int {
-		for i, p := range plans {
-			if attrs.SubsetOf(p.attrs) {
-				return reps[i]
-			}
-		}
-		return nil
-	}
-
 	// One border search per RHS attribute Y over the union of the MASs
 	// containing Y. The predicate — "some MAS covers X∪{Y} and X→Y is
 	// violated on D" — stays downward closed in X, so the positive border
 	// is exactly the set of globally maximal false-positive dependencies,
-	// with no duplicated work across overlapping MASs.
+	// with no duplicated work across overlapping MASs. Each search reads
+	// the PLIs of its X from a fork of one cache: the single-column PLIs
+	// are built once and shared read-only, the rest stay with their task.
 	type fpFound struct {
 		x relation.AttrSet
-		w *fpWitness
+		w fpWitness
 	}
+	plis := partition.NewCache(coded)
 	found := make([][]fpFound, t.NumAttrs())
 	checks := make([]int, t.NumAttrs())
+	pliStats := make([]partition.CacheStats, t.NumAttrs())
 	err := e.pool.ForEach(ctx, t.NumAttrs(), func(ctx context.Context, y int) error {
 		universe := relation.AttrSet(0)
 		for _, m := range masSets {
@@ -117,37 +112,40 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 		if universe.IsEmpty() {
 			return nil
 		}
-		cache := make(map[fpNode]*fpWitness)
+		cache := plis.Fork()
+		defer cache.Release()
+		ycol := coded.Column(y)
+		witness := make(map[relation.AttrSet]fpWitness)
 		sets, stats := border.Find(universe, func(x relation.AttrSet) bool {
 			// A cancelled ctx makes the oracle constant-false so the
 			// border search drains quickly; the ctx.Err() check after
 			// Find discards the bogus result.
-			if ctx.Err() != nil || !nonUnique(x) {
+			if ctx.Err() != nil || !covered(x.Add(y)) {
 				return false
 			}
-			node := fpNode{x, y}
-			w, ok := cache[node]
-			if !ok {
-				if rows := repFor(x.Add(y)); rows != nil {
-					if ri, rj, violated := findViolation(coded, rows, x, y); violated {
-						w = &fpWitness{ri, rj}
-					}
-				}
-				cache[node] = w
+			ri, rj, violated := cache.Get(x).Violation(ycol)
+			if violated {
+				witness[x] = fpWitness{ri, rj}
 			}
-			return w != nil
+			return violated
 		})
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for _, x := range sets {
-			found[y] = append(found[y], fpFound{x, cache[fpNode{x, y}]})
+			found[y] = append(found[y], fpFound{x, witness[x]})
 		}
 		checks[y] = stats.Checks
+		pliStats[y] = cache.Stats()
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: encrypt: %w", err)
+		return nil, partition.CacheStats{}, fmt.Errorf("core: encrypt: %w", err)
+	}
+	var pli partition.CacheStats
+	for _, s := range pliStats {
+		pli.Products += s.Products
+		pli.Evictions += s.Evictions
 	}
 
 	// One pair set per distinct agreement pattern, kept at its first
@@ -161,15 +159,15 @@ func (e *Encryptor) eliminateFalsePositives(ctx context.Context, t *relation.Tab
 			res.Report.FPNodes++
 			if p := agreementPattern(t, f.w.ri, f.w.rj); !patterns[p] {
 				patterns[p] = true
-				jobs = append(jobs, *f.w)
+				jobs = append(jobs, f.w)
 			}
 		}
 	}
 	res.Report.FPPatterns += len(jobs)
 	if err := e.emitFPJobs(ctx, t, jobs, out, res); err != nil {
-		return nil, fmt.Errorf("core: encrypt: %w", err)
+		return nil, pli, fmt.Errorf("core: encrypt: %w", err)
 	}
-	return patterns, nil
+	return patterns, pli, nil
 }
 
 // agreementPattern returns the attributes on which rows ri and rj of t
@@ -194,42 +192,6 @@ func fpCovered(patterns map[relation.AttrSet]bool, x relation.AttrSet, y int) bo
 		}
 	}
 	return false
-}
-
-// firstRows returns the first row of every class of p, in class order:
-// the representatives Step 4 tests for violations. Testing representative
-// pairs is equivalent to testing all row pairs: rows inside one EC agree
-// on all of M, so they can never witness a violation of X→Y with
-// X∪{Y} ⊆ M.
-func firstRows(p *partition.Partition) []int {
-	rows := make([]int, len(p.Classes))
-	for ci, c := range p.Classes {
-		rows[ci] = c.Rows[0]
-	}
-	return rows
-}
-
-// findViolation reports whether X→Y is violated among the representative
-// rows (X∪{Y} inside their MAS) and, if so, returns a witnessing row pair:
-// scanning in class order, the first representative whose X codes an
-// earlier one holds with a different Y code, paired with the first
-// representative holding those X codes.
-func findViolation(coded *relation.Coded, rows []int, attrs relation.AttrSet, y int) (ri, rj int, violated bool) {
-	cols := attrs.Attrs()
-	ycol := coded.Column(y)
-	seen := make(map[string]int, len(rows)) // X key -> first row holding it
-	key := make([]byte, 0, 4*len(cols))
-	for _, r := range rows {
-		key = coded.AppendKey(key[:0], r, cols)
-		if f, ok := seen[string(key)]; ok {
-			if ycol[f] != ycol[r] {
-				return f, r, true
-			}
-		} else {
-			seen[string(key)] = r
-		}
-	}
-	return 0, 0, false
 }
 
 // emitFPJobs appends the artificial record pairs for every witness, in

@@ -3,10 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"f2/internal/border"
 	"f2/internal/fd"
+	"f2/internal/mas"
 	"f2/internal/obs"
+	"f2/internal/partition"
+	"f2/internal/pool"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -207,4 +213,234 @@ func TestIncrementalStepFourPatterns(t *testing.T) {
 		t.Fatalf("patterns %d → %d, want 0 → 2", res0.Report.FPPatterns, res.Report.FPPatterns)
 	}
 	checkSpan(root, "incremental.re-witness", 2, 2, res.Report.FPRows-res0.Report.FPRows)
+}
+
+// firstRows and findViolation are the representative scan Step 4 ran
+// before its predicate moved onto cached stripped partitions, kept as the
+// reference the PLI witness must reproduce. findViolation scans the first
+// row of every class of a partition under M ⊇ X∪{Y}, in class order, and
+// returns the first representative whose X codes an earlier one holds
+// with a different Y code, paired with the first representative holding
+// those X codes.
+func firstRows(p *partition.Partition) []int {
+	rows := make([]int, len(p.Classes))
+	for ci, c := range p.Classes {
+		rows[ci] = c.Rows[0]
+	}
+	return rows
+}
+
+func findViolation(coded *relation.Coded, rows []int, attrs relation.AttrSet, y int) (ri, rj int, violated bool) {
+	cols := attrs.Attrs()
+	ycol := coded.Column(y)
+	seen := make(map[string]int, len(rows))
+	key := make([]byte, 0, 4*len(cols))
+	for _, r := range rows {
+		key = coded.AppendKey(key[:0], r, cols)
+		if f, ok := seen[string(key)]; ok {
+			if ycol[f] != ycol[r] {
+				return f, r, true
+			}
+		} else {
+			seen[string(key)] = r
+		}
+	}
+	return 0, 0, false
+}
+
+// checkWitnesses draws random nodes X→Y with X∪{Y} inside m and compares
+// the PLI witness of X, from a cache whose query order varies the subset
+// each PLI is built from, with the representative scan over π_m.
+func checkWitnesses(t *testing.T, rng *rand.Rand, coded *relation.Coded, cache *partition.Cache, m relation.AttrSet, nodes int) {
+	t.Helper()
+	attrs := m.Attrs()
+	if len(attrs) < 2 {
+		return
+	}
+	reps := firstRows(partition.OfCoded(coded, m))
+	for i := 0; i < nodes; i++ {
+		y := attrs[rng.Intn(len(attrs))]
+		x := relation.AttrSet(rng.Int63()).Intersect(m).Remove(y)
+		if x.IsEmpty() {
+			continue
+		}
+		wf, wr, want := findViolation(coded, reps, x, y)
+		gf, gr, got := cache.Get(x).Violation(coded.Column(y))
+		if got != want || got && (gf != wf || gr != wr) {
+			t.Fatalf("%v→%d under %v: PLI witness (%d, %d, %v), representative scan (%d, %d, %v)",
+				x, y, m, gf, gr, got, wf, wr, want)
+		}
+	}
+}
+
+// TestViolationMatchesFindViolation: the order-free PLI witness equals
+// the representative scan's pair on random tables (m = every column) and
+// on the MASs of customer, orders and synthetic tables.
+func TestViolationMatchesFindViolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		attrs := 2 + rng.Intn(6)
+		tbl := relation.NewTable(relation.MustSchema(names(attrs)...))
+		rows, domain := rng.Intn(60), 1+rng.Intn(5)
+		for r := 0; r < rows; r++ {
+			row := make([]string, attrs)
+			for a := range row {
+				row[a] = fmt.Sprint(rng.Intn(domain))
+			}
+			tbl.AppendRow(row)
+		}
+		coded := relation.Encode(tbl)
+		checkWitnesses(t, rng, coded, partition.NewCache(coded), relation.FullAttrSet(attrs), 30)
+	}
+	for _, name := range []string{workload.NameCustomer, workload.NameOrders, workload.NameSynthetic} {
+		tbl, err := workload.Generate(name, 600, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disc := mas.Discover(tbl)
+		cache := partition.NewCache(disc.Coded)
+		for _, m := range disc.Sets {
+			checkWitnesses(t, rng, disc.Coded, cache, m, 40)
+		}
+	}
+}
+
+func names(m int) []string {
+	out := make([]string, m)
+	for a := range out {
+		out[a] = fmt.Sprintf("C%d", a)
+	}
+	return out
+}
+
+// BenchmarkStepFourCustomer times Step 4 alone on the audit workload's
+// customer table: Steps 1–3 run once, then every iteration repeats the
+// border searches and the artificial-pair emission into a fresh table.
+func BenchmarkStepFourCustomer(b *testing.B) {
+	tbl, err := workload.Generate(workload.NameCustomer, 600, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	e, err := NewEncryptor(testConfig(0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.mint = &freshMinter{}
+	e.kern = e.cipher.NewKernel()
+	e.pool = pool.New(e.cfg.Workers())
+	defer e.pool.Close()
+	disc := mas.Discover(tbl)
+	plans, err := e.buildPlans(ctx, tbl, disc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		out := relation.NewTable(tbl.Schema().Clone())
+		if _, _, err := e.eliminateFalsePositives(ctx, tbl, disc.Coded, plans, out, &Result{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// referenceStepFour runs Step 4's border searches as they ran before the
+// PLI cache, on the representative scan: for each RHS attribute, the
+// border of "some MAS covers X∪{Y} and findViolation finds a pair". It
+// returns the summed predicate checks and the witnesses of the maximal
+// nodes in ascending-Y, border order, the order patterns are emitted in.
+func referenceStepFour(disc *mas.Result, m int) (checks int, witnesses []fpWitness) {
+	reps := make([][]int, len(disc.Sets))
+	for i, s := range disc.Sets {
+		reps[i] = firstRows(disc.Partitions[s])
+	}
+	repFor := func(attrs relation.AttrSet) []int {
+		for i, s := range disc.Sets {
+			if attrs.SubsetOf(s) {
+				return reps[i]
+			}
+		}
+		return nil
+	}
+	for y := 0; y < m; y++ {
+		universe := relation.AttrSet(0)
+		for _, s := range disc.Sets {
+			if s.Has(y) && s.Size() >= 2 {
+				universe = universe.Union(s)
+			}
+		}
+		universe = universe.Remove(y)
+		if universe.IsEmpty() {
+			continue
+		}
+		found := make(map[relation.AttrSet]fpWitness)
+		sets, stats := border.Find(universe, func(x relation.AttrSet) bool {
+			rows := repFor(x.Add(y))
+			if rows == nil {
+				return false
+			}
+			ri, rj, violated := findViolation(disc.Coded, rows, x, y)
+			if violated {
+				found[x] = fpWitness{ri, rj}
+			}
+			return violated
+		})
+		checks += stats.Checks
+		for _, x := range sets {
+			witnesses = append(witnesses, found[x])
+		}
+	}
+	return checks, witnesses
+}
+
+// TestStepFourUnderEvictionMatchesReference encrypts a wide,
+// low-cardinality table whose PLIs outgrow the cache budget, so Step 4's
+// caches evict, and checks FPChecks, FPNodes and the emitted patterns, in
+// order, against the representative scan, which caches nothing.
+func TestStepFourUnderEvictionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const attrs = 10
+	tbl := relation.NewTable(relation.MustSchema(names(attrs)...))
+	for r := 0; r < 120; r++ {
+		row := make([]string, attrs)
+		for a := range row {
+			row[a] = fmt.Sprint(rng.Intn(3))
+		}
+		tbl.AppendRow(row)
+	}
+	ctx, tr := obs.NewTrace(context.Background(), "", "test")
+	enc, err := NewEncryptor(testConfig(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := enc.Encrypt(ctx, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.Snapshot().Root
+	if sp := findSpan(&root, "encrypt.step4.fp"); sp == nil || sp.Attrs["pliEvictions"] == 0 {
+		t.Fatalf("Step 4 did not evict: span %+v", sp)
+	}
+
+	checks, witnesses := referenceStepFour(mas.Discover(tbl), attrs)
+	var want []relation.AttrSet
+	seen := make(map[relation.AttrSet]bool)
+	for _, w := range witnesses {
+		if p := agreementPattern(tbl, w.ri, w.rj); !seen[p] {
+			seen[p] = true
+			want = append(want, p)
+		}
+	}
+	var got []relation.AttrSet
+	for i, p := range fpPairPatterns(t, res) {
+		if i%res.Report.K == 0 {
+			got = append(got, p)
+		}
+	}
+	rep := res.Report
+	if rep.FPChecks != checks || rep.FPNodes != len(witnesses) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("FPChecks %d, FPNodes %d, patterns %v; reference %d, %d, %v",
+			rep.FPChecks, rep.FPNodes, got, checks, len(witnesses), want)
+	}
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -75,9 +76,9 @@ func CandidateKeys(t *relation.Table) []relation.AttrSet {
 	if m == 0 || t.NumRows() == 0 {
 		return nil
 	}
-	coded := relation.Encode(t)
+	plis := partition.NewCache(relation.Encode(t))
 	isKey := func(x relation.AttrSet) bool {
-		return !coded.HasDuplicateOn(x)
+		return !plis.Get(x).HasDuplicate()
 	}
 	var keys []relation.AttrSet
 	level := make([]relation.AttrSet, 0, m)

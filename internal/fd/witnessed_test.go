@@ -3,8 +3,6 @@ package fd
 import (
 	"math/rand"
 	"testing"
-
-	"f2/internal/relation"
 )
 
 // TestWitnessedEqualsReprobeFilter pins the DiscoverWitnessed rework: the
@@ -19,9 +17,8 @@ func TestWitnessedEqualsReprobeFilter(t *testing.T) {
 		all := Discover(tbl)
 		want := NewSet()
 		if all.Len() > 0 {
-			coded := relation.Encode(tbl)
 			for _, f := range all.Slice() {
-				if coded.HasDuplicateOn(f.LHS) {
+				if tbl.HasDuplicateOn(f.LHS) {
 					want.Add(f)
 				}
 			}

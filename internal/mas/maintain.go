@@ -3,6 +3,7 @@ package mas
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"f2/internal/partition"
 	"f2/internal/relation"
@@ -97,10 +98,14 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 	// Per-row distinct agreement sets with their smallest witnessing j.
 	// The pairwise scan recorded the first (ascending-j) witness of each
 	// globally new set, and the ciphertext the encryptor derives from
-	// Agreements depends on that exact pair — min-j per set reproduces it
-	// without sorting the whole touched list. For m small enough, the set
-	// value itself indexes a generation-stamped array, making each record
-	// O(1); wider schemas scan the row's few distinct sets linearly.
+	// Agreements depends on that exact pair. The first j recorded for a
+	// set is already its smallest: rows sharing an agreement set were all
+	// first touched through the same column (the smallest non-heavy one
+	// they agree on), whose posting is ascending, and the heavy-only set
+	// is recorded once, from an ascending walk. For m small enough, the
+	// set value itself indexes a generation-stamped array, making each
+	// record O(1); wider schemas scan the row's few distinct sets
+	// linearly.
 	rowSets := make([]relation.AttrSet, 0, 16)
 	var rowMinJ []int32 // linear-scan fallback only
 	stamped := m <= setStampMaxAttrs
@@ -119,21 +124,13 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 				idx.setGen[a] = idx.gen
 				idx.setMinJ[a] = j
 				rowSets = append(rowSets, a)
-			} else if j < idx.setMinJ[a] {
-				idx.setMinJ[a] = j
 			}
 			return
 		}
-		for k, s := range rowSets {
-			if s == a {
-				if j < rowMinJ[k] {
-					rowMinJ[k] = j
-				}
-				return
-			}
+		if !slices.Contains(rowSets, a) {
+			rowSets = append(rowSets, a)
+			rowMinJ = append(rowMinJ, j)
 		}
-		rowSets = append(rowSets, a)
-		rowMinJ = append(rowMinJ, j)
 	}
 	minJOf := func(k int, a relation.AttrSet) int32 {
 		if stamped {

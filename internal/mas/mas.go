@@ -15,7 +15,9 @@
 //
 // Non-uniqueness is downward closed: if X has a duplicate projection then
 // every subset of X does. The MASs form the positive border of that
-// monotone property.
+// monotone property. Discover and DiscoverLevelwise answer it the way
+// DUCC does: X is non-unique iff its stripped partition, read from a
+// partition.Cache kept for the whole search, has a class.
 package mas
 
 import (
@@ -36,8 +38,8 @@ type Result struct {
 	// Partitions maps each MAS to its full partition π_M.
 	Partitions map[relation.AttrSet]*partition.Partition
 	// Coded is the dictionary-encoded table the sets were found on.
-	// MaintainBorder extends it with the appended rows, and Step 4 reads
-	// the codes of class representatives from it.
+	// MaintainBorder extends it with the appended rows, and Step 4 builds
+	// its stripped partitions from it.
 	Coded *relation.Coded
 	// Checked counts uniqueness checks performed (work measure for the
 	// DUCC-vs-levelwise ablation).
@@ -45,6 +47,9 @@ type Result struct {
 	// Border holds the border search's counters (Discover only; zero
 	// for the levelwise sweep and for MaintainBorder).
 	Border border.Stats
+	// PLIs counts the work of the uniqueness oracle's partition cache
+	// (zero for MaintainBorder).
+	PLIs partition.CacheStats
 	// postings caches MaintainBorder's per-column postings so
 	// back-to-back incremental maintains skip the O(n·m) rebuild. Shared
 	// across a Result lineage; the rows guard makes a stale copy (an
@@ -92,8 +97,9 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 	if t.NumRows() < 2 || t.NumAttrs() == 0 {
 		return r, nil
 	}
+	plis := partition.NewCache(coded)
 	sets, stats := border.Find(relation.FullAttrSet(t.NumAttrs()), func(x relation.AttrSet) bool {
-		return ctx.Err() == nil && coded.HasDuplicateOn(x)
+		return ctx.Err() == nil && plis.Get(x).HasDuplicate()
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mas: discovery: %w", err)
@@ -101,6 +107,7 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 	r.Sets = sets
 	r.Checked = stats.Checks
 	r.Border = stats
+	r.PLIs = plis.Stats()
 	for _, x := range r.Sets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mas: discovery: %w", err)
@@ -129,11 +136,12 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 		return r, nil
 	}
 	m := t.NumAttrs()
+	plis := partition.NewCache(coded)
 	var level []relation.AttrSet
 	for a := 0; a < m; a++ {
 		x := relation.SingleAttr(a)
 		r.Checked++
-		if coded.HasDuplicateOn(x) {
+		if plis.Get(x).HasDuplicate() {
 			level = append(level, x)
 		}
 	}
@@ -169,7 +177,7 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 					continue
 				}
 				r.Checked++
-				if coded.HasDuplicateOn(cand) {
+				if plis.Get(cand).HasDuplicate() {
 					next = append(next, cand)
 					candidates[cand] = true
 				}
@@ -177,6 +185,7 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 		}
 		level = next
 	}
+	r.PLIs = plis.Stats()
 	// Maximal = non-unique sets with no non-unique strict superset.
 	for x := range candidates {
 		maximal := true

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"f2/internal/border"
 	"f2/internal/relation"
 )
 
@@ -160,4 +161,31 @@ func randomTable(rng *rand.Rand, attrs, rows, domain int) *relation.Table {
 		tbl.AppendRow(row)
 	}
 	return tbl
+}
+
+// TestDiscoverUnderEvictionMatchesScan runs both discoveries on a wide,
+// low-cardinality table whose PLIs outgrow the cache budget, so the
+// uniqueness oracle evicts along the walk. Evictions change only what a
+// check costs: the DUCC walk returns the same MASs after the same number
+// of checks as a walk whose predicate is Table.HasDuplicateOn, which
+// caches nothing, and the levelwise sweep matches the brute-force border.
+func TestDiscoverUnderEvictionMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tbl := randomTable(rng, 14, 150, 2)
+	want, stats := border.Find(relation.FullAttrSet(14), tbl.HasDuplicateOn)
+	r := Discover(tbl)
+	if r.PLIs.Evictions == 0 {
+		t.Fatalf("no eviction over %d products: the table does not exercise the budget", r.PLIs.Products)
+	}
+	if !reflect.DeepEqual(r.Sets, want) || r.Checked != stats.Checks {
+		t.Fatalf("evicting walk: %d MASs after %d checks; scanning walk: %d after %d",
+			len(r.Sets), r.Checked, len(want), stats.Checks)
+	}
+	level := DiscoverLevelwise(tbl)
+	if level.PLIs.Evictions == 0 {
+		t.Fatalf("levelwise: no eviction over %d products", level.PLIs.Products)
+	}
+	if brute := BruteForce(tbl); !reflect.DeepEqual(level.Sets, brute) {
+		t.Fatalf("levelwise under eviction found %d MASs, brute force %d", len(level.Sets), len(brute))
+	}
 }

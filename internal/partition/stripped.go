@@ -126,14 +126,15 @@ func (s *Stripped) HasDuplicate() bool { return len(s.ends) > 0 }
 // X to become a superkey.
 func (s *Stripped) ErrorMeasure() int { return len(s.rows) - len(s.ends) }
 
-// workspace holds scratch arrays reused across Product calls, so a product
-// allocates only its result. Class ids are 1-based; 0 in probe means the
-// row is in no class of the left operand.
+// workspace holds scratch arrays reused across Product and ProductColumn
+// calls, so a product allocates only its result. Product's class ids are
+// 1-based; 0 in probe means the row is in no class of the left operand.
+// ProductColumn's class ids are a column's codes and need no probe.
 type workspace struct {
 	probe []int32 // row -> class id in x
-	count []int32 // class id in x -> members seen in the current y class
-	pos   []int32 // class id in x -> next free slot of its output class
-	touch []int32 // class ids of x met in the current y class, first-met order
+	count []int32 // class id -> members seen in the current y class
+	pos   []int32 // class id -> next free slot of its output class
+	touch []int32 // class ids met in the current y class, first-met order
 	rows  []int32 // the product's rows, before the exact-size copy
 	ends  []int32 // the product's class ends, likewise
 }
@@ -143,15 +144,13 @@ func NewWorkspace(n int) *workspace {
 	return &workspace{probe: make([]int32, n)}
 }
 
-// fit grows the workspace for a product of x with a partition of
-// cardinality at least bound, which caps the product's cardinality.
-func (ws *workspace) fit(x *Stripped, bound int) {
-	if len(ws.probe) < x.numRows {
-		ws.probe = make([]int32, x.numRows)
-	}
-	if k := x.NumClasses() + 1; len(ws.count) < k {
-		ws.count = make([]int32, k)
-		ws.pos = make([]int32, k)
+// fit grows the workspace for a split into at most ids class ids of a
+// partition of cardinality at least bound, which caps the result's
+// cardinality.
+func (ws *workspace) fit(ids, bound int) {
+	if len(ws.count) < ids {
+		ws.count = make([]int32, ids)
+		ws.pos = make([]int32, ids)
 	}
 	if len(ws.rows) < bound {
 		ws.rows = make([]int32, bound)
@@ -177,8 +176,11 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 	if ws == nil {
 		ws = NewWorkspace(x.numRows)
 	}
-	ws.fit(x, bound)
-	probe, count, pos := ws.probe, ws.count, ws.pos
+	if len(ws.probe) < x.numRows {
+		ws.probe = make([]int32, x.numRows)
+	}
+	ws.fit(x.NumClasses()+1, bound)
+	probe := ws.probe
 	start := int32(0)
 	for i, end := range x.ends {
 		for _, r := range x.rows[start:end] {
@@ -186,18 +188,45 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 		}
 		start = end
 	}
+	ws.split(y, probe, 0, out)
+	for _, r := range x.rows {
+		probe[r] = 0
+	}
+	return out
+}
 
+// ProductColumn computes the stripped partition of X ∪ {a} from stripped
+// π_X and the codes of column a. It equals Product(StrippedSingle(c, a),
+// x, ws) — column a's codes are the class ids of its full partition — but
+// costs O(||π_X||) instead of O(||π_X|| + ||π_a||): no probe is written,
+// and the column's singleton values are simply met once and dropped. Rows
+// keep x's order, so ascending classes stay ascending. ws must not be nil.
+func ProductColumn(x *Stripped, c *relation.Coded, a int, ws *workspace) *Stripped {
+	out := &Stripped{Attrs: x.Attrs.Add(a), numRows: x.numRows}
+	if len(x.rows) < 2 {
+		return out
+	}
+	ws.fit(c.Cardinality(a), len(x.rows))
+	ws.split(x, c.Column(a), -1, out)
+	return out
+}
+
+// split divides every class of y by the class ids probe assigns to its
+// rows, keeping the parts of at least two rows, and stores the result in
+// out at its exact size. A row whose id is none belongs to no class.
+func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped) {
+	count, pos := ws.count, ws.pos
 	rows, ends := ws.rows, ws.ends[:0]
 	off := int32(0)
 	touch := ws.touch[:0]
-	start = 0
+	start := int32(0)
 	for _, end := range y.ends {
 		c := y.rows[start:end]
 		start = end
 		if len(c) == 2 {
 			// Most classes of a wide table are pairs; a pair survives
 			// whole or not at all.
-			if id := probe[c[0]]; id != 0 && id == probe[c[1]] {
+			if id := probe[c[0]]; id != none && id == probe[c[1]] {
 				rows[off], rows[off+1] = c[0], c[1]
 				off += 2
 				ends = append(ends, off)
@@ -205,7 +234,7 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 			continue
 		}
 		for _, r := range c {
-			if id := probe[r]; id != 0 {
+			if id := probe[r]; id != none {
 				if count[id] == 0 {
 					touch = append(touch, id)
 				}
@@ -220,7 +249,7 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 			}
 		}
 		for _, r := range c {
-			if id := probe[r]; id != 0 && count[id] > 1 {
+			if id := probe[r]; id != none && count[id] > 1 {
 				rows[pos[id]] = r
 				pos[id]++
 			}
@@ -231,13 +260,9 @@ func Product(x, y *Stripped, ws *workspace) *Stripped {
 		touch = touch[:0]
 	}
 	ws.touch = touch
-
-	for _, r := range x.rows {
-		probe[r] = 0
-	}
+	ws.ends = ends
 	out.rows = append(make([]int32, 0, off), rows[:off]...)
 	out.ends = append(make([]int32, 0, len(ends)), ends...)
-	return out
 }
 
 // RefinesAttr reports whether π_X refines π_{A} for a single attribute

@@ -25,11 +25,12 @@ import (
 // run (SizeFactor 0.25) of the whole registry finishes in well under two
 // minutes on a laptop while still exercising every pipeline stage.
 const (
-	encryptRows = 8000  // synthetic; full/parallel encrypt + decrypt
-	taneRows    = 2000  // customer; FD discovery (wider schema)
-	streamRows  = 2000  // synthetic; incremental append stream base
-	storeRows   = 15000 // synthetic; snapshot + recovery (10× the pre-chunking harness)
-	serverRows  = 800   // synthetic; f2served round-trips
+	encryptRows  = 8000  // synthetic; full/parallel encrypt + decrypt
+	taneRows     = 2000  // customer; FD discovery (wider schema)
+	customerRows = 600   // customer; encrypt/customer, unscaled
+	streamRows   = 2000  // synthetic; incremental append stream base
+	storeRows    = 15000 // synthetic; snapshot + recovery (10× the pre-chunking harness)
+	serverRows   = 800   // synthetic; f2served round-trips
 )
 
 // storeRowsHeavy is the 100× store dataset behind the Heavy-gated
@@ -54,6 +55,11 @@ func DefaultWorkloads() *Registry {
 			"full encryption pinned to the serial pipeline (width 1)"),
 		encryptWorkload("encrypt/parallel-max", 0,
 			"full encryption fanned across GOMAXPROCS workers"),
+		// Customer's 21 attributes make Steps 1 and 4 the bulk of the
+		// encryption. The table is the audit benchmark's set-up table at
+		// every scale, so the two measure the same pipeline run.
+		encryptOn("encrypt/customer", workload.NameCustomer, func(Scale) int { return customerRows }, -1,
+			"full F² encryption of the 21-attribute customer table (MAS discovery and false-positive elimination dominate)"),
 		incrementalWorkload("incremental/append-16", 16,
 			"append stream: buffer 16 rows + incremental flush per op"),
 		incrementalWorkload("incremental/append-128", 128,
@@ -100,14 +106,21 @@ func (g *expansionGauge) metrics() map[string]float64 {
 	return nil
 }
 
-// encryptWorkload measures a full pipeline run at a fixed width
-// (parallelism ≥ 0) or at the scale's width (-1).
+// encryptWorkload measures a full pipeline run over a synthetic table at
+// a fixed width (parallelism ≥ 0) or at the scale's width (-1).
 func encryptWorkload(name string, parallelism int, desc string) Workload {
+	return encryptOn(name, workload.NameSynthetic, func(sc Scale) int { return sc.Rows(encryptRows) }, parallelism, desc)
+}
+
+// encryptOn measures a full pipeline run over the named dataset at
+// rows(sc) rows, at a fixed width (parallelism ≥ 0) or at the scale's
+// width (-1).
+func encryptOn(name, dataset string, rows func(Scale) int, parallelism int, desc string) Workload {
 	return Workload{
 		Name: name,
 		Desc: desc,
 		Setup: func(ctx context.Context, sc Scale) (*Instance, error) {
-			tbl, err := Dataset(workload.NameSynthetic, sc.Rows(encryptRows), sc.Seed)
+			tbl, err := Dataset(dataset, rows(sc), sc.Seed)
 			if err != nil {
 				return nil, err
 			}

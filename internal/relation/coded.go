@@ -22,11 +22,6 @@ import (
 // abandoned (a flush attempt that failed) is detected by Extend's guard,
 // which rebuilds from scratch rather than trust a dictionary another
 // extension has grown.
-//
-// Duplicate-projection checks — the inner loop of MAS discovery — hash one
-// exact uint64 per row, the mixed-radix number its codes spell, instead of
-// a variable-length string; only a projection whose cardinality product
-// overflows 63 bits falls back to the packed-code key of AppendKey.
 type Coded struct {
 	n     int
 	cols  [][]int32
@@ -89,6 +84,9 @@ func (c *Coded) dictsCurrent() bool {
 // NumRows returns the number of rows.
 func (c *Coded) NumRows() int { return c.n }
 
+// NumAttrs returns the number of columns.
+func (c *Coded) NumAttrs() int { return len(c.cols) }
+
 // Cardinality returns the number of distinct values in column a.
 func (c *Coded) Cardinality(a int) int { return c.cards[a] }
 
@@ -105,83 +103,4 @@ func (c *Coded) AppendKey(key []byte, row int, cols []int) []byte {
 		key = binary.LittleEndian.AppendUint32(key, uint32(c.cols[a][row]))
 	}
 	return key
-}
-
-// HasDuplicateOn reports whether some value tuple over attrs occurs in
-// more than one row, i.e. whether attrs is a non-unique column
-// combination.
-func (c *Coded) HasDuplicateOn(attrs AttrSet) bool {
-	if c.n < 2 {
-		return false
-	}
-	cols := attrs.Attrs()
-	// Free bounds before scanning: a set containing a key column is
-	// unique; a set whose cardinality product is below the row count must
-	// have a duplicate (pigeonhole).
-	product := 1
-	for _, a := range cols {
-		if c.cards[a] == c.n {
-			return false
-		}
-		if product < c.n {
-			product *= c.cards[a]
-		}
-	}
-	if product < c.n {
-		return true
-	}
-	if len(cols) == 1 {
-		return c.cards[cols[0]] < c.n
-	}
-	if c.radixFits(cols) {
-		return c.hasDuplicateRadix(cols)
-	}
-	return c.hasDuplicateBytes(cols)
-}
-
-// radixFits reports whether the mixed-radix key over cols — digit a
-// ranging over column a's codes — fits in 63 bits, i.e. whether the
-// product of the columns' cardinalities is at most 1<<63.
-func (c *Coded) radixFits(cols []int) bool {
-	var product uint64 = 1
-	for _, a := range cols {
-		card := uint64(c.cards[a])
-		if product > (1<<63)/card {
-			return false
-		}
-		product *= card
-	}
-	return true
-}
-
-// hasDuplicateRadix keys each row by its exact mixed-radix uint64: two
-// rows get the same key iff they agree on every column of cols.
-func (c *Coded) hasDuplicateRadix(cols []int) bool {
-	seen := make(map[uint64]struct{}, c.n)
-	for i := 0; i < c.n; i++ {
-		var key uint64
-		for _, a := range cols {
-			key = key*uint64(c.cards[a]) + uint64(c.cols[a][i])
-		}
-		if _, dup := seen[key]; dup {
-			return true
-		}
-		seen[key] = struct{}{}
-	}
-	return false
-}
-
-// hasDuplicateBytes keys each row by its packed codes: the fallback when
-// the mixed-radix key would overflow.
-func (c *Coded) hasDuplicateBytes(cols []int) bool {
-	seen := make(map[string]struct{}, c.n)
-	key := make([]byte, 0, 4*len(cols))
-	for i := 0; i < c.n; i++ {
-		key = c.AppendKey(key[:0], i, cols)
-		if _, dup := seen[string(key)]; dup {
-			return true
-		}
-		seen[string(key)] = struct{}{}
-	}
-	return false
 }
