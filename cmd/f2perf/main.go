@@ -7,7 +7,8 @@
 //
 //	f2perf -quick                         # smoke run, writes BENCH_quick.json
 //	f2perf -run 'encrypt/*' -duration 5s  # one group, longer window
-//	f2perf -run 'paper/*'                 # bridge to the paper experiments
+//	f2perf -run 'paper/*'                 # the paper's §5 tables, printed per experiment
+//	f2perf -run paper/fig9 -scale 4       # one experiment at full size
 //	f2perf -profile cpu,heap -out results # with profiler capture
 //	f2perf -quick -profile-dir profs      # continuous profiler running alongside
 //	f2perf -profiler-overhead -quick      # amortized-overhead gate for the above
@@ -172,6 +173,9 @@ func main() {
 		if res != nil {
 			report.Runs = append(report.Runs, *res)
 			fmt.Println(res.Summary())
+			for _, t := range res.Tables {
+				fmt.Println(t.String())
+			}
 		}
 		if err != nil {
 			if ctx.Err() != nil {

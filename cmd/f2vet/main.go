@@ -1,15 +1,18 @@
 // f2vet is the repository's static-analysis suite: a multichecker of
 // custom analyzers that enforce the pipeline's documented invariants —
 // ciphertext determinism, fsync-before-ack durability, span hygiene,
-// lock discipline, context propagation — at build time. CI runs it as a
-// required job; docs/STATIC_ANALYSIS.md is the analyzer catalogue.
+// lock discipline, context propagation, no test-only exports in
+// internal/ — at build time. CI runs it as a required job;
+// docs/STATIC_ANALYSIS.md is the analyzer catalogue.
 //
 // Usage:
 //
 //	go run ./cmd/f2vet [flags] [package patterns]
 //
-// With no patterns it checks ./.... Exit status: 0 clean, 1 findings,
-// 2 operational failure (the tree must compile, like go vet).
+// With no patterns it checks the whole module. Patterns choose the
+// packages reported on; every analyzer still sees the whole module
+// (deadexport needs every caller in view). Exit status: 0 clean,
+// 1 findings, 2 operational failure (the tree must compile, like go vet).
 //
 // Findings are suppressed case-by-case with
 //
@@ -58,13 +61,16 @@ func main() {
 		}
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.NewLoader("", "").LoadModule(patterns...)
+	loader := lint.NewLoader("", "")
+	prog, err := loader.LoadModule("all")
 	if err != nil {
 		fatalf("%v", err)
+	}
+	pkgs := prog
+	if flag.NArg() > 0 {
+		if pkgs, err = loader.LoadModule(flag.Args()...); err != nil {
+			fatalf("%v", err)
+		}
 	}
 
 	findings := 0
@@ -75,7 +81,7 @@ func main() {
 				continue
 			}
 			checked++
-			diags, err := lint.RunAnalyzer(a, pkg)
+			diags, err := lint.RunAnalyzer(a, pkg, prog)
 			if err != nil {
 				fatalf("%v", err)
 			}

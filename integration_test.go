@@ -94,19 +94,20 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestF2BenchQuickSmoke runs one harness experiment through the CLI.
-func TestF2BenchQuickSmoke(t *testing.T) {
+// TestF2PerfPaperTableSmoke regenerates one §5 table through the CLI:
+// a paper/* run prints the tables of its experiment after the run line.
+func TestF2PerfPaperTableSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
 	}
-	cmd := exec.Command("go", "run", "./cmd/f2bench", "-quick", "-exp", "table1")
+	cmd := exec.Command("go", "run", "./cmd/f2perf", "-run", "paper/table1", "-warmup", "0", "-max-ops", "1", "-out", t.TempDir())
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("f2bench: %v\n%s", err, out)
+		t.Fatalf("f2perf: %v\n%s", err, out)
 	}
-	for _, want := range append([]string{"table1"}, workload.Names()...) {
+	for _, want := range append([]string{"== table1: "}, workload.Names()...) {
 		if !strings.Contains(string(out), want) {
-			t.Fatalf("f2bench output missing %q:\n%s", want, out)
+			t.Fatalf("f2perf output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -76,20 +76,6 @@ func (g GameResult) Rate() float64 {
 // values among the k same-frequency candidates; a fake target is simply
 // unwinnable for the adversary.
 func RunGame(plain, cipher *relation.Table, attr int, adv Adversary, oracle Oracle, trials int, seed int64) GameResult {
-	return runGame(plain, cipher, attr, adv, oracle, trials, seed, false)
-}
-
-// RunGameRealTargets is the conservative variant of RunGame that samples
-// targets only among real-plaintext ciphertexts, handing the adversary
-// strictly more than the §2.4 game allows. F² may exceed α under this
-// stronger game when a column has fewer than k distinct real values of a
-// frequency (the fake ECs exist precisely to pad those groups); it is
-// reported as an ablation.
-func RunGameRealTargets(plain, cipher *relation.Table, attr int, adv Adversary, oracle Oracle, trials int, seed int64) GameResult {
-	return runGame(plain, cipher, attr, adv, oracle, trials, seed, true)
-}
-
-func runGame(plain, cipher *relation.Table, attr int, adv Adversary, oracle Oracle, trials int, seed int64, realOnly bool) GameResult {
 	rng := rand.New(rand.NewSource(seed))
 	k := &Knowledge{
 		PlainFreq:  plain.Freq(attr),
@@ -99,15 +85,6 @@ func runGame(plain, cipher *relation.Table, attr int, adv Adversary, oracle Orac
 	// sampled proportionally to their ciphertext frequency, exactly as
 	// "e randomly chosen from E ← Encrypt(P)" in §2.4.
 	targets := cipher.Column(attr)
-	if realOnly {
-		filtered := make([]string, 0, len(targets))
-		for _, e := range targets {
-			if _, real := oracle(e); real {
-				filtered = append(filtered, e)
-			}
-		}
-		targets = filtered
-	}
 	res := GameResult{Adversary: adv.Name(), Trials: trials}
 	if len(targets) == 0 {
 		return res

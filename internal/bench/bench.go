@@ -1,15 +1,13 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the F² paper's evaluation (§5) at laptop scale. Each Run*
-// function returns a rendered text table whose rows/series mirror what the
-// paper plots; cmd/f2bench drives them and EXPERIMENTS.md records the
-// measured outputs against the paper's.
+// function returns rendered text tables whose rows/series mirror what the
+// paper plots, and each table's Notes state the paper's claim beside it.
 //
 // The table renderer, the deterministic benchmark key/config, and the
-// memoized dataset generator live in internal/perf, so the paper harness,
-// the testing.B benchmarks (bench_test.go), and the perf runner share one
-// measurement path; PerfWorkloads bridges every experiment into the perf
-// registry so `f2perf -run 'paper/*'` runs them under the same reporting
-// pipeline.
+// memoized dataset generator live in internal/perf, so the paper harness
+// and the perf runner share one measurement path: PerfWorkloads bridges
+// every experiment into the perf registry, and `f2perf -run 'paper/*'`
+// runs them and prints their tables.
 package bench
 
 import (
@@ -26,20 +24,13 @@ import (
 // perf.Table).
 type Table = perf.Table
 
-// Options configures the harness scale. Zero value = default scale;
-// Quick() shrinks everything for smoke runs.
+// Options configures the harness scale. Zero value = default scale.
 type Options struct {
 	// Seed for workload generation.
 	Seed int64
 	// Scale multiplies the default dataset sizes (1.0 = defaults).
 	Scale float64
 }
-
-// Quick returns options for a fast smoke run (~seconds per experiment).
-func Quick() Options { return Options{Seed: 1, Scale: 0.25} }
-
-// Default returns the standard options.
-func Default() Options { return Options{Seed: 1, Scale: 1.0} }
 
 func (o Options) scale(n int) int {
 	if o.Scale == 0 {

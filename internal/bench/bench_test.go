@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"f2/internal/perf"
 )
 
 // tinyOptions shrinks every experiment far enough for CI.
@@ -46,11 +48,32 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("missing experiment %q", want)
 		}
 	}
-	if _, ok := Lookup("fig9"); !ok {
-		t.Error("Lookup(fig9) failed")
+	workloads := PerfWorkloads()
+	if len(workloads) != len(ids) {
+		t.Fatalf("%d paper workloads for %d experiments", len(workloads), len(ids))
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup(nope) succeeded")
+	for _, w := range workloads {
+		if id, ok := strings.CutPrefix(w.Name, "paper/"); !ok || !ids[id] || !w.Heavy {
+			t.Errorf("workload %q (heavy=%v) does not bridge an experiment", w.Name, w.Heavy)
+		}
+	}
+}
+
+// TestPerfWorkloadReturnsTables: a paper/* run hands back the tables of
+// its last op, which is how f2perf prints the §5 tables.
+func TestPerfWorkloadReturnsTables(t *testing.T) {
+	var table1 perf.Workload
+	for _, w := range PerfWorkloads() {
+		if w.Name == "paper/table1" {
+			table1 = w
+		}
+	}
+	res, err := perf.Run(context.Background(), table1, perf.Scale{SizeFactor: 0.2, Seed: 1}, perf.RunConfig{MaxOps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 1 || len(res.Tables) == 0 || res.Tables[0].ID != "table1" || len(res.Tables[0].Rows) == 0 {
+		t.Fatalf("paper/table1 run: %d ops, tables %v", res.Ops, res.Tables)
 	}
 }
 

@@ -36,16 +36,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// Lookup finds an experiment by id.
-func Lookup(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // RunTable1 regenerates Table 1: dataset descriptions, extended with the
 // observed MAS counts the paper quotes in §5.1.
 func RunTable1(ctx context.Context, o Options) ([]*Table, error) {
@@ -379,7 +369,7 @@ func RunLocalVsOutsource(ctx context.Context, o Options) ([]*Table, error) {
 			"a stripped-partition TANE is fast on these narrow schemas at laptop scale, so the",
 			"ratio inverts. The paper's qualitative argument (discovery cost explodes with schema",
 			"width while F² stays near-linear in rows) survives; its §5.4 constants reflect the",
-			"original Java implementation at 15M rows. Recorded honestly in EXPERIMENTS.md.",
+			"original Java implementation at 15M rows.",
 		},
 	}
 	for _, c := range []struct {

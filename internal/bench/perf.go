@@ -8,11 +8,12 @@ import (
 )
 
 // PerfWorkloads bridges every paper experiment into the perf registry as
-// a "paper/<id>" workload, so the paper evaluation and the perf harness
-// share one measurement and reporting path. One op = one full experiment
-// at a scale derived from the perf Scale (the rendered tables are
-// discarded; the op measures the experiment's wall clock, and a BENCH
-// report diff over paper/* catches regressions in the §5 figures).
+// a "paper/<id>" workload: `f2perf -run 'paper/*'` is how the §5 tables
+// are regenerated. One op = one full experiment at a scale derived from
+// the perf Scale; the op measures the experiment's wall clock (a BENCH
+// report diff over paper/* catches regressions in the §5 figures), and
+// the last op's rendered tables come back through Instance.Tables for
+// f2perf to print.
 //
 // The workloads are marked Heavy: a bare `f2perf -run '*'` skips them —
 // an experiment sweep re-encrypts at many α values and would dominate a
@@ -29,15 +30,20 @@ func PerfWorkloads() []perf.Workload {
 			OpsCap:         4,
 			Setup: func(ctx context.Context, sc Scale) (*perf.Instance, error) {
 				o := Options{Seed: sc.Seed, Scale: quarter(sc)}
+				var last []*Table // MaxConcurrency 1: ops never overlap
 				return &perf.Instance{
 					// Experiments take a context, so cancellation flows
 					// straight into the encrypt pipeline: Ctrl-C during a
 					// multi-minute sweep stops the experiment itself at
 					// its next cancellation check.
 					Op: func(ctx context.Context) error {
-						_, err := e.Run(ctx, o)
+						tables, err := e.Run(ctx, o)
+						if err == nil {
+							last = tables
+						}
 						return err
 					},
+					Tables: func() []*Table { return last },
 				}, nil
 			},
 		})

@@ -104,9 +104,6 @@ func NewEncryptor(cfg Config) (*Encryptor, error) {
 	return &Encryptor{cfg: cfg, cipher: c}, nil
 }
 
-// Config returns the encryptor's (validated) configuration.
-func (e *Encryptor) Config() Config { return e.cfg }
-
 // masPlan holds the per-MAS encryption plan.
 type masPlan struct {
 	attrs relation.AttrSet

@@ -89,7 +89,7 @@ func TestPipelineInvariantsOnWorkloads(t *testing.T) {
 		}
 
 		// Theorem 3.3: conflict-resolution rows ≤ h·n.
-		h := len(mas.OverlappingPairs(res.MASs))
+		h := overlappingPairs(res.MASs)
 		if res.Report.ConflictRows > h*tbl.NumRows() {
 			t.Fatalf("%s: SYN rows %d > h·n = %d", tc.name, res.Report.ConflictRows, h*tbl.NumRows())
 		}

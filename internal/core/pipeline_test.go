@@ -31,10 +31,23 @@ func TestFigure3OverlappingMASs(t *testing.T) {
 	if len(got.Sets) != 2 || got.Sets[0] != want[0] || got.Sets[1] != want[1] {
 		t.Fatalf("MASs = %v, want %v", got.Sets, want)
 	}
-	pairs := mas.OverlappingPairs(got.Sets)
-	if len(pairs) != 1 {
-		t.Fatalf("overlapping pairs = %v", pairs)
+	if h := overlappingPairs(got.Sets); h != 1 {
+		t.Fatalf("overlapping pairs = %d, want 1", h)
 	}
+}
+
+// overlappingPairs counts the pairs of MASs that share an attribute: h
+// in Theorem 3.3's bound on conflict-resolution rows.
+func overlappingPairs(sets []relation.AttrSet) int {
+	h := 0
+	for i := range sets {
+		for j := i + 1; j < len(sets); j++ {
+			if sets[i].Overlaps(sets[j]) {
+				h++
+			}
+		}
+	}
+	return h
 }
 
 func TestFigure3ConflictResolutionPreservesFD(t *testing.T) {
@@ -62,7 +75,7 @@ func TestConflictResolutionAddsBoundedRows(t *testing.T) {
 	res := encryptTable(t, tbl, testConfig(0.5))
 	// Theorem 3.3: rows added by conflict resolution ≤ h·n with h
 	// overlapping MAS pairs.
-	h := len(mas.OverlappingPairs(res.MASs))
+	h := overlappingPairs(res.MASs)
 	if res.Report.ConflictRows > h*tbl.NumRows() {
 		t.Fatalf("conflict rows %d exceed h·n = %d", res.Report.ConflictRows, h*tbl.NumRows())
 	}
@@ -223,8 +236,8 @@ func TestEncryptEdgeCases(t *testing.T) {
 		{"1", "x"}, {"2", "y"}, {"3", "z"},
 	})
 	res = encryptTable(t, uniq, cfg)
-	if res.Report.ArtificialRows() != 0 {
-		t.Errorf("unique table gained %d artificial rows", res.Report.ArtificialRows())
+	if r := res.Report; r.GroupRows+r.ScaleRows+r.ConflictRows+r.FPRows != 0 {
+		t.Errorf("unique table gained artificial rows: %+v", r)
 	}
 	// Fully duplicated table.
 	dup := relation.MustFromRows(relation.MustSchema("A", "B"), [][]string{

@@ -74,11 +74,6 @@ func (r *Report) TotalTime() time.Duration {
 	return r.TimeMAX + r.TimeSSE + r.TimeSYN + r.TimeFP
 }
 
-// ArtificialRows returns the total number of records added by F².
-func (r *Report) ArtificialRows() int {
-	return r.GroupRows + r.ScaleRows + r.ConflictRows + r.FPRows
-}
-
 // Overhead returns the relative space overhead (|Dˆ| - |D|) / |D|, the
 // paper's §5.3 measure.
 func (r *Report) Overhead() float64 {

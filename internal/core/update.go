@@ -177,21 +177,6 @@ func (u *Updater) ShouldFlush() bool {
 	return float64(pending) >= threshold
 }
 
-// Append buffers rows and flushes when the buffer crosses the ShouldFlush
-// threshold. It returns the fresh Result if a flush happened, nil
-// otherwise. The context bounds the flush, if one triggers. Callers that
-// need to treat "rows accepted, flush failed" differently from "rows
-// rejected" should use Buffer + ShouldFlush + Flush directly.
-func (u *Updater) Append(ctx context.Context, rows [][]string) (*Result, error) {
-	if err := u.Buffer(rows); err != nil {
-		return nil, err
-	}
-	if u.ShouldFlush() {
-		return u.Flush(ctx)
-	}
-	return nil, nil
-}
-
 // ErrFlushInFlight is returned by BeginFlush while another plan is
 // between BeginFlush and CompleteFlush/AbortFlush. Flushes are
 // single-flight: the plan pins the previous Result as its incremental
@@ -224,15 +209,6 @@ type FlushPlan struct {
 	res      *Result         // set by Run
 	mode     FlushMode       // set by Run
 }
-
-// Pending returns the number of buffered rows the plan will flush.
-func (p *FlushPlan) Pending() int { return p.delta.NumRows() }
-
-// Mode returns which engine served the flush; valid after Run succeeds.
-func (p *FlushPlan) Mode() FlushMode { return p.mode }
-
-// Result returns the fresh encryption; valid after Run succeeds.
-func (p *FlushPlan) Result() *Result { return p.res }
 
 // BeginFlush snapshots the buffered rows into a FlushPlan and installs a
 // fresh buffer generation, so appends keep accumulating while the plan

@@ -10,6 +10,18 @@ import (
 	"f2/internal/relation"
 )
 
+// appendRows buffers rows and flushes once the buffer crosses the
+// ShouldFlush threshold, returning the fresh Result if a flush happened.
+func appendRows(u *Updater, rows [][]string) (*Result, error) {
+	if err := u.Buffer(rows); err != nil {
+		return nil, err
+	}
+	if u.ShouldFlush() {
+		return u.Flush(context.Background())
+	}
+	return nil, nil
+}
+
 func TestUpdaterAppendAndFlush(t *testing.T) {
 	tbl := figure1Table()
 	cfg := testConfig(0.5)
@@ -24,7 +36,7 @@ func TestUpdaterAppendAndFlush(t *testing.T) {
 	// Small append stays buffered (10% of 4 rows < 1 row... threshold
 	// 0.4, so one row triggers; raise the fraction to test buffering).
 	u.FlushFraction = 2.0
-	if res, err := u.Append(context.Background(), [][]string{{"a2", "b2", "c9"}}); err != nil || res != nil {
+	if res, err := appendRows(u, [][]string{{"a2", "b2", "c9"}}); err != nil || res != nil {
 		t.Fatalf("append flushed unexpectedly: %v, %v", res, err)
 	}
 	if u.Pending() != 1 || u.Rows() != 4 {
@@ -143,10 +155,10 @@ func TestUpdaterAutoFlushThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.FlushFraction = 0.5 // flush at ≥ 2 buffered rows
-	if res, err := u.Append(context.Background(), [][]string{{"a5", "b5", "c5"}}); err != nil || res != nil {
+	if res, err := appendRows(u, [][]string{{"a5", "b5", "c5"}}); err != nil || res != nil {
 		t.Fatalf("first append should buffer: %v %v", res, err)
 	}
-	res, err := u.Append(context.Background(), [][]string{{"a6", "b6", "c6"}})
+	res, err := appendRows(u, [][]string{{"a6", "b6", "c6"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +213,8 @@ func TestFlushPlanMatchesSynchronousFlush(t *testing.T) {
 	if err != nil || plan == nil {
 		t.Fatalf("BeginFlush: plan=%v err=%v", plan, err)
 	}
-	if plan.Pending() != len(delta) {
-		t.Fatalf("plan pending=%d, want %d", plan.Pending(), len(delta))
+	if plan.delta.NumRows() != len(delta) {
+		t.Fatalf("plan pending=%d, want %d", plan.delta.NumRows(), len(delta))
 	}
 	// The delta moved into the plan; new appends buffer into the fresh
 	// generation and a second flush cannot start.
@@ -282,7 +294,7 @@ func TestUpdaterRejectsBadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Append(context.Background(), [][]string{{"too", "short"}}); err == nil {
+	if _, err := appendRows(u, [][]string{{"too", "short"}}); err == nil {
 		t.Fatal("short row accepted")
 	}
 }

@@ -63,24 +63,32 @@ func TestProbCipherIsProbabilistic(t *testing.T) {
 	}
 }
 
+// sealInstance is Kernel.SealInstance under the given tweak.
+func sealInstance(k *Kernel, tweak, plain string, instance uint64) string {
+	k.Tweak = append(k.Tweak[:0], tweak...)
+	return k.SealInstance(plain, instance)
+}
+
 func TestEncryptInstanceDeterministicPerTriple(t *testing.T) {
 	c, _ := NewProbCipher(testKey(), PRFAESCTR)
-	a := c.EncryptInstance("tweak", "value", 0)
-	b := c.EncryptInstance("tweak", "value", 0)
-	if a != b {
+	k := c.NewKernel()
+	a := sealInstance(k, "tweak", "value", 0)
+	// A second kernel of the same cipher must agree: the ciphertext is a
+	// function of (key, tweak, value, instance) alone.
+	if b := sealInstance(c.NewKernel(), "tweak", "value", 0); a != b {
 		t.Fatal("same (tweak, value, instance) produced different ciphertexts")
 	}
-	if c.EncryptInstance("tweak", "value", 1) == a {
+	if sealInstance(k, "tweak", "value", 1) == a {
 		t.Fatal("different instance produced same ciphertext")
 	}
-	if c.EncryptInstance("tweak2", "value", 0) == a {
+	if sealInstance(k, "tweak2", "value", 0) == a {
 		t.Fatal("different tweak produced same ciphertext")
 	}
-	if c.EncryptInstance("tweak", "value2", 0) == a {
+	if sealInstance(k, "tweak", "value2", 0) == a {
 		t.Fatal("different value produced same ciphertext")
 	}
 	// Tweak/plain boundary ambiguity must not collide: ("ab","c") vs ("a","bc").
-	if c.EncryptInstance("ab", "c", 0) == c.EncryptInstance("a", "bc", 0) {
+	if sealInstance(k, "ab", "c", 0) == sealInstance(k, "a", "bc", 0) {
 		t.Fatal("length-prefixing failed: tweak/plain boundary collision")
 	}
 	got, err := c.DecryptCell(a)
@@ -91,8 +99,9 @@ func TestEncryptInstanceDeterministicPerTriple(t *testing.T) {
 
 func TestInstanceRoundTripQuick(t *testing.T) {
 	c, _ := NewProbCipher(testKey(), PRFAESCTR)
+	k := c.NewKernel()
 	f := func(tweak, plain string, inst uint64) bool {
-		ct := c.EncryptInstance(tweak, plain, inst)
+		ct := sealInstance(k, tweak, plain, inst)
 		got, err := c.DecryptCell(ct)
 		return err == nil && got == plain
 	}
@@ -180,11 +189,12 @@ func TestPaillierHomomorphic(t *testing.T) {
 	pk, _ := GeneratePaillier(256)
 	c1, _ := pk.EncryptInt(big.NewInt(20))
 	c2, _ := pk.EncryptInt(big.NewInt(22))
-	sum, err := pk.DecryptInt(pk.AddCipher(c1, c2))
+	// Dec(c1·c2 mod n²) = m1+m2 and Dec(c1^k mod n²) = k·m1.
+	sum, err := pk.DecryptInt(new(big.Int).Mod(new(big.Int).Mul(c1, c2), pk.N2))
 	if err != nil || sum.Int64() != 42 {
 		t.Fatalf("homomorphic add = %v, %v", sum, err)
 	}
-	prod, err := pk.DecryptInt(pk.MulConst(c1, big.NewInt(3)))
+	prod, err := pk.DecryptInt(new(big.Int).Exp(c1, big.NewInt(3), pk.N2))
 	if err != nil || prod.Int64() != 60 {
 		t.Fatalf("homomorphic mul = %v, %v", prod, err)
 	}
@@ -403,8 +413,8 @@ func FuzzCellKernel(f *testing.F) {
 	})
 }
 
-// TestProbCipherConcurrent runs the pooled one-shot methods and private
-// kernels from several goroutines at once: every goroutine must see the
+// TestProbCipherConcurrent runs private kernels and the pooled one-shot
+// methods from several goroutines at once: every goroutine must see the
 // same ciphertexts as a serial run, with no state leaking between them.
 func TestProbCipherConcurrent(t *testing.T) {
 	c, err := NewProbCipher(testKey(), PRFAESCTR)
@@ -413,8 +423,9 @@ func TestProbCipherConcurrent(t *testing.T) {
 	}
 	plains := []string{"", "x", "1996-03-14", strings.Repeat("long value ", 9)}
 	want := make([]string, len(plains))
+	serial := c.NewKernel()
 	for i, p := range plains {
-		want[i] = c.EncryptInstance("tweak", p, uint64(i))
+		want[i] = sealInstance(serial, "tweak", p, uint64(i))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -424,14 +435,9 @@ func TestProbCipherConcurrent(t *testing.T) {
 			k := c.NewKernel()
 			for n := 0; n < 200; n++ {
 				i := (g + n) % len(plains)
-				ct := c.EncryptInstance("tweak", plains[i], uint64(i))
+				ct := sealInstance(k, "tweak", plains[i], uint64(i))
 				if ct != want[i] {
-					t.Errorf("goroutine %d: EncryptInstance(%q) = %q, want %q", g, plains[i], ct, want[i])
-					return
-				}
-				k.Tweak = append(k.Tweak[:0], "tweak"...)
-				if got := k.SealInstance(plains[i], uint64(i)); got != ct {
-					t.Errorf("goroutine %d: kernel seal differs from wrapper", g)
+					t.Errorf("goroutine %d: SealInstance(%q) = %q, want %q", g, plains[i], ct, want[i])
 					return
 				}
 				if p, err := c.DecryptCell(ct); err != nil || p != plains[i] {

@@ -98,18 +98,6 @@ func (pk *Paillier) DecryptInt(c *big.Int) (*big.Int, error) {
 	return m, nil
 }
 
-// AddCipher homomorphically adds two plaintexts: Dec(c1·c2 mod n²) = m1+m2.
-func (pk *Paillier) AddCipher(c1, c2 *big.Int) *big.Int {
-	out := new(big.Int).Mul(c1, c2)
-	return out.Mod(out, pk.N2)
-}
-
-// MulConst homomorphically multiplies a plaintext by constant k:
-// Dec(c^k mod n²) = k·m.
-func (pk *Paillier) MulConst(c *big.Int, k *big.Int) *big.Int {
-	return new(big.Int).Exp(c, k, pk.N2)
-}
-
 func (pk *Paillier) randomUnit() (*big.Int, error) {
 	for {
 		r, err := rand.Int(rand.Reader, pk.N)

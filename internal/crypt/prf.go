@@ -38,7 +38,7 @@ func (p PRF) String() string {
 //
 // F² additionally needs *instances*: all copies of split instance i of a
 // plaintext must share one ciphertext, and distinct instances must differ
-// (Requirement 2). EncryptInstance derives r pseudorandomly from
+// (Requirement 2). Kernel.SealInstance derives r pseudorandomly from
 // (plaintext, instance, tweak) so instance identity is reproducible from
 // the key alone.
 //
@@ -75,14 +75,6 @@ func (c *ProbCipher) EncryptCell(plain string) (string, error) {
 	k := c.kernels.Get().(*Kernel)
 	defer c.kernels.Put(k)
 	return k.seal(&r, plain), nil
-}
-
-// EncryptInstance is Kernel.SealInstance for a single cell.
-func (c *ProbCipher) EncryptInstance(tweak string, plain string, instance uint64) string {
-	k := c.kernels.Get().(*Kernel)
-	defer c.kernels.Put(k)
-	k.Tweak = append(k.Tweak[:0], tweak...)
-	return k.SealInstance(plain, instance)
 }
 
 // DecryptCell is Kernel.Open for a single cell.

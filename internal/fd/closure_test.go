@@ -1,8 +1,6 @@
 package fd
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"f2/internal/relation"
@@ -26,137 +24,5 @@ func TestClosure(t *testing.T) {
 	}
 	if Implies(fds, FD{LHS: relation.NewAttrSet(2), RHS: 0}) {
 		t.Error("C→A implied")
-	}
-}
-
-func TestMinimalCover(t *testing.T) {
-	// {A}→B, {A,B}→C (left-reducible given nothing... C needs AB? A⁺ via
-	// A→B gives AB, so AB→C reduces to A→C... keep a genuinely redundant
-	// FD too: A→C derivable after reduction.)
-	fds := NewSet(
-		FD{LHS: relation.NewAttrSet(0), RHS: 1},
-		FD{LHS: relation.NewAttrSet(0, 1), RHS: 2}, // LHS reducible to {A}
-		FD{LHS: relation.NewAttrSet(1), RHS: 2},    // makes the above redundant
-	)
-	cover := MinimalCover(fds)
-	// The cover must imply everything the original implies and vice versa.
-	for _, f := range fds.Slice() {
-		if !Implies(cover, f) {
-			t.Errorf("cover does not imply %v", f)
-		}
-	}
-	for _, f := range cover.Slice() {
-		if !Implies(fds, f) {
-			t.Errorf("original does not imply cover FD %v", f)
-		}
-	}
-	if cover.Len() > 2 {
-		t.Errorf("cover not minimal: %v", cover)
-	}
-	// No FD in the cover is left-reducible.
-	for _, f := range cover.Slice() {
-		for _, a := range f.LHS.Attrs() {
-			smaller := f.LHS.Remove(a)
-			if !smaller.IsEmpty() && Implies(cover, FD{LHS: smaller, RHS: f.RHS}) {
-				t.Errorf("cover FD %v has extraneous attribute %d", f, a)
-			}
-		}
-	}
-}
-
-func TestMinimalCoverEquivalentOnRandomSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 100; trial++ {
-		m := 4 + rng.Intn(3)
-		fds := NewSet()
-		for i := 0; i < 2+rng.Intn(6); i++ {
-			lhs := relation.AttrSet(rng.Intn(1<<uint(m))) & relation.FullAttrSet(m)
-			rhs := rng.Intn(m)
-			if lhs.IsEmpty() || lhs.Has(rhs) {
-				continue
-			}
-			fds.Add(FD{LHS: lhs, RHS: rhs})
-		}
-		cover := MinimalCover(fds)
-		// Equivalence: closures agree on every singleton and a few random
-		// sets.
-		for a := 0; a < m; a++ {
-			x := relation.SingleAttr(a)
-			if Closure(fds, x) != Closure(cover, x) {
-				t.Fatalf("trial %d: closure mismatch on %v:\n fds: %v\n cover: %v",
-					trial, x, fds, cover)
-			}
-		}
-		for i := 0; i < 5; i++ {
-			x := relation.AttrSet(rng.Intn(1<<uint(m))) & relation.FullAttrSet(m)
-			if Closure(fds, x) != Closure(cover, x) {
-				t.Fatalf("trial %d: closure mismatch on %v", trial, x)
-			}
-		}
-	}
-}
-
-func TestCandidateKeys(t *testing.T) {
-	tbl := zipTable() // Name unique; (Zip,Name) etc. are supersets
-	keys := CandidateKeys(tbl)
-	if len(keys) != 1 || keys[0] != relation.NewAttrSet(2) {
-		t.Fatalf("keys = %v, want [{Name}]", keys)
-	}
-	// Composite keys.
-	comp := relation.MustFromRows(relation.MustSchema("A", "B"), [][]string{
-		{"1", "x"}, {"1", "y"}, {"2", "x"},
-	})
-	keys = CandidateKeys(comp)
-	if len(keys) != 1 || keys[0] != relation.NewAttrSet(0, 1) {
-		t.Fatalf("composite keys = %v", keys)
-	}
-}
-
-func TestCandidateKeysBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 100; trial++ {
-		tbl := randomTable(rng, 2+rng.Intn(4), 2+rng.Intn(25), 1+rng.Intn(4))
-		got := CandidateKeys(tbl)
-		// Brute force: minimal unique sets.
-		m := tbl.NumAttrs()
-		var unique []relation.AttrSet
-		for mask := relation.AttrSet(1); mask <= relation.FullAttrSet(m); mask++ {
-			if !tbl.HasDuplicateOn(mask) {
-				unique = append(unique, mask)
-			}
-		}
-		var want []relation.AttrSet
-		for _, x := range unique {
-			minimal := true
-			for _, y := range unique {
-				if y != x && y.SubsetOf(x) {
-					minimal = false
-					break
-				}
-			}
-			if minimal {
-				want = append(want, x)
-			}
-		}
-		relation.SortAttrSets(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: keys %v, want %v\n%v", trial, got, want, tbl)
-		}
-	}
-}
-
-func TestIsBCNF(t *testing.T) {
-	// Zip→City with Zip non-unique violates BCNF.
-	ok, violations := IsBCNF(zipTable())
-	if ok || len(violations) == 0 {
-		t.Fatalf("zipTable should violate BCNF: %v", violations)
-	}
-	// A table whose only FDs have key LHSs is in BCNF.
-	clean := relation.MustFromRows(relation.MustSchema("K", "V"), [][]string{
-		{"1", "x"}, {"2", "y"}, {"3", "x"},
-	})
-	ok, violations = IsBCNF(clean)
-	if !ok {
-		t.Fatalf("clean table should be BCNF; violations %v", violations)
 	}
 }

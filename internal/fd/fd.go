@@ -122,23 +122,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// Diff returns the FDs in s but not in o.
-func (s *Set) Diff(o *Set) []FD {
-	var out []FD
-	for f := range s.fds {
-		if !o.Has(f) {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RHS != out[j].RHS {
-			return out[i].RHS < out[j].RHS
-		}
-		return out[i].LHS < out[j].LHS
-	})
-	return out
-}
-
 // String renders the set with generic names.
 func (s *Set) String() string {
 	parts := make([]string, 0, s.Len())
@@ -146,106 +129,4 @@ func (s *Set) String() string {
 		parts = append(parts, f.String())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// Minimize removes non-minimal FDs: X→A is kept only if no Y ⊂ X with Y→A
-// is in the set.
-func (s *Set) Minimize() *Set {
-	out := NewSet()
-	byRHS := make(map[int][]relation.AttrSet)
-	for f := range s.fds {
-		byRHS[f.RHS] = append(byRHS[f.RHS], f.LHS)
-	}
-	for rhs, lhss := range byRHS {
-		for _, x := range lhss {
-			minimal := true
-			for _, y := range lhss {
-				if y != x && y.SubsetOf(x) {
-					minimal = false
-					break
-				}
-			}
-			if minimal {
-				out.Add(FD{LHS: x, RHS: rhs})
-			}
-		}
-	}
-	return out
-}
-
-// BruteForce discovers all minimal non-trivial FDs of t by exhaustive
-// enumeration. Exponential in the number of attributes; a test oracle only.
-func BruteForce(t *relation.Table) *Set {
-	m, c := t.NumAttrs(), relation.Encode(t)
-	out := NewSet()
-	// For each RHS attribute, enumerate candidate LHSs by ascending size so
-	// that minimality can be checked against already-found FDs.
-	for rhs := 0; rhs < m; rhs++ {
-		var found []relation.AttrSet
-		candidates := allSubsetsBySize(relation.FullAttrSet(m).Remove(rhs))
-		for _, lhs := range candidates {
-			covered := false
-			for _, y := range found {
-				if y.SubsetOf(lhs) {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			if Holds(c, FD{LHS: lhs, RHS: rhs}) {
-				found = append(found, lhs)
-				out.Add(FD{LHS: lhs, RHS: rhs})
-			}
-		}
-	}
-	return out
-}
-
-// BruteForceWitnessed is BruteForce restricted to witnessed FDs: minimal
-// FDs X→A where X has at least one duplicate projection.
-func BruteForceWitnessed(t *relation.Table) *Set {
-	m, c := t.NumAttrs(), relation.Encode(t)
-	out := NewSet()
-	for rhs := 0; rhs < m; rhs++ {
-		var found []relation.AttrSet
-		candidates := allSubsetsBySize(relation.FullAttrSet(m).Remove(rhs))
-		for _, lhs := range candidates {
-			covered := false
-			for _, y := range found {
-				if y.SubsetOf(lhs) {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			if Witnessed(c, FD{LHS: lhs, RHS: rhs}) {
-				found = append(found, lhs)
-				out.Add(FD{LHS: lhs, RHS: rhs})
-			}
-		}
-	}
-	return out
-}
-
-// allSubsetsBySize returns every non-empty subset of universe, ordered by
-// ascending size.
-func allSubsetsBySize(universe relation.AttrSet) []relation.AttrSet {
-	var out []relation.AttrSet
-	attrs := universe.Attrs()
-	n := len(attrs)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var s relation.AttrSet
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				s = s.Add(attrs[i])
-			}
-		}
-		out = append(out, s)
-	}
-	relation.SortAttrSets(out)
-	return out
 }

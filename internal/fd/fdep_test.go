@@ -146,11 +146,11 @@ func TestFDEPMatchesBruteForce(t *testing.T) {
 		rows := 2 + rng.Intn(25)
 		domain := 1 + rng.Intn(4)
 		tbl := randomTable(rng, attrs, rows, domain)
-		want := BruteForce(tbl)
+		want := bruteForce(tbl, Holds)
 		got := FDEP(tbl)
 		if !want.Equal(got) {
-			t.Fatalf("trial %d (a=%d r=%d d=%d):\n brute: %v\n fdep: %v\n missing: %v\n extra: %v\n%v",
-				trial, attrs, rows, domain, want, got, want.Diff(got), got.Diff(want), tbl)
+			t.Fatalf("trial %d (a=%d r=%d d=%d):\n brute: %v\n fdep: %v\n%v",
+				trial, attrs, rows, domain, want, got, tbl)
 		}
 	}
 }

@@ -10,5 +10,6 @@ func All() []*Analyzer {
 		Spanend,
 		Lockheld,
 		Determinism,
+		Deadexport,
 	}
 }

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -33,14 +35,29 @@ type wantEntry struct {
 // RunFixture loads <FixtureRoot>/<fixture>, runs the analyzer over it,
 // and asserts the diagnostics match the fixture's `// want` comments
 // exactly: every diagnostic needs a matching want on its line, every
-// want needs a diagnostic.
-func RunFixture(t *testing.T, a *Analyzer, fixture string) {
+// want needs a diagnostic. The pass's program view holds the fixture,
+// the fixture-local packages it imports, and the extra fixture packages
+// named in also (callers of the fixture, which it cannot import).
+func RunFixture(t *testing.T, a *Analyzer, fixture string, also ...string) {
 	t.Helper()
-	pkg, err := LoadFixture(FixtureRoot, fixture)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
+	l := NewLoader("", FixtureRoot)
+	load := func(name string) *Package {
+		p, err := l.loadLocal(name, filepath.Join(FixtureRoot, filepath.FromSlash(name)))
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", name, err)
+		}
+		return p
 	}
-	diags, err := RunAnalyzer(a, pkg)
+	pkg := load(fixture)
+	for _, name := range also {
+		load(name)
+	}
+	var prog []*Package
+	for _, p := range l.local {
+		prog = append(prog, p)
+	}
+	sort.Slice(prog, func(i, j int) bool { return prog[i].Path < prog[j].Path })
+	diags, err := RunAnalyzer(a, pkg, prog)
 	if err != nil {
 		t.Fatalf("running f2vet/%s: %v", a.Name, err)
 	}

@@ -2,9 +2,10 @@
 // set of custom analyzers that machine-check invariants the documentation
 // can only state — ciphertext determinism at any parallelism width, the
 // fsync-before-ack durability contract, span hygiene, lock discipline,
-// and context propagation. Each analyzer encodes the invariant behind a
-// bug this repo actually shipped (or a contract a future change could
-// silently break); docs/STATIC_ANALYSIS.md is the catalogue.
+// context propagation, and an internal/ API with no test-only exports.
+// Each analyzer encodes the invariant behind a bug this repo actually
+// shipped (or a contract a future change could silently break);
+// docs/STATIC_ANALYSIS.md is the catalogue.
 //
 // The package mirrors the golang.org/x/tools/go/analysis shape —
 // Analyzer, Pass, Diagnostic, testdata fixtures with `// want` comments —
@@ -51,6 +52,10 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Program is every package the loader loaded, this one included.
+	// Analyzers read it to see references from other packages; it must
+	// not be modified.
+	Program []*Package
 
 	diags []Diagnostic
 }
@@ -80,16 +85,18 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.Info.TypeOf(e)
 }
 
-// RunAnalyzer applies a to one loaded package and returns the surviving
-// diagnostics: findings minus those silenced by //lint:ignore directives,
-// sorted by position. Match is not consulted — callers scope packages.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+// RunAnalyzer applies a to one loaded package, with prog as the pass's
+// view of the whole program, and returns the surviving diagnostics:
+// findings minus those silenced by //lint:ignore directives, sorted by
+// position. Match is not consulted — callers scope packages.
+func RunAnalyzer(a *Analyzer, pkg *Package, prog []*Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
+		Program:  prog,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("f2vet/%s on %s: %w", a.Name, pkg.Path, err)

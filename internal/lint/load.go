@@ -44,6 +44,7 @@ type Loader struct {
 	localRoot string
 
 	exports map[string]string   // import path -> export data file
+	checked map[string]*Package // memoized module packages
 	local   map[string]*Package // memoized fixture-local packages
 	loading map[string]bool     // fixture-local cycle guard
 	gc      types.ImporterFrom
@@ -57,6 +58,7 @@ func NewLoader(listDir, localRoot string) *Loader {
 		listDir:   listDir,
 		localRoot: localRoot,
 		exports:   make(map[string]string),
+		checked:   make(map[string]*Package),
 		local:     make(map[string]*Package),
 		loading:   make(map[string]bool),
 	}
@@ -72,6 +74,7 @@ type listPkg struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Main bool }
 	GoFiles    []string
 	Error      *struct{ Err string }
 }
@@ -82,7 +85,7 @@ type listPkg struct {
 func (l *Loader) goList(args ...string) ([]listPkg, error) {
 	cmdArgs := append([]string{
 		"list", "-e", "-export",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Error",
+		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,Module,GoFiles,Error",
 		"-deps",
 	}, args...)
 	cmd := exec.Command("go", cmdArgs...)
@@ -220,8 +223,10 @@ func (l *Loader) check(path, dir string, fileNames []string) (*Package, error) {
 	return &Package{Path: path, Fset: l.fset, Files: astFiles, Types: tpkg, Info: info}, nil
 }
 
-// LoadModule loads every non-test package matching the patterns (module
-// packages only — stdlib deps are resolved but not analyzed). The tree
+// LoadModule loads every non-test package of the main module matching
+// the patterns ("all" is the whole module) — dependencies are resolved
+// through export data but not analyzed. Packages are type-checked once
+// per loader, so a second call shares the first one's objects. The tree
 // must compile; a build error surfaces here, exactly like `go vet`.
 func (l *Loader) LoadModule(patterns ...string) ([]*Package, error) {
 	listed, err := l.goList(patterns...)
@@ -230,24 +235,23 @@ func (l *Loader) LoadModule(patterns ...string) ([]*Package, error) {
 	}
 	var out []*Package
 	for _, p := range listed {
-		if p.Standard || p.DepOnly || len(p.GoFiles) == 0 {
+		if p.Standard || p.DepOnly {
 			continue
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("loading %s: %s", p.ImportPath, p.Error.Err)
 		}
-		pkg, err := l.check(p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
+		if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
+			continue
+		}
+		pkg, ok := l.checked[p.ImportPath]
+		if !ok {
+			if pkg, err = l.check(p.ImportPath, p.Dir, p.GoFiles); err != nil {
+				return nil, err
+			}
+			l.checked[p.ImportPath] = pkg
 		}
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// LoadFixture loads the fixture package at <root>/<name> (and, through
-// imports, any sibling stub packages under root).
-func LoadFixture(root, name string) (*Package, error) {
-	l := NewLoader("", root)
-	return l.loadLocal(name, filepath.Join(root, filepath.FromSlash(name)))
 }

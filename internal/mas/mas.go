@@ -23,7 +23,6 @@ package mas
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"f2/internal/border"
 
@@ -207,81 +206,4 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 		r.Partitions[x] = partition.OfCoded(coded, x)
 	}
 	return r, nil
-}
-
-// BruteForce exhaustively enumerates every row pair, collects the
-// distinct agreement sets, and returns the inclusion-maximal ones. X is
-// non-unique iff some row pair agrees on all of X, so the maximal
-// agreement sets are exactly the MASs. O(n²·m); test oracle only.
-//
-// (An earlier version enumerated all 2^m attribute masks with an upper
-// bound of FullAttrSet(m)+1, which wraps to zero at m = relation.MaxAttrs
-// — the loop body never ran and a 64-attribute table silently reported no
-// MASs. Pair enumeration has no such boundary and is exact for every m.)
-func BruteForce(t *relation.Table) []relation.AttrSet {
-	seen := make(map[relation.AttrSet]bool)
-	for i := 0; i < t.NumRows(); i++ {
-		for j := i + 1; j < t.NumRows(); j++ {
-			if a := t.AgreementSet(i, j); !a.IsEmpty() {
-				seen[a] = true
-			}
-		}
-	}
-	agree := make([]relation.AttrSet, 0, len(seen))
-	for a := range seen {
-		agree = append(agree, a)
-	}
-	// The map drops duplicates in whatever order iteration visits them;
-	// sort so the returned MAS list is identical run to run (the oracle
-	// is diffed against engine output in tests).
-	relation.SortAttrSets(agree)
-	var out []relation.AttrSet
-	for _, x := range agree {
-		maximal := true
-		for _, y := range agree {
-			if x != y && x.SubsetOf(y) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, x)
-		}
-	}
-	relation.SortAttrSets(out)
-	return out
-}
-
-// OverlappingPairs returns the pairs of MASs that share at least one
-// attribute, in deterministic order. Used by conflict resolution (Step 3)
-// and by the Theorem 3.3 bound checks.
-func OverlappingPairs(sets []relation.AttrSet) [][2]relation.AttrSet {
-	sorted := append([]relation.AttrSet(nil), sets...)
-	relation.SortAttrSets(sorted)
-	var out [][2]relation.AttrSet
-	for i := 0; i < len(sorted); i++ {
-		for j := i + 1; j < len(sorted); j++ {
-			if sorted[i].Overlaps(sorted[j]) {
-				out = append(out, [2]relation.AttrSet{sorted[i], sorted[j]})
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
-// Covering returns, for each FD candidate X∪{A}, whether some MAS covers
-// it. Per the paper (§3.1), every FD of D has LHS∪RHS inside some MAS.
-func Covering(sets []relation.AttrSet, attrs relation.AttrSet) (relation.AttrSet, bool) {
-	for _, m := range sets {
-		if attrs.SubsetOf(m) {
-			return m, true
-		}
-	}
-	return 0, false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"f2/internal/border"
+	"f2/internal/fd"
 	"f2/internal/relation"
 )
 
@@ -16,6 +17,60 @@ func figure1Table() *relation.Table {
 		{"a1", "b1", "c3"},
 		{"a1", "b1", "c1"},
 	})
+}
+
+// agreementSet returns the attributes on which rows i and j of t agree.
+func agreementSet(t *relation.Table, i, j int) relation.AttrSet {
+	var s relation.AttrSet
+	for a := 0; a < t.NumAttrs(); a++ {
+		if t.Cell(i, a) == t.Cell(j, a) {
+			s = s.Add(a)
+		}
+	}
+	return s
+}
+
+// bruteForce exhaustively enumerates every row pair, collects the
+// distinct agreement sets, and returns the inclusion-maximal ones. X is
+// non-unique iff some row pair agrees on all of X, so the maximal
+// agreement sets are exactly the MASs. O(n²·m).
+//
+// (An earlier version enumerated all 2^m attribute masks with an upper
+// bound of FullAttrSet(m)+1, which wraps to zero at m = relation.MaxAttrs
+// — the loop body never ran and a 64-attribute table silently reported no
+// MASs. Pair enumeration has no such boundary and is exact for every m.)
+func bruteForce(t *relation.Table) []relation.AttrSet {
+	seen := make(map[relation.AttrSet]bool)
+	for i := 0; i < t.NumRows(); i++ {
+		for j := i + 1; j < t.NumRows(); j++ {
+			if a := agreementSet(t, i, j); !a.IsEmpty() {
+				seen[a] = true
+			}
+		}
+	}
+	agree := make([]relation.AttrSet, 0, len(seen))
+	for a := range seen {
+		agree = append(agree, a)
+	}
+	// The map drops duplicates in whatever order iteration visits them;
+	// sort so the returned MAS list is identical run to run (the oracle
+	// is diffed against engine output in tests).
+	relation.SortAttrSets(agree)
+	var out []relation.AttrSet
+	for _, x := range agree {
+		maximal := true
+		for _, y := range agree {
+			if x != y && x.SubsetOf(y) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, x)
+		}
+	}
+	relation.SortAttrSets(out)
+	return out
 }
 
 func TestDiscoverFigure1(t *testing.T) {
@@ -37,7 +92,7 @@ func TestDiscoverMatchesBruteForce(t *testing.T) {
 		rows := 2 + rng.Intn(40)
 		domain := 1 + rng.Intn(4)
 		tbl := randomTable(rng, attrs, rows, domain)
-		want := BruteForce(tbl)
+		want := bruteForce(tbl)
 		got := Discover(tbl)
 		if !reflect.DeepEqual(got.Sets, want) {
 			t.Fatalf("trial %d (a=%d r=%d d=%d):\n ducc:  %v\n brute: %v\n%v",
@@ -50,7 +105,7 @@ func TestLevelwiseMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {
 		tbl := randomTable(rng, 2+rng.Intn(4), 2+rng.Intn(30), 1+rng.Intn(4))
-		want := BruteForce(tbl)
+		want := bruteForce(tbl)
 		got := DiscoverLevelwise(tbl)
 		if !reflect.DeepEqual(got.Sets, want) {
 			t.Fatalf("trial %d:\n levelwise: %v\n brute: %v\n%v", trial, got.Sets, want, tbl)
@@ -100,35 +155,36 @@ func TestDiscoverPartitionsMatchSets(t *testing.T) {
 		if p.Attrs != m {
 			t.Errorf("partition attrs %v ≠ %v", p.Attrs, m)
 		}
-		if !p.HasDuplicate() {
+		if p.MaxClassSize() < 2 {
 			t.Errorf("MAS %v has no duplicate instance", m)
 		}
 	}
 }
 
-func TestOverlappingPairs(t *testing.T) {
-	sets := []relation.AttrSet{
-		relation.NewAttrSet(0, 1),
-		relation.NewAttrSet(1, 2),
-		relation.NewAttrSet(3, 4),
-	}
-	pairs := OverlappingPairs(sets)
-	if len(pairs) != 1 {
-		t.Fatalf("pairs = %v, want one pair", pairs)
-	}
-	if pairs[0][0] != relation.NewAttrSet(0, 1) || pairs[0][1] != relation.NewAttrSet(1, 2) {
-		t.Errorf("pair = %v", pairs[0])
-	}
-}
-
+// TestCovering checks the §3.1 fact that makes MAS-wise encryption
+// FD-preserving: every witnessed FD X→A of D lies inside some MAS, i.e.
+// X∪{A} is a subset of a discovered MAS.
 func TestCovering(t *testing.T) {
-	sets := []relation.AttrSet{relation.NewAttrSet(0, 1, 2), relation.NewAttrSet(2, 3)}
-	if m, ok := Covering(sets, relation.NewAttrSet(0, 2)); !ok || m != relation.NewAttrSet(0, 1, 2) {
-		t.Errorf("Covering = %v, %v", m, ok)
+	rng := rand.New(rand.NewSource(13))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		tbl := randomTable(rng, 2+rng.Intn(4), 2+rng.Intn(30), 1+rng.Intn(4))
+		sets := Discover(tbl).Sets
+		for _, f := range fd.DiscoverWitnessed(tbl).Slice() {
+			checked++
+			covered := false
+			for _, m := range sets {
+				covered = covered || f.LHS.Add(f.RHS).SubsetOf(m)
+			}
+			if !covered {
+				t.Fatalf("trial %d: witnessed FD %v lies in no MAS of %v\n%v", trial, f, sets, tbl)
+			}
+		}
 	}
-	if _, ok := Covering(sets, relation.NewAttrSet(0, 3)); ok {
-		t.Error("Covering found a cover that does not exist")
+	if checked < 100 {
+		t.Fatalf("only %d witnessed FDs generated", checked)
 	}
+	t.Logf("%d witnessed FDs, each inside a MAS", checked)
 }
 
 // TestDuccCheaperThanLevelwise documents the complexity claim of §3.1: the
@@ -185,7 +241,7 @@ func TestDiscoverUnderEvictionMatchesScan(t *testing.T) {
 	if level.PLIs.Evictions == 0 {
 		t.Fatalf("levelwise: no eviction over %d products", level.PLIs.Products)
 	}
-	if brute := BruteForce(tbl); !reflect.DeepEqual(level.Sets, brute) {
+	if brute := bruteForce(tbl); !reflect.DeepEqual(level.Sets, brute) {
 		t.Fatalf("levelwise under eviction found %d MASs, brute force %d", len(level.Sets), len(brute))
 	}
 }

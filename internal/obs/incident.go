@@ -39,9 +39,6 @@ func NewIncidentRing(dir string, maxFiles int, maxBytes int64) (*IncidentRing, e
 	return &IncidentRing{ring: ring}, nil
 }
 
-// Dir returns the ring directory.
-func (r *IncidentRing) Dir() string { return r.ring.dir }
-
 // Write persists one incident, pruning the ring, and returns the file
 // name it landed under.
 func (r *IncidentRing) Write(inc *Incident) (string, error) {

@@ -46,7 +46,6 @@ type Trace struct {
 	mu       sync.Mutex
 	root     *Span
 	finished bool
-	duration time.Duration
 }
 
 // Span is one timed region of a trace. A nil *Span is the valid,
@@ -168,9 +167,6 @@ func (s *Span) SetAttr(key string, value any) {
 	t.mu.Unlock()
 }
 
-// ID returns the trace id.
-func (t *Trace) ID() string { return t.id }
-
 // Finish closes the root span and freezes the trace duration. Spans
 // still open keep accumulating until their own End; snapshots mark them.
 func (t *Trace) Finish() {
@@ -180,19 +176,7 @@ func (t *Trace) Finish() {
 		t.root.ended = true
 	}
 	t.finished = true
-	t.duration = t.root.duration
 	t.mu.Unlock()
-}
-
-// Duration returns the root span's duration (elapsed-so-far before
-// Finish).
-func (t *Trace) Duration() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.finished {
-		return t.duration
-	}
-	return time.Since(t.start)
 }
 
 // SpanSnapshot is the JSON-ready form of one span. Start offsets are

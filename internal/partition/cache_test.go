@@ -35,9 +35,9 @@ func cachePLIError(tbl *relation.Table, c *relation.Coded, s *Stripped, x relati
 	if !sameStripped(s, StrippedOf(c, x)) {
 		return fmt.Errorf("Get(%v) = %v, want the classes of %v", x, classesOf(s), classesOf(StrippedOf(c, x)))
 	}
-	for i := 0; i < s.NumClasses(); i++ {
-		if !slices.IsSorted(s.Class(i)) {
-			return fmt.Errorf("Get(%v): class %v is not ascending", x, s.Class(i))
+	for _, class := range classesOf(s) {
+		if !slices.IsSorted(class) {
+			return fmt.Errorf("Get(%v): class %v is not ascending", x, class)
 		}
 	}
 	return nil

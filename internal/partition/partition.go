@@ -47,6 +47,8 @@ type Partition struct {
 
 // Of computes π_X for table t. Callers grouping one table under several
 // attribute sets encode it once and call OfCoded.
+//
+//lint:ignore f2vet/deadexport benchmark/upload.go, in the separate benchmark module, times it in the upload probe
 func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
 	return OfCoded(relation.Encode(t), attrs)
 }
@@ -57,9 +59,6 @@ func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
 	p, _, _ := (&Partition{Attrs: attrs}).Refine(c, 0) // cannot fail: the empty partition covers 0 rows
 	return p
 }
-
-// NumRows returns the number of rows of the underlying table.
-func (p *Partition) NumRows() int { return p.numRows }
 
 // NumClasses returns |π_X|, the number of equivalence classes.
 func (p *Partition) NumClasses() int { return len(p.Classes) }
@@ -73,17 +72,6 @@ func (p *Partition) MaxClassSize() int {
 		}
 	}
 	return max
-}
-
-// HasDuplicate reports whether any EC has size > 1 — i.e. whether X is a
-// non-unique column combination (the MAS condition (1) of Def. 3.2).
-func (p *Partition) HasDuplicate() bool {
-	for _, c := range p.Classes {
-		if c.Size() > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // NonSingletonClasses returns the ECs with size ≥ 2, sorted by ascending
@@ -101,16 +89,5 @@ func (p *Partition) NonSingletonClasses() []*EC {
 		}
 		return out[i].Rows[0] < out[j].Rows[0]
 	})
-	return out
-}
-
-// SingletonClasses returns the ECs with size 1.
-func (p *Partition) SingletonClasses() []*EC {
-	out := make([]*EC, 0)
-	for _, c := range p.Classes {
-		if c.Size() == 1 {
-			out = append(out, c)
-		}
-	}
 	return out
 }

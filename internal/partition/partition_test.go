@@ -33,9 +33,6 @@ func TestPartitionOf(t *testing.T) {
 	if p.MaxClassSize() != 3 {
 		t.Errorf("MaxClassSize = %d", p.MaxClassSize())
 	}
-	if !p.HasDuplicate() {
-		t.Error("π_A should have duplicates")
-	}
 	full := Of(tbl, relation.NewAttrSet(0, 1, 2))
 	if full.NumClasses() != 4 {
 		t.Errorf("π_ABC has %d classes, want 4", full.NumClasses())
@@ -76,8 +73,8 @@ func TestStrippedOf(t *testing.T) {
 	if s.NumClasses() != 2 {
 		t.Fatalf("stripped π_C has %d classes, want 2", s.NumClasses())
 	}
-	if s.Cardinality() != 4 {
-		t.Errorf("Cardinality = %d, want 4", s.Cardinality())
+	if len(s.rows) != 4 {
+		t.Errorf("||π|| = %d, want 4", len(s.rows))
 	}
 	if s.ErrorMeasure() != 2 {
 		t.Errorf("ErrorMeasure = %d, want 2", s.ErrorMeasure())
@@ -93,9 +90,9 @@ func TestStrippedSingleMatchesGeneric(t *testing.T) {
 	for a := 0; a < tbl.NumAttrs(); a++ {
 		s1 := StrippedSingle(c, a)
 		s2 := StrippedOf(c, relation.SingleAttr(a))
-		if s1.Cardinality() != s2.Cardinality() || s1.NumClasses() != s2.NumClasses() {
+		if len(s1.rows) != len(s2.rows) || s1.NumClasses() != s2.NumClasses() {
 			t.Errorf("attr %d: StrippedSingle %d/%d vs StrippedOf %d/%d",
-				a, s1.NumClasses(), s1.Cardinality(), s2.NumClasses(), s2.Cardinality())
+				a, s1.NumClasses(), len(s1.rows), s2.NumClasses(), len(s2.rows))
 		}
 	}
 }
@@ -178,8 +175,10 @@ func canonClasses(s *Stripped) [][]int32 {
 // classesOf copies the classes of s out of its flat layout, in order.
 func classesOf(s *Stripped) [][]int32 {
 	out := make([][]int32, 0, s.NumClasses())
-	for i := 0; i < s.NumClasses(); i++ {
-		out = append(out, slices.Clone(s.Class(i)))
+	start := int32(0)
+	for _, end := range s.ends {
+		out = append(out, slices.Clone(s.rows[start:end]))
+		start = end
 	}
 	return out
 }

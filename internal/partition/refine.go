@@ -19,9 +19,6 @@ type Delta struct {
 	Born []int
 }
 
-// Changed reports whether the append touched the partition at all.
-func (d Delta) Changed() bool { return len(d.Grown) > 0 || len(d.Born) > 0 }
-
 // Refine extends p — which must have been computed over the first oldRows
 // rows of c — with the appended rows c[oldRows:]. It returns a fresh
 // partition plus the delta; p itself is never modified (untouched classes

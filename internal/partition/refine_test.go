@@ -71,11 +71,11 @@ func TestPartitionRefineMatchesRecompute(t *testing.T) {
 			t.Fatalf("trial %d: refined ≠ recomputed for %v\n got: %v\nwant: %v",
 				trial, set, fullClassSets(np), fullClassSets(want))
 		}
-		if np.NumRows() != tbl.NumRows() {
-			t.Fatalf("trial %d: refined covers %d rows, want %d", trial, np.NumRows(), tbl.NumRows())
+		if np.numRows != tbl.NumRows() {
+			t.Fatalf("trial %d: refined covers %d rows, want %d", trial, np.numRows, tbl.NumRows())
 		}
 		// Copy-on-write: the original partition is untouched.
-		if p.NumRows() != old {
+		if p.numRows != old {
 			t.Fatalf("trial %d: Refine mutated the source partition", trial)
 		}
 		total := 0
@@ -158,7 +158,7 @@ func TestRefineIsPure(t *testing.T) {
 			t.Errorf("refine %d: classes differ from grouping the whole table", g)
 		}
 	}
-	if !reflect.DeepEqual(p.Classes, before) || p.NumRows() != base.NumRows() {
+	if !reflect.DeepEqual(p.Classes, before) || p.numRows != base.NumRows() {
 		t.Fatal("Refine modified its receiver")
 	}
 }

@@ -98,25 +98,8 @@ func checkRows(n int) {
 	}
 }
 
-// NumRows returns the number of rows of the underlying table.
-func (s *Stripped) NumRows() int { return s.numRows }
-
-// Cardinality returns ||π||: the total number of rows in non-singleton
-// classes.
-func (s *Stripped) Cardinality() int { return len(s.rows) }
-
 // NumClasses returns the number of non-singleton classes.
 func (s *Stripped) NumClasses() int { return len(s.ends) }
-
-// Class returns the rows of class i, in class order. The slice aliases the
-// partition and must not be modified.
-func (s *Stripped) Class(i int) []int32 {
-	start := int32(0)
-	if i > 0 {
-		start = s.ends[i-1]
-	}
-	return s.rows[start:s.ends[i]]
-}
 
 // HasDuplicate reports whether the underlying attribute set is non-unique.
 func (s *Stripped) HasDuplicate() bool { return len(s.ends) > 0 }

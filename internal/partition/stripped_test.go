@@ -147,17 +147,17 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 			if !sameStripped(prod, StrippedOf(c, x.Union(y))) {
 				t.Fatalf("trial %d: Product(%v, %v) ≠ π of the union", trial, x, y)
 			}
-			if prod.Attrs != x.Union(y) || prod.NumRows() != tbl.NumRows() {
-				t.Fatalf("trial %d: Product header = %v/%d", trial, prod.Attrs, prod.NumRows())
+			if prod.Attrs != x.Union(y) || prod.numRows != tbl.NumRows() {
+				t.Fatalf("trial %d: Product header = %v/%d", trial, prod.Attrs, prod.numRows)
 			}
 			union := strippedModel(tbl, x.Union(y))
 			card := 0
 			for _, c := range union {
 				card += len(c)
 			}
-			if prod.Cardinality() != card || prod.ErrorMeasure() != card-len(union) {
+			if len(prod.rows) != card || prod.ErrorMeasure() != card-len(union) {
 				t.Fatalf("trial %d: ||π|| = %d, e = %d; want %d, %d",
-					trial, prod.Cardinality(), prod.ErrorMeasure(), card, card-len(union))
+					trial, len(prod.rows), prod.ErrorMeasure(), card, card-len(union))
 			}
 		}
 	}

@@ -52,6 +52,10 @@ type Instance struct {
 	// Metrics, when non-nil, is called once after the measured window
 	// and its values land in the run result (e.g. ciphertext expansion).
 	Metrics func() map[string]float64
+	// Tables, when non-nil, is called once after the measured window and
+	// returns the rendered result of the last op (the paper experiments'
+	// tables); the run result carries them for the CLI to print.
+	Tables func() []*Table
 	// Cleanup, when non-nil, releases setup resources (temp dirs, test
 	// servers) after the run.
 	Cleanup func() error

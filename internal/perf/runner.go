@@ -70,6 +70,9 @@ type RunResult struct {
 
 	Profiles []ProfileRef    `json:"profiles,omitempty"`
 	Runtime  *RuntimeSummary `json:"runtime,omitempty"`
+
+	// Tables is what Instance.Tables returned; printed, not reported.
+	Tables []*Table `json:"-"`
 }
 
 // StageStat aggregates one pipeline stage across all measured ops.
@@ -250,6 +253,9 @@ func Run(ctx context.Context, w Workload, sc Scale, rc RunConfig) (*RunResult, e
 	}
 	if inst.Metrics != nil {
 		res.Metrics = inst.Metrics()
+	}
+	if inst.Tables != nil {
+		res.Tables = inst.Tables()
 	}
 	if prof != nil {
 		refs, sum, perr := prof.stop()

@@ -88,35 +88,12 @@ func (s AttrSet) First() int {
 	return bits.TrailingZeros64(uint64(s))
 }
 
-// Subsets calls fn for every non-empty proper subset of s. Iteration stops
-// early if fn returns false.
-func (s AttrSet) Subsets(fn func(AttrSet) bool) {
-	// Enumerate submasks of s, excluding s itself and the empty set.
-	for sub := (s - 1) & s; sub != 0; sub = (sub - 1) & s {
-		if !fn(sub) {
-			return
-		}
-	}
-}
-
 // ImmediateSubsets returns the subsets of s of size |s|-1.
 func (s AttrSet) ImmediateSubsets() []AttrSet {
 	attrs := s.Attrs()
 	out := make([]AttrSet, 0, len(attrs))
 	for _, a := range attrs {
 		out = append(out, s.Remove(a))
-	}
-	return out
-}
-
-// ImmediateSupersets returns the supersets of s of size |s|+1 within the
-// universe {0..m-1}.
-func (s AttrSet) ImmediateSupersets(m int) []AttrSet {
-	out := make([]AttrSet, 0, m-s.Size())
-	for a := 0; a < m; a++ {
-		if !s.Has(a) {
-			out = append(out, s.Add(a))
-		}
 	}
 	return out
 }

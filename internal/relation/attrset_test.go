@@ -78,39 +78,6 @@ func TestImmediateSubsetsSupersets(t *testing.T) {
 			t.Errorf("bad immediate subset %v", sub)
 		}
 	}
-	sups := s.ImmediateSupersets(5)
-	if len(sups) != 3 {
-		t.Fatalf("ImmediateSupersets len = %d", len(sups))
-	}
-	for _, sup := range sups {
-		if sup.Size() != 3 || !s.SubsetOf(sup) {
-			t.Errorf("bad immediate superset %v", sup)
-		}
-	}
-}
-
-func TestSubsetsEnumeration(t *testing.T) {
-	s := NewAttrSet(0, 2, 4)
-	var got []AttrSet
-	s.Subsets(func(sub AttrSet) bool {
-		got = append(got, sub)
-		return true
-	})
-	// 2^3 - 2 proper non-empty subsets.
-	if len(got) != 6 {
-		t.Fatalf("Subsets yielded %d sets, want 6", len(got))
-	}
-	for _, sub := range got {
-		if !sub.ProperSubsetOf(s) || sub.IsEmpty() {
-			t.Errorf("bad subset %v", sub)
-		}
-	}
-	// Early stop.
-	count := 0
-	s.Subsets(func(AttrSet) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early stop count = %d, want 2", count)
-	}
 }
 
 func TestAttrSetString(t *testing.T) {

@@ -84,22 +84,6 @@ func (s *Schema) Lookup(name string) int {
 	return -1
 }
 
-// AttrSetOf resolves column names into an AttrSet.
-func (s *Schema) AttrSetOf(names ...string) (AttrSet, error) {
-	var set AttrSet
-	for _, n := range names {
-		i := s.Lookup(n)
-		if i < 0 {
-			return 0, fmt.Errorf("relation: unknown column %q", n)
-		}
-		set = set.Add(i)
-	}
-	return set, nil
-}
-
-// All returns the set of all attributes in the schema.
-func (s *Schema) All() AttrSet { return FullAttrSet(len(s.names)) }
-
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	return MustSchema(s.names...)
@@ -313,24 +297,12 @@ func (t *Table) ProjectKey(i int, attrs AttrSet) string {
 	return b.String()
 }
 
-// AgreementSet returns the set of attributes on which rows i and j agree.
-// The agreement set of any row pair is a non-unique column combination
-// (witnessed by that very pair), so agreement sets drive both the
-// brute-force MAS oracle and incremental border maintenance.
-func (t *Table) AgreementSet(i, j int) AttrSet {
-	var s AttrSet
-	for a, col := range t.cols {
-		if col[i] == col[j] {
-			s = s.Add(a)
-		}
-	}
-	return s
-}
-
 // KeyOfValues returns the canonical grouping key of a projected value
 // tuple: for any row i, KeyOfValues(t.Project(i, attrs)) == t.ProjectKey(i,
 // attrs). It keys value tuples that live outside any table, such as the
 // rows a client holds to compare against a decrypted download.
+//
+//lint:ignore f2vet/deadexport benchmark/oracle.go, in the separate benchmark module, keys model rows with it
 func KeyOfValues(vals []string) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -357,6 +329,10 @@ func (t *Table) DistinctCount(a int) int {
 
 // HasDuplicateOn reports whether some value tuple over attrs occurs in more
 // than one row — i.e. whether attrs is a non-unique column combination.
+// The program asks partition.Cache instead; this string-keyed scan is the
+// independent reference the PLI tests compare against.
+//
+//lint:ignore f2vet/deadexport uniqueness oracle for the PLI tests in relation, fd, partition and mas
 func (t *Table) HasDuplicateOn(attrs AttrSet) bool {
 	seen := make(map[string]struct{}, t.n)
 	for i := 0; i < t.n; i++ {

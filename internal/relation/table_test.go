@@ -38,13 +38,6 @@ func TestSchemaValidation(t *testing.T) {
 	if s.Lookup("B") != 1 || s.Lookup("nope") != -1 {
 		t.Error("Lookup wrong")
 	}
-	set, err := s.AttrSetOf("B", "A")
-	if err != nil || set != NewAttrSet(0, 1) {
-		t.Errorf("AttrSetOf = %v, %v", set, err)
-	}
-	if _, err := s.AttrSetOf("missing"); err == nil {
-		t.Error("AttrSetOf of unknown column accepted")
-	}
 }
 
 func TestTableBasics(t *testing.T) {

@@ -49,6 +49,8 @@ func (r *statusRecorder) Flush() {
 // Unwrap exposes the underlying writer to http.ResponseController, which
 // discovers optional interfaces (Flusher, Hijacker, deadlines) through
 // the Unwrap chain.
+//
+//lint:ignore f2vet/deadexport called by http.ResponseController through an interface net/http does not export
 func (r *statusRecorder) Unwrap() http.ResponseWriter {
 	return r.ResponseWriter
 }

@@ -229,15 +229,25 @@ func TestRegistryAddRetriesOnCollision(t *testing.T) {
 		}
 		return id, nil
 	}
+	// add is Reserve + Publish with nothing in between.
+	add := func(name string) (*Dataset, error) {
+		id, _, err := reg.Reserve()
+		if err != nil {
+			return nil, err
+		}
+		ds := newDataset(id, name, core.Config{}, upd())
+		reg.Publish(ds)
+		return ds, nil
+	}
 
-	first, err := reg.Add("first", core.Config{}, upd())
+	first, err := add("first")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != "ds_fixed" {
 		t.Fatalf("first id %q", first.ID)
 	}
-	second, err := reg.Add("second", core.Config{}, upd())
+	second, err := add("second")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ func TestRegistryAddRetriesOnCollision(t *testing.T) {
 
 	// A generator that always collides must error out, not overwrite.
 	reg.idGen = func() (string, error) { return "ds_fixed", nil }
-	if _, err := reg.Add("third", core.Config{}, upd()); err == nil {
+	if _, err := add("third"); err == nil {
 		t.Fatal("permanent collision accepted")
 	}
 	if got, _ := reg.Get("ds_fixed"); got != first {

@@ -219,24 +219,12 @@ func (r *Registry) Publish(ds *Dataset) {
 	r.mu.Unlock()
 }
 
-// Add registers a freshly encrypted dataset under a new unique id:
-// Reserve + Publish for callers with no setup between the two.
-func (r *Registry) Add(name string, cfg core.Config, upd *core.Updater) (*Dataset, error) {
-	id, _, err := r.Reserve()
-	if err != nil {
-		return nil, err
-	}
-	ds := newDataset(id, name, cfg, upd)
-	r.Publish(ds)
-	return ds, nil
-}
-
 // RestoreLazy registers a dataset shell recovered from the durable
 // store under its original id: identity, config, and a summary computed
 // from the snapshot index, with the updater state left on disk. tail is
-// the WAL tail to replay when the dataset hydrates. Unlike Add it never
-// invents an id, and a duplicate is an error (two store entries claiming
-// one id).
+// the WAL tail to replay when the dataset hydrates. Unlike Reserve it
+// never invents an id, and a duplicate is an error (two store entries
+// claiming one id).
 func (r *Registry) RestoreLazy(id, name string, created time.Time, cfg core.Config, sum Summary, tail []store.Batch) (*Dataset, error) {
 	ds := &Dataset{ID: id, Name: name, Created: created, cfg: cfg, lazyTail: tail}
 	ds.stats = sum // not yet published: no concurrent Summary readers

@@ -42,31 +42,19 @@ func (v *Verdict) OK() bool {
 	return v.Sound && len(v.Missed) == 0
 }
 
-// CheckClaims validates the server-returned FD set against the owner's
-// plaintext table with `probes` completeness samples. The claim is
-// expected to cover every *holding* dependency (fd.Discover's contract).
-func CheckClaims(t *relation.Table, claimed *fd.Set, probes int, seed int64) *Verdict {
-	return checkClaimsWith(t, claimed, probes, seed, fd.Holds)
-}
-
-// CheckWitnessedClaims is CheckClaims for a server that returns the
-// *witnessed* FDs of the outsourced table — the set F² preserves exactly
-// (Theorem 3.7), and what f2served's /fds endpoint computes. Soundness
-// and the completeness probes both test fd.Witnessed instead of fd.Holds:
-// vacuously-true dependencies (unique LHS) are out of scope of a
-// witnessed claim, so flagging them as missing would be spurious.
+// CheckWitnessedClaims validates the FD set a server returned for the
+// owner's plaintext table, with `probes` completeness samples. The claim
+// is expected to cover every *witnessed* FD — the set F² preserves
+// exactly (Theorem 3.7), and what f2served's /fds endpoint computes — so
+// soundness and the completeness probes both test fd.Witnessed:
+// vacuously-true dependencies (unique LHS) are out of scope of the claim,
+// and flagging them as missing would be spurious.
 func CheckWitnessedClaims(t *relation.Table, claimed *fd.Set, probes int, seed int64) *Verdict {
-	return checkClaimsWith(t, claimed, probes, seed, fd.Witnessed)
-}
-
-// checkClaimsWith runs the soundness scan and completeness probing with
-// `valid` as the notion of a dependency the claim must cover.
-func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64, valid func(*relation.Coded, fd.FD) bool) *Verdict {
 	v := &Verdict{Sound: true}
 	c := relation.Encode(t)
-	// Soundness: every claimed FD must be valid. Exact.
+	// Soundness: every claimed FD must be witnessed. Exact.
 	for _, f := range claimed.Slice() {
-		if !valid(c, f) {
+		if !fd.Witnessed(c, f) {
 			v.Sound = false
 			v.FalseClaims = append(v.FalseClaims, f)
 		}
@@ -83,7 +71,7 @@ func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64,
 		}
 		seen[f] = true
 		v.Probes++
-		if valid(c, f) && !fd.Implies(claimed, f) {
+		if fd.Witnessed(c, f) && !fd.Implies(claimed, f) {
 			v.Missed = append(v.Missed, f)
 		}
 	}
@@ -129,22 +117,4 @@ func checkClaimsWith(t *relation.Table, claimed *fd.Set, probes int, seed int64,
 		probe(fd.FD{LHS: lhs, RHS: rng.Intn(m)})
 	}
 	return v
-}
-
-// CheckAgainstDiscovery is the expensive gold check used in tests and
-// audits: rediscover the FDs locally and compare covers exactly. Returns
-// (missing-from-claim, fabricated-in-claim).
-func CheckAgainstDiscovery(t *relation.Table, claimed *fd.Set) (missing, fabricated []fd.FD) {
-	truth := fd.Discover(t)
-	for _, f := range truth.Slice() {
-		if !fd.Implies(claimed, f) {
-			missing = append(missing, f)
-		}
-	}
-	for _, f := range claimed.Slice() {
-		if !fd.Implies(truth, f) {
-			fabricated = append(fabricated, f)
-		}
-	}
-	return missing, fabricated
 }

@@ -73,11 +73,3 @@ func Synthetic(n int, seed int64) *relation.Table {
 	}
 	return t
 }
-
-// SyntheticMASs returns the ground-truth MASs of the synthetic dataset.
-func SyntheticMASs() []relation.AttrSet {
-	return []relation.AttrSet{
-		relation.NewAttrSet(0, 1, 2),
-		relation.NewAttrSet(2, 3, 4, 5, 6),
-	}
-}

@@ -48,27 +48,6 @@ func Generate(name string, n int, seed int64) (*relation.Table, error) {
 // Names lists the available datasets.
 func Names() []string { return []string{NameOrders, NameCustomer, NameSynthetic} }
 
-// ZipfColumn fills a column with a Zipf-distributed choice among `distinct`
-// values — the skewed frequency profile that makes frequency analysis
-// dangerous. s > 1 controls the skew.
-func ZipfColumn(rng *rand.Rand, n, distinct int, s float64, prefix string) []string {
-	z := rand.NewZipf(rng, s, 1, uint64(distinct-1))
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", prefix, z.Uint64())
-	}
-	return out
-}
-
-// UniformColumn fills a column with uniform choices among `distinct` values.
-func UniformColumn(rng *rand.Rand, n, distinct int, prefix string) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(distinct))
-	}
-	return out
-}
-
 // syllables are the TPC-C C_LAST syllables.
 var syllables = []string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}
 
