@@ -4,13 +4,13 @@ import "f2/internal/relation"
 
 // Closure returns the attribute closure X⁺ under the given FDs: the
 // largest set of attributes functionally determined by X. Standard
-// fixpoint computation, linear passes over the FD list.
+// fixpoint computation, linear passes over the FD set; the fixpoint does
+// not depend on the order of a pass.
 func Closure(fds *Set, x relation.AttrSet) relation.AttrSet {
 	closure := x
-	list := fds.Slice()
 	for changed := true; changed; {
 		changed = false
-		for _, f := range list {
+		for f := range fds.fds {
 			if f.LHS.SubsetOf(closure) && !closure.Has(f.RHS) {
 				closure = closure.Add(f.RHS)
 				changed = true

@@ -198,9 +198,10 @@ func TestTANEEdgeCases(t *testing.T) {
 }
 
 // TestTANEFreesPrunedPartitions checks that a finished run holds only the
-// single-attribute partitions and those of the last level's survivors:
-// candidates PRUNE dropped (superkeys, empty C⁺) must not keep their
-// partitions until the run ends.
+// partitions of the last level's survivors: candidates PRUNE dropped
+// (superkeys, empty C⁺) must not keep their partitions until the run
+// ends, nor may earlier levels. It also checks the order every level's
+// binary searches rely on: strictly ascending sets of the level's size.
 func TestTANEFreesPrunedPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
@@ -209,19 +210,18 @@ func TestTANEFreesPrunedPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := 0
-		for x, p := range ta.parts {
-			if x.Size() == 1 {
-				continue
-			}
-			if size == 0 {
-				size = x.Size()
-			}
-			if x.Size() != size {
-				t.Fatalf("trial %d: partitions of %d- and %d-attribute sets both retained", trial, size, x.Size())
-			}
-			if ta.cplus[x].IsEmpty() || !p.HasDuplicate() {
-				t.Fatalf("trial %d: pruned candidate %v still holds its partition", trial, x)
+		for l, level := range ta.lattice {
+			last := l == len(ta.lattice)-1
+			for i, n := range level {
+				if n.x.Size() != l+1 || i > 0 && level[i-1].x >= n.x {
+					t.Fatalf("trial %d: level %d holds %v after %v", trial, l+1, n.x, level[max(i-1, 0)].x)
+				}
+				if n.part != nil && (!last || n.pruned) {
+					t.Fatalf("trial %d: %v (level %d of %d, pruned %v) still holds its partition", trial, n.x, l+1, len(ta.lattice), n.pruned)
+				}
+				if last && !n.pruned && (n.part == nil || n.cplus.IsEmpty() || !n.part.HasDuplicate()) {
+					t.Fatalf("trial %d: survivor %v lost its partition or should have been pruned", trial, n.x)
+				}
 			}
 		}
 	}

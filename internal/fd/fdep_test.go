@@ -179,3 +179,47 @@ func TestFDEPEdgeCases(t *testing.T) {
 		t.Errorf("single row: fdep %v, tane %v", got, want)
 	}
 }
+
+// FuzzTANE decodes a table from the fuzz bytes — the first byte picks the
+// width (1 to 6 columns), every further byte one cell from a domain of
+// four values, at most 64 rows — and checks TANE against FDEP, the
+// independent oracle: Discover must equal FDEP, and DiscoverWitnessed must
+// equal FDEP's FDs whose LHS has a duplicate.
+func FuzzTANE(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 1, 1, 2, 1, 2})
+	f.Add([]byte{3, 0, 1, 2, 0, 1, 3, 1, 1, 2, 1, 1, 2})
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3, 0, 1, 0, 3, 3, 3, 3, 3})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		attrs := 1 + int(data[0]%6)
+		names := make([]string, attrs)
+		for a := range names {
+			names[a] = string(rune('A' + a))
+		}
+		var rows [][]string
+		for cells := data[1:]; len(cells) >= attrs && len(rows) < 64; cells = cells[attrs:] {
+			row := make([]string, attrs)
+			for a := range row {
+				row[a] = string(rune('0' + cells[a]%4))
+			}
+			rows = append(rows, row)
+		}
+		tbl := relation.MustFromRows(relation.MustSchema(names...), rows)
+		fdep := FDEP(tbl)
+		if tane := Discover(tbl); !tane.Equal(fdep) {
+			t.Fatalf("TANE %v ≠ FDEP %v on %v", tane, fdep, rows)
+		}
+		want := NewSet()
+		for _, f := range fdep.Slice() {
+			if tbl.HasDuplicateOn(f.LHS) {
+				want.Add(f)
+			}
+		}
+		if got := DiscoverWitnessed(tbl); !got.Equal(want) {
+			t.Fatalf("witnessed TANE %v ≠ witnessed FDEP %v on %v", got, want, rows)
+		}
+	})
+}

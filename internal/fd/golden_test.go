@@ -10,6 +10,7 @@ import (
 
 	"f2/internal/core"
 	"f2/internal/crypt"
+	"f2/internal/obs"
 	"f2/internal/relation"
 	"f2/internal/workload"
 )
@@ -79,5 +80,29 @@ func TestDiscoverGoldenEncrypted(t *testing.T) {
 				t.Errorf("FD output hash = %s, want %s\n%s", got, c.want, b.String())
 			}
 		})
+	}
+}
+
+// TestDiscoverWorkCustomer pins the lattice's work on the ciphertext
+// BenchmarkDiscoverWitnessedEncrypted times (customer-600, seed 1): the
+// fd.discover span reports 5 levels and 2,756 products. A rewrite of
+// candidate generation or pruning that adds levels or products, without
+// changing the FDs, shows up here.
+func TestDiscoverWorkCustomer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encrypts a dataset")
+	}
+	enc := encryptedTable(t, workload.NameCustomer, 600, 1, "f2bench-1")
+	ctx, tr := obs.NewTrace(context.Background(), "", "fds")
+	if _, err := DiscoverWitnessedCtx(ctx, enc); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	root := tr.Snapshot().Root
+	if len(root.Children) != 1 || root.Children[0].Name != "fd.discover" {
+		t.Fatalf("spans = %+v, want one fd.discover", root.Children)
+	}
+	if attrs := root.Children[0].Attrs; attrs["levels"] != 5 || attrs["products"] != 2756 {
+		t.Errorf("fd.discover attrs = %v, want levels 5 and products 2756", attrs)
 	}
 }

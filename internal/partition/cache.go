@@ -40,7 +40,7 @@ type Cache struct {
 	keys    []relation.AttrSet // the cached sets, for subset scans
 	held    int64              // budget words this cache holds
 	free    *atomic.Int64      // budget words not yet charged, shared by forks
-	ws      *workspace
+	ws      *Workspace
 	stats   CacheStats
 }
 
@@ -72,7 +72,7 @@ func NewCache(c *relation.Coded) *Cache {
 }
 
 func newCache(c *relation.Coded, singles []*Stripped, free *atomic.Int64) *Cache {
-	return &Cache{coded: c, singles: singles, plis: make(map[relation.AttrSet]*Stripped), free: free, ws: NewWorkspace(0)}
+	return &Cache{coded: c, singles: singles, plis: make(map[relation.AttrSet]*Stripped), free: free, ws: NewWorkspace()}
 }
 
 // Fork returns an empty cache over the same table that shares c's

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -184,11 +185,12 @@ func violationModel(c *relation.Coded, x relation.AttrSet, y int) (f, r int, vio
 }
 
 // TestViolationIgnoresClassOrder: the witness of X→Y equals the model on
-// random tables, whether the PLI of X comes from the cache or from
-// Product with either operand order, which orders classes differently.
+// random tables, whether the PLI of X comes from the cache or from a
+// product that adds X's smallest or its largest attribute last, which
+// order classes differently.
 func TestViolationIgnoresClassOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	ws := NewWorkspace(0)
+	ws := NewWorkspace()
 	for trial := 0; trial < 300; trial++ {
 		attrs := 3 + rng.Intn(5)
 		tbl := randomTable(rng, attrs, rng.Intn(50), 1+rng.Intn(4))
@@ -201,43 +203,16 @@ func TestViolationIgnoresClassOrder(t *testing.T) {
 			if x.Size() < 2 {
 				continue
 			}
-			a := x.First()
-			rest := x.Remove(a)
+			first, last := x.First(), bits.Len64(uint64(x))-1
 			wf, wr, want := violationModel(c, x, y)
 			for _, s := range []*Stripped{
 				cache.Get(x),
-				Product(StrippedSingle(c, a), StrippedOf(c, rest), ws),
-				Product(StrippedOf(c, rest), StrippedSingle(c, a), ws),
+				ProductColumn(StrippedOf(c, x.Remove(first)), c, first, ws),
+				ProductColumn(StrippedOf(c, x.Remove(last)), c, last, ws),
 			} {
 				if gf, gr, got := s.Violation(c.Column(y)); got != want || got && (gf != wf || gr != wr) {
 					t.Fatalf("trial %d: %v→%d witness (%d, %d, %v), want (%d, %d, %v)", trial, x, y, gf, gr, got, wf, wr, want)
 				}
-			}
-		}
-	}
-}
-
-// TestProductColumnMatchesProduct: splitting by a column's codes gives
-// exactly Product with the column's single PLI as the probe side, class
-// order included.
-func TestProductColumnMatchesProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	ws := NewWorkspace(0)
-	for trial := 0; trial < 200; trial++ {
-		attrs := 2 + rng.Intn(4)
-		tbl := randomTable(rng, attrs, rng.Intn(60), 1+rng.Intn(6))
-		c := relation.Encode(tbl)
-		full := relation.FullAttrSet(attrs)
-		x := relation.AttrSet(rng.Int63()).Intersect(full)
-		if x.IsEmpty() {
-			continue
-		}
-		px := StrippedOf(c, x)
-		for a := 0; a < attrs; a++ {
-			got := ProductColumn(px, c, a, ws)
-			want := Product(StrippedSingle(c, a), px, nil)
-			if got.Attrs != want.Attrs || !slices.EqualFunc(classesOf(got), classesOf(want), slices.Equal) {
-				t.Fatalf("trial %d: ProductColumn(%v, %d) = %v, Product = %v", trial, x, a, classesOf(got), classesOf(want))
 			}
 		}
 	}

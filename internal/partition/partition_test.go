@@ -70,8 +70,8 @@ func TestNonSingletonSortedAscending(t *testing.T) {
 func TestStrippedOf(t *testing.T) {
 	s := StrippedOf(relation.Encode(sampleTable()), relation.NewAttrSet(2))
 	// c1 ×2, c2 ×1, c3 ×2 ⇒ two stripped classes.
-	if s.NumClasses() != 2 {
-		t.Fatalf("stripped π_C has %d classes, want 2", s.NumClasses())
+	if len(s.ends) != 2 {
+		t.Fatalf("stripped π_C has %d classes, want 2", len(s.ends))
 	}
 	if len(s.rows) != 4 {
 		t.Errorf("||π|| = %d, want 4", len(s.rows))
@@ -90,15 +90,18 @@ func TestStrippedSingleMatchesGeneric(t *testing.T) {
 	for a := 0; a < tbl.NumAttrs(); a++ {
 		s1 := StrippedSingle(c, a)
 		s2 := StrippedOf(c, relation.SingleAttr(a))
-		if len(s1.rows) != len(s2.rows) || s1.NumClasses() != s2.NumClasses() {
+		if len(s1.rows) != len(s2.rows) || len(s1.ends) != len(s2.ends) {
 			t.Errorf("attr %d: StrippedSingle %d/%d vs StrippedOf %d/%d",
-				a, s1.NumClasses(), len(s1.rows), s2.NumClasses(), len(s2.rows))
+				a, len(s1.ends), len(s1.rows), len(s2.ends), len(s2.rows))
 		}
 	}
 }
 
+// TestProductMatchesDirect: the product π_X · π_Y, taken by splitting π_X
+// by each column of Y in turn, is the stripped partition of X ∪ Y.
 func TestProductMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	ws := NewWorkspace()
 	for trial := 0; trial < 50; trial++ {
 		c := relation.Encode(randomTable(rng, 4, 30, 3))
 		x := relation.AttrSet(rng.Intn(15) + 1).Intersect(relation.FullAttrSet(4))
@@ -106,28 +109,56 @@ func TestProductMatchesDirect(t *testing.T) {
 		if x.IsEmpty() || y.IsEmpty() {
 			continue
 		}
-		px := StrippedOf(c, x)
-		py := StrippedOf(c, y)
-		prod := Product(px, py, nil)
+		prod := StrippedOf(c, x)
+		for rest := y; !rest.IsEmpty(); rest = rest.Remove(rest.First()) {
+			prod = ProductColumn(prod, c, rest.First(), ws)
+		}
 		direct := StrippedOf(c, x.Union(y))
-		if !sameStripped(prod, direct) {
-			t.Fatalf("trial %d: Product(%v,%v) ≠ direct\nprod: %v\ndirect: %v",
+		if prod.Attrs != x.Union(y) || !sameStripped(prod, direct) {
+			t.Fatalf("trial %d: π_%v · π_%v ≠ direct\nprod: %v\ndirect: %v",
 				trial, x, y, classesOf(prod), classesOf(direct))
 		}
 	}
 }
 
+// TestProductColumnMatchesProduct: splitting the stripped partition of X
+// by column a's codes gives the product partition π_{X ∪ {a}}, class for
+// class, including a ∈ X and the table with no rows.
+func TestProductColumnMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	ws := NewWorkspace()
+	for trial := 0; trial < 200; trial++ {
+		attrs := 2 + rng.Intn(4)
+		c := relation.Encode(randomTable(rng, attrs, rng.Intn(60), 1+rng.Intn(6)))
+		x := relation.AttrSet(rng.Int63()).Intersect(relation.FullAttrSet(attrs))
+		if x.IsEmpty() {
+			continue
+		}
+		px := StrippedOf(c, x)
+		for a := 0; a < attrs; a++ {
+			prod, direct := ProductColumn(px, c, a, ws), StrippedOf(c, x.Add(a))
+			if prod.Attrs != x.Add(a) || !sameStripped(prod, direct) {
+				t.Fatalf("trial %d: ProductColumn(%v, %d) ≠ direct\nprod: %v\ndirect: %v",
+					trial, x, a, classesOf(prod), classesOf(direct))
+			}
+		}
+	}
+}
+
+// TestProductWithWorkspaceReuse chains products through one workspace, so
+// scratch left by a wider split must not leak into a narrower one.
 func TestProductWithWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := relation.Encode(randomTable(rng, 5, 60, 3))
-	ws := NewWorkspace(c.NumRows())
+	ws := NewWorkspace()
 	for trial := 0; trial < 30; trial++ {
 		x := relation.AttrSet(rng.Intn(31) + 1)
-		y := relation.AttrSet(rng.Intn(31) + 1)
-		px := StrippedOf(c, x)
-		py := StrippedOf(c, y)
-		if !sameStripped(Product(px, py, ws), StrippedOf(c, x.Union(y))) {
-			t.Fatalf("trial %d: workspace reuse corrupted product", trial)
+		p := StrippedSingle(c, x.First())
+		for rest := x.Remove(x.First()); !rest.IsEmpty(); rest = rest.Remove(rest.First()) {
+			p = ProductColumn(p, c, rest.First(), ws)
+		}
+		if !sameStripped(p, StrippedOf(c, x)) {
+			t.Fatalf("trial %d: workspace reuse corrupted the product for %v", trial, x)
 		}
 	}
 }
@@ -174,7 +205,7 @@ func canonClasses(s *Stripped) [][]int32 {
 
 // classesOf copies the classes of s out of its flat layout, in order.
 func classesOf(s *Stripped) [][]int32 {
-	out := make([][]int32, 0, s.NumClasses())
+	out := make([][]int32, 0, len(s.ends))
 	start := int32(0)
 	for _, end := range s.ends {
 		out = append(out, slices.Clone(s.rows[start:end]))

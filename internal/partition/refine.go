@@ -25,8 +25,11 @@ type Delta struct {
 // are shared by reference, grown classes are copied before their row lists
 // are extended), so a caller that aborts mid-update can keep using p.
 //
-// Cost is O(|classes|·|X| + Δ·|X|): the class index is keyed from each
-// class's first row, whose codes c keeps, not by re-hashing the old rows.
+// Cost is O(|classes|·|X| + Δ·|X|) time and O(Δ) allocations: the appended
+// rows are grouped by their packed codes over X, which allocates one key
+// per distinct appended projection, and each old class is then looked up
+// by the key of its first row, composed in a reused buffer — a lookup that
+// does not allocate. No old row is re-hashed.
 func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, error) {
 	if p.numRows != oldRows {
 		return nil, Delta{}, fmt.Errorf("partition: refine: partition covers %d rows, caller says %d", p.numRows, oldRows)
@@ -37,23 +40,42 @@ func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, e
 	out := &Partition{Attrs: p.Attrs, numRows: c.NumRows()}
 	out.Classes = append(make([]*EC, 0, len(p.Classes)), p.Classes...)
 	cols := p.Attrs.Attrs()
-	// Keys are composed in a reused buffer: the lookup on string(key) does
-	// not allocate, so an appended row landing in an existing class costs
-	// no allocation.
 	key := make([]byte, 0, 4*len(cols))
-	index := make(map[string]int, len(p.Classes)+16)
-	for i, cl := range p.Classes {
-		key = c.AppendKey(key[:0], cl.Rows[0], cols)
-		index[string(key)] = i
+
+	// Group the appended rows: group[i] is the group of row oldRows+i, in
+	// first-occurrence order.
+	index := make(map[string]int)
+	group := make([]int, c.NumRows()-oldRows)
+	for i := range group {
+		key = c.AppendKey(key[:0], oldRows+i, cols)
+		g, ok := index[string(key)]
+		if !ok {
+			g = len(index)
+			index[string(key)] = g
+		}
+		group[i] = g
 	}
+	// class[g] is the class group g joins: an old class with its key, or
+	// -1 until the group's first row founds a born class.
+	class := make([]int, len(index))
+	for g := range class {
+		class[g] = -1
+	}
+	for ci, matched := 0, 0; ci < len(p.Classes) && matched < len(class); ci++ {
+		key = c.AppendKey(key[:0], p.Classes[ci].Rows[0], cols)
+		if g, ok := index[string(key)]; ok {
+			class[g] = ci
+			matched++
+		}
+	}
+
 	var d Delta
 	cloned := make(map[int]bool)
-	for r := oldRows; r < c.NumRows(); r++ {
-		key = c.AppendKey(key[:0], r, cols)
-		ci, ok := index[string(key)]
-		if !ok {
+	for i, g := range group {
+		r, ci := oldRows+i, class[g]
+		if ci < 0 {
 			ci = len(out.Classes)
-			index[string(key)] = ci
+			class[g] = ci
 			out.Classes = append(out.Classes, &EC{Rows: []int{r}})
 			d.Born = append(d.Born, ci)
 			continue

@@ -17,9 +17,10 @@ import (
 // class back to back, class after class, and ends[i] is the offset in rows
 // one past the last member of class i. A stripped partition is therefore
 // two allocations however many classes it has, the garbage collector never
-// scans it, and ||π|| and the class count are slice lengths. Product
-// builds its result in a caller-owned workspace of scratch arrays, reused
-// across every product of a TANE run, and copies it out at its exact size.
+// scans it, and ||π|| and the class count are slice lengths.
+// ProductColumn builds its result in a caller-owned workspace of scratch
+// arrays, reused across every product of a TANE run or a cache's walk,
+// and copies it out at its exact size.
 type Stripped struct {
 	Attrs   relation.AttrSet
 	rows    []int32 // class members, class by class; each class has ≥ 2
@@ -98,106 +99,72 @@ func checkRows(n int) {
 	}
 }
 
-// NumClasses returns the number of non-singleton classes.
-func (s *Stripped) NumClasses() int { return len(s.ends) }
-
 // HasDuplicate reports whether the underlying attribute set is non-unique.
 func (s *Stripped) HasDuplicate() bool { return len(s.ends) > 0 }
+
+// Size returns ||π||, the number of rows in non-singleton classes: what a
+// ProductColumn over s costs.
+func (s *Stripped) Size() int { return len(s.rows) }
 
 // ErrorMeasure returns e(X)·|r| as used by TANE's key pruning:
 // ||π|| - |π stripped classes|, the number of rows that must be removed for
 // X to become a superkey.
 func (s *Stripped) ErrorMeasure() int { return len(s.rows) - len(s.ends) }
 
-// workspace holds scratch arrays reused across Product and ProductColumn
-// calls, so a product allocates only its result. Product's class ids are
-// 1-based; 0 in probe means the row is in no class of the left operand.
-// ProductColumn's class ids are a column's codes and need no probe.
-type workspace struct {
-	probe []int32 // row -> class id in x
-	count []int32 // class id -> members seen in the current y class
+// Workspace holds scratch arrays reused across ProductColumn calls, so a
+// product allocates only its result. Class ids are the codes of the
+// column a product splits by.
+type Workspace struct {
+	count []int32 // class id -> members seen in the current class
 	pos   []int32 // class id -> next free slot of its output class
-	touch []int32 // class ids met in the current y class, first-met order
+	touch []int32 // class ids met in the current class, first-met order
 	rows  []int32 // the product's rows, before the exact-size copy
 	ends  []int32 // the product's class ends, likewise
 }
 
-// NewWorkspace allocates scratch space for Product over tables with n rows.
-func NewWorkspace(n int) *workspace {
-	return &workspace{probe: make([]int32, n)}
-}
+// NewWorkspace returns empty scratch space for ProductColumn; it grows to
+// fit the largest product it serves.
+func NewWorkspace() *Workspace { return &Workspace{} }
 
 // fit grows the workspace for a split into at most ids class ids of a
-// partition of cardinality at least bound, which caps the result's
-// cardinality.
-func (ws *workspace) fit(ids, bound int) {
+// partition with rows rows, which caps the result's size.
+func (ws *Workspace) fit(ids, rows int) {
 	if len(ws.count) < ids {
 		ws.count = make([]int32, ids)
 		ws.pos = make([]int32, ids)
 	}
-	if len(ws.rows) < bound {
-		ws.rows = make([]int32, bound)
-		ws.ends = make([]int32, 0, bound/2)
+	if len(ws.rows) < rows {
+		ws.rows = make([]int32, rows)
+		ws.ends = make([]int32, 0, rows/2)
 	}
-}
-
-// Product computes the stripped partition of X ∪ Y from stripped π_X and
-// π_Y using TANE's linear-time PRODUCT procedure. Each class of y is split
-// by x in two passes: the first counts how many of its rows fall in each
-// class of x, the second places every row that lands in a class of at
-// least two at its slot in the output. Output classes come in y's class
-// order, then in the order their first row appears in the y class; rows
-// keep y's order. ws may be nil, in which case temporary space is
-// allocated; with a warmed workspace the result — header, rows and ends,
-// each at its exact size — is the only allocation.
-func Product(x, y *Stripped, ws *workspace) *Stripped {
-	out := &Stripped{Attrs: x.Attrs.Union(y.Attrs), numRows: x.numRows}
-	bound := min(len(x.rows), len(y.rows))
-	if bound < 2 {
-		return out
-	}
-	if ws == nil {
-		ws = NewWorkspace(x.numRows)
-	}
-	if len(ws.probe) < x.numRows {
-		ws.probe = make([]int32, x.numRows)
-	}
-	ws.fit(x.NumClasses()+1, bound)
-	probe := ws.probe
-	start := int32(0)
-	for i, end := range x.ends {
-		for _, r := range x.rows[start:end] {
-			probe[r] = int32(i + 1)
-		}
-		start = end
-	}
-	ws.split(y, probe, 0, out)
-	for _, r := range x.rows {
-		probe[r] = 0
-	}
-	return out
 }
 
 // ProductColumn computes the stripped partition of X ∪ {a} from stripped
-// π_X and the codes of column a. It equals Product(StrippedSingle(c, a),
-// x, ws) — column a's codes are the class ids of its full partition — but
-// costs O(||π_X||) instead of O(||π_X|| + ||π_a||): no probe is written,
-// and the column's singleton values are simply met once and dropped. Rows
-// keep x's order, so ascending classes stay ascending. ws must not be nil.
-func ProductColumn(x *Stripped, c *relation.Coded, a int, ws *workspace) *Stripped {
+// π_X and the codes of column a: TANE's linear-time PRODUCT with the
+// column's full partition as the probe side, whose class ids are simply
+// the codes. It costs O(||π_X||): no probe is written, and the column's
+// singleton values are met once and dropped. Each class of x is split in
+// two passes: the first counts how many of its rows hold each code, the
+// second places every row whose code is held by at least two at its slot
+// in the output. Output classes come in x's class order, then in the order
+// their first row appears in the x class; rows keep x's order, so
+// ascending classes stay ascending. With a warmed workspace the result —
+// its header and one exact-size array holding rows and ends — is the only
+// allocation.
+func ProductColumn(x *Stripped, c *relation.Coded, a int, ws *Workspace) *Stripped {
 	out := &Stripped{Attrs: x.Attrs.Add(a), numRows: x.numRows}
 	if len(x.rows) < 2 {
 		return out
 	}
 	ws.fit(c.Cardinality(a), len(x.rows))
-	ws.split(x, c.Column(a), -1, out)
+	ws.split(x, c.Column(a), out)
 	return out
 }
 
-// split divides every class of y by the class ids probe assigns to its
-// rows, keeping the parts of at least two rows, and stores the result in
-// out at its exact size. A row whose id is none belongs to no class.
-func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped) {
+// split divides every class of y by the codes col assigns to its rows,
+// keeping the parts of at least two rows, and stores the result in out at
+// its exact size.
+func (ws *Workspace) split(y *Stripped, col []int32, out *Stripped) {
 	count, pos := ws.count, ws.pos
 	rows, ends := ws.rows, ws.ends[:0]
 	off := int32(0)
@@ -209,7 +176,7 @@ func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped
 		if len(c) == 2 {
 			// Most classes of a wide table are pairs; a pair survives
 			// whole or not at all.
-			if id := probe[c[0]]; id != none && id == probe[c[1]] {
+			if col[c[0]] == col[c[1]] {
 				rows[off], rows[off+1] = c[0], c[1]
 				off += 2
 				ends = append(ends, off)
@@ -217,12 +184,11 @@ func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped
 			continue
 		}
 		for _, r := range c {
-			if id := probe[r]; id != none {
-				if count[id] == 0 {
-					touch = append(touch, id)
-				}
-				count[id]++
+			id := col[r]
+			if count[id] == 0 {
+				touch = append(touch, id)
 			}
+			count[id]++
 		}
 		for _, id := range touch {
 			if count[id] > 1 {
@@ -232,7 +198,7 @@ func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped
 			}
 		}
 		for _, r := range c {
-			if id := probe[r]; id != none && count[id] > 1 {
+			if id := col[r]; count[id] > 1 {
 				rows[pos[id]] = r
 				pos[id]++
 			}
@@ -244,8 +210,11 @@ func (ws *workspace) split(y *Stripped, probe []int32, none int32, out *Stripped
 	}
 	ws.touch = touch
 	ws.ends = ends
-	out.rows = append(make([]int32, 0, off), rows[:off]...)
-	out.ends = append(make([]int32, 0, len(ends)), ends...)
+	// Rows and ends share one exact-size allocation.
+	buf := make([]int32, int(off)+len(ends))
+	copy(buf, rows[:off])
+	copy(buf[off:], ends)
+	out.rows, out.ends = buf[:off:off], buf[off:]
 }
 
 // RefinesAttr reports whether π_X refines π_{A} for a single attribute

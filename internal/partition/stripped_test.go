@@ -27,26 +27,17 @@ func strippedModel(t *relation.Table, attrs relation.AttrSet) [][]int32 {
 	return out
 }
 
-// productModel is TANE's PRODUCT written plainly over class lists: split
-// each class of y by the x-class of its rows, keep the parts of size ≥ 2
-// in the order their first row appears. This is the class and row order
-// Product has always produced.
-func productModel(x, y *Stripped) [][]int32 {
-	classOf := map[int32]int{}
-	for i, c := range classesOf(x) {
-		for _, r := range c {
-			classOf[r] = i
-		}
-	}
+// productModel is TANE's PRODUCT written plainly over class lists with a
+// column's codes as the other side: split each class of x by the code of
+// its rows in col, keep the parts of size ≥ 2 in the order their first
+// row appears. This is the class and row order ProductColumn produces.
+func productModel(x *Stripped, col []int32) [][]int32 {
 	out := [][]int32{}
-	for _, c := range classesOf(y) {
-		var order []int
-		parts := map[int][]int32{}
+	for _, c := range classesOf(x) {
+		var order []int32
+		parts := map[int32][]int32{}
 		for _, r := range c {
-			id, ok := classOf[r]
-			if !ok {
-				continue
-			}
+			id := col[r]
 			if _, seen := parts[id]; !seen {
 				order = append(order, id)
 			}
@@ -104,15 +95,15 @@ func stringKeyClasses(t *relation.Table, attrs relation.AttrSet) [][]int {
 }
 
 // TestStrippedKernelMatchesOf checks the flat-layout constructors and
-// Product against the Of-derived stripped partition over random tables,
-// including the empty table, constant and all-unique columns, and Of
-// itself against grouping by projection strings. Every call shares one
-// workspace sized for no rows at all, and tables grow through the run, so
-// the workspace is refitted both for more rows and for an x with more
-// classes than any earlier call.
+// ProductColumn against the Of-derived stripped partition over random
+// tables, including the empty table, constant and all-unique columns, and
+// Of itself against grouping by projection strings. Every call shares one
+// empty workspace, and tables grow through the run, so the workspace is
+// refitted both for more rows and for a column with more codes than any
+// earlier call.
 func TestStrippedKernelMatchesOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	ws := NewWorkspace(0)
+	ws := NewWorkspace()
 	for trial := 0; trial < 120; trial++ {
 		tbl := kernelTable(rng, trial/2, 1+rng.Intn(3), 1+rng.Intn(8))
 		c := relation.Encode(tbl)
@@ -140,17 +131,21 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 			if got, want := classesOf(px), strippedModel(tbl, x); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: StripPartition(%v) = %v, want %v", trial, x, got, want)
 			}
-			prod := Product(px, py, ws)
-			if got, want := classesOf(prod), productModel(px, py); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: Product(%v, %v) = %v, want %v", trial, x, y, got, want)
+			if got, want := classesOf(py), strippedModel(tbl, y); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: StrippedOf(%v) = %v, want %v", trial, y, got, want)
 			}
-			if !sameStripped(prod, StrippedOf(c, x.Union(y))) {
-				t.Fatalf("trial %d: Product(%v, %v) ≠ π of the union", trial, x, y)
+			a := y.First()
+			prod := ProductColumn(px, c, a, ws)
+			if got, want := classesOf(prod), productModel(px, c.Column(a)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: ProductColumn(%v, %d) = %v, want %v", trial, x, a, got, want)
 			}
-			if prod.Attrs != x.Union(y) || prod.numRows != tbl.NumRows() {
-				t.Fatalf("trial %d: Product header = %v/%d", trial, prod.Attrs, prod.numRows)
+			if !sameStripped(prod, StrippedOf(c, x.Add(a))) {
+				t.Fatalf("trial %d: ProductColumn(%v, %d) ≠ π of the union", trial, x, a)
 			}
-			union := strippedModel(tbl, x.Union(y))
+			if prod.Attrs != x.Add(a) || prod.numRows != tbl.NumRows() {
+				t.Fatalf("trial %d: ProductColumn header = %v/%d", trial, prod.Attrs, prod.numRows)
+			}
+			union := strippedModel(tbl, x.Add(a))
 			card := 0
 			for _, c := range union {
 				card += len(c)
@@ -164,14 +159,15 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 }
 
 // TestProductAllocs pins the kernel's allocation budget: with a warmed
-// workspace a product allocates its header, rows and ends, nothing else.
+// workspace a product allocates its header and one array for rows and
+// ends, nothing else.
 func TestProductAllocs(t *testing.T) {
 	tbl := kernelTable(rand.New(rand.NewSource(5)), 400, 3, 4)
 	c := relation.Encode(tbl)
-	x, y := StrippedSingle(c, 3), StrippedSingle(c, 4)
-	ws := NewWorkspace(tbl.NumRows())
-	Product(x, y, ws)
-	if n := testing.AllocsPerRun(50, func() { Product(x, y, ws) }); n > 3 {
-		t.Errorf("Product allocates %v times per call, want ≤ 3", n)
+	x := StrippedSingle(c, 3)
+	ws := NewWorkspace()
+	ProductColumn(x, c, 4, ws)
+	if n := testing.AllocsPerRun(50, func() { ProductColumn(x, c, 4, ws) }); n > 2 {
+		t.Errorf("ProductColumn allocates %v times per call, want ≤ 2", n)
 	}
 }

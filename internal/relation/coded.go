@@ -38,9 +38,57 @@ func Encode(t *Table) *Coded {
 		dicts: make([]map[string]int32, t.NumAttrs()),
 	}
 	for a := range c.dicts {
-		c.dicts[a] = make(map[string]int32)
+		c.dicts[a] = make(map[string]int32, dictHint(t.Column(a)))
 	}
 	return c.Extend(t, 0)
+}
+
+// dictSample is the number of cells dictHint reads from a column.
+const dictSample = 64
+
+// dictHint sizes a column's dictionary once, so that coding the column
+// does not rehash a growing map about log₂(distinct) times, and without
+// reserving a slot per row for a column of a few values (the dictionary
+// lives as long as the view). It reads dictSample cells and applies the
+// bias-corrected Chao1 estimator of the number of distinct values,
+// d + f₁(f₁−1)/(2(f₂+1)), where d values were seen, f₁ once and f₂ twice.
+// On so small a sample the estimate can be twice the truth, and an
+// oversized map is held for good while an undersized one costs a growth
+// step, so the hint is half the estimate, capped at the row count: a
+// column of up to about a thousand rows whose sample repeats nothing is
+// sized for every row, and one whose sample repeats every value is sized
+// for half of what it saw. A column of at most dictSample cells is sized
+// for all of them.
+func dictHint(col []string) int {
+	n := len(col)
+	if n <= dictSample {
+		return n
+	}
+	var sample [dictSample]string
+	for i := range sample {
+		// One cell from each of dictSample equal strata, at a scrambled
+		// offset: an evenly strided sample of a periodic column (row i
+		// holding i mod p) would see no repeats at all.
+		lo, hi := i*n/dictSample, (i+1)*n/dictSample
+		sample[i] = col[lo+int(uint64(i+1)*0x9E3779B97F4A7C15>>33%uint64(hi-lo))]
+	}
+	slices.Sort(sample[:])
+	d, f1, f2 := 0, 0, 0
+	for i := 0; i < len(sample); {
+		j := i + 1
+		for j < len(sample) && sample[j] == sample[i] {
+			j++
+		}
+		d++
+		switch j - i {
+		case 1:
+			f1++
+		case 2:
+			f2++
+		}
+		i = j
+	}
+	return min(n, (d+f1*(f1-1)/(2*(f2+1)))/2)
 }
 
 // Extend returns a view of t given that c encodes its first oldRows rows,

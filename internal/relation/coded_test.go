@@ -66,6 +66,40 @@ func TestCodedFaithfulQuick(t *testing.T) {
 
 // sameCodes reports whether two views code the same rows identically,
 // with the same cardinalities.
+// TestDictHint pins the dictionary sizing rule on the column shapes it
+// must tell apart: a unique column of up to about a thousand rows gets a
+// slot per row, a short column gets one per cell, a column of a few values
+// gets no more than it has, and a periodic column (row i holds i mod p,
+// as in the synthetic workload) is not mistaken for a unique one, which an
+// evenly strided sample would do.
+func TestDictHint(t *testing.T) {
+	column := func(n int, value func(i int) int) []string {
+		col := make([]string, n)
+		for i := range col {
+			col[i] = strconv.Itoa(value(i))
+		}
+		return col
+	}
+	cases := []struct {
+		name     string
+		col      []string
+		min, max int
+	}{
+		{"unique-870", column(870, func(i int) int { return i }), 870, 870},
+		{"unique-5000", column(5000, func(i int) int { return i }), 1000, 1100},
+		{"short", column(40, func(i int) int { return i % 3 }), 40, 40},
+		{"constant", column(3000, func(int) int { return 7 }), 0, 1},
+		{"five-values", column(3000, func(i int) int { return i * 7 % 5 }), 0, 5},
+		{"period-251", column(3000, func(i int) int { return i % 251 }), 1, 251},
+		{"period-1021", column(3000, func(i int) int { return i % 1021 }), 1, 1100},
+	}
+	for _, c := range cases {
+		if got := dictHint(c.col); got < c.min || got > c.max {
+			t.Errorf("%s: dictHint = %d, want %d..%d", c.name, got, c.min, c.max)
+		}
+	}
+}
+
 func sameCodes(a, b *Coded) bool {
 	if a.n != b.n || len(a.cols) != len(b.cols) {
 		return false

@@ -45,8 +45,9 @@ type Options struct {
 	// does not set one; the attack verdict is exact and plays no sampled
 	// games. Default 1000.
 	AttackTrials int
-	// VerifyProbes is the completeness-probe count for /report's
-	// verification pass. Default 200.
+	// VerifyProbes is the number of random completeness samples in
+	// /report's verification pass, on top of its exhaustive probes of
+	// every one- and two-attribute LHS. Default 200.
 	VerifyProbes int
 	// Parallelism is the default core.Config.Parallelism for new
 	// datasets: how many workers one pipeline run (encrypt, flush,

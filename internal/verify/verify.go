@@ -7,20 +7,23 @@
 //   - soundness is exact and cheap: validating one claimed FD against the
 //     plaintext is a single linear scan, versus the exponential lattice
 //     walk of discovery;
-//   - completeness is spot-checked probabilistically: candidate
-//     dependencies are sampled from the data's own agreement structure
-//     (agreement sets of random row pairs, and the low-arity lattice
-//     neighbourhood) and any holding dependency the claim fails to imply
-//     is a counterexample.
+//   - completeness is checked exhaustively on the low-arity lattice
+//     neighbourhood (every one- and two-attribute LHS) and spot-checked
+//     probabilistically above it: candidate dependencies are sampled from
+//     the data's own agreement structure (agreement sets of random row
+//     pairs), and any holding dependency the claim fails to imply is a
+//     counterexample.
 //
-// A cheating server that fabricates an FD is always caught; one that
-// omits FDs is caught with probability growing in the number of probes.
+// A cheating server that fabricates an FD, or omits one whose LHS has at
+// most two attributes, is always caught; one that omits a wider FD is
+// caught with probability growing in the number of probes.
 package verify
 
 import (
 	"math/rand"
 
 	"f2/internal/fd"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -43,9 +46,10 @@ func (v *Verdict) OK() bool {
 }
 
 // CheckWitnessedClaims validates the FD set a server returned for the
-// owner's plaintext table, with `probes` completeness samples. The claim
-// is expected to cover every *witnessed* FD — the set F² preserves
-// exactly (Theorem 3.7), and what f2served's /fds endpoint computes — so
+// owner's plaintext table, probing every one- and two-attribute LHS and
+// `probes` random agreement samples for completeness. The claim is
+// expected to cover every *witnessed* FD — the set F² preserves exactly
+// (Theorem 3.7), and what f2served's /fds endpoint computes — so
 // soundness and the completeness probes both test fd.Witnessed:
 // vacuously-true dependencies (unique LHS) are out of scope of the claim,
 // and flagging them as missing would be spurious.
@@ -60,10 +64,12 @@ func CheckWitnessedClaims(t *relation.Table, claimed *fd.Set, probes int, seed i
 		}
 	}
 
-	// Completeness probes.
+	// Completeness probes. Each LHS's stripped partition answers every
+	// probe on it, and is built from a cached subset's.
 	rng := rand.New(rand.NewSource(seed))
 	m := t.NumAttrs()
 	n := t.NumRows()
+	plis := partition.NewCache(c)
 	seen := make(map[fd.FD]bool)
 	probe := func(f fd.FD) {
 		if f.Trivial() || f.LHS.IsEmpty() || seen[f] {
@@ -71,24 +77,29 @@ func CheckWitnessedClaims(t *relation.Table, claimed *fd.Set, probes int, seed i
 		}
 		seen[f] = true
 		v.Probes++
-		if fd.Witnessed(c, f) && !fd.Implies(claimed, f) {
+		s := plis.Get(f.LHS) // witnessed: LHS has a duplicate and refines RHS
+		if s.HasDuplicate() && s.RefinesAttr(c.Column(f.RHS)) && !fd.Implies(claimed, f) {
 			v.Missed = append(v.Missed, f)
 		}
 	}
 
-	// (a) Every single-attribute dependency: cheap and the most common
-	// kind of rule.
-	for a := 0; a < m && m > 1; a++ {
-		for b := 0; b < m; b++ {
-			if a != b {
-				probe(fd.FD{LHS: relation.SingleAttr(a), RHS: b})
+	// (a) Every dependency with a one- or two-attribute LHS: the most
+	// common kinds of rule, and cheap — a pair's partition is one product
+	// away from a column's. A random subset of a random pair's agreement
+	// set rarely lands on a given pair, so without this an omitted
+	// {A,B}→C would mostly go unseen.
+	for a := 0; a < m; a++ {
+		for b := a; b < m; b++ {
+			lhs := relation.NewAttrSet(a, b)
+			for r := 0; r < m; r++ {
+				probe(fd.FD{LHS: lhs, RHS: r})
 			}
 		}
 	}
 	// (b) Agreement-guided random probes: the agreement set of a random
 	// row pair is exactly a maximal candidate LHS that the data itself
-	// witnesses; a random subset of it plus a random RHS makes a sharp
-	// probe.
+	// witnesses; a random subset of it makes a sharp LHS, probed with
+	// every RHS, since its partition answers them all.
 	for i := 0; i < probes && n >= 2; i++ {
 		r1, r2 := rng.Intn(n), rng.Intn(n)
 		if r1 == r2 {
@@ -114,7 +125,9 @@ func CheckWitnessedClaims(t *relation.Table, claimed *fd.Set, probes int, seed i
 		if lhs.IsEmpty() {
 			lhs = relation.SingleAttr(attrs[rng.Intn(len(attrs))])
 		}
-		probe(fd.FD{LHS: lhs, RHS: rng.Intn(m)})
+		for r := 0; r < m; r++ {
+			probe(fd.FD{LHS: lhs, RHS: r})
+		}
 	}
 	return v
 }

@@ -67,31 +67,20 @@ func TestOmittedFDCaught(t *testing.T) {
 	}
 }
 
-// TestOmissionCaughtOnRandomTables drops one witnessed FD from honest
-// claims and checks the package's promise for omissions: they are caught
-// with probability growing in the number of probes. The omitted FDs here
-// have two-attribute LHSs, which the exhaustive single-attribute probes
-// never reach.
+// TestOmissionCaughtOnRandomTables drops one witnessed FD with a
+// three-attribute LHS from honest claims and checks the package's promise
+// for omissions above the exhaustive pairs: they are caught with
+// probability growing in the number of probes.
 func TestOmissionCaughtOnRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	probes := []int{200, 1000}
 	caught := make([]int, len(probes))
 	total := 0
 	for trial := 0; trial < 40; trial++ {
-		tbl := plantedTable(rng, 30, 3)
-		all := fd.DiscoverWitnessed(tbl).Slice()
-		if len(all) == 0 {
+		tbl := plantedTable3(rng, 30)
+		claimed, drop, ok := omitOne(rng, tbl, 3)
+		if !ok {
 			continue
-		}
-		drop := all[rng.Intn(len(all))]
-		claimed := fd.NewSet()
-		for _, f := range all {
-			if f != drop {
-				claimed.Add(f)
-			}
-		}
-		if fd.Implies(claimed, drop) {
-			continue // the rest implies it; not an omission
 		}
 		total++
 		for i, n := range probes {
@@ -99,6 +88,7 @@ func TestOmissionCaughtOnRandomTables(t *testing.T) {
 				caught[i]++
 			}
 		}
+		_ = drop
 	}
 	if total < 20 {
 		t.Fatalf("only %d effective omissions generated", total)
@@ -108,6 +98,57 @@ func TestOmissionCaughtOnRandomTables(t *testing.T) {
 		t.Fatalf("completeness probing caught %d/%d omissions at %d probes and %d/%d at %d",
 			caught[0], total, probes[0], caught[1], total, probes[1])
 	}
+}
+
+// TestTwoAttributeOmissionsAlwaysCaught: every omitted witnessed FD whose
+// LHS has two attributes is caught at the default 200 probes, because
+// those LHSs are probed exhaustively. The tables carry a planted {A,B}→D;
+// random probes alone caught 84 of these 200 omissions.
+func TestTwoAttributeOmissionsAlwaysCaught(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	total, caught := 0, 0
+	for trial := 0; total < 200; trial++ {
+		if trial > 2000 {
+			t.Fatalf("only %d effective omissions in %d tables", total, trial)
+		}
+		tbl := plantedTable(rng, 30, 3)
+		claimed, drop, ok := omitOne(rng, tbl, 2)
+		if !ok {
+			continue
+		}
+		total++
+		v := CheckWitnessedClaims(tbl, claimed, 200, int64(trial))
+		if !v.OK() {
+			caught++
+		} else {
+			t.Errorf("trial %d: omitted %v not caught", trial, drop)
+		}
+	}
+	t.Logf("omissions caught: %d/%d at 200 probes", caught, total)
+}
+
+// omitOne returns tbl's witnessed FDs minus one, chosen at random among
+// those whose LHS has size attributes, and the FD it dropped; ok is false
+// if there is none, or if the rest imply it (then nothing is omitted).
+func omitOne(rng *rand.Rand, tbl *relation.Table, size int) (claimed *fd.Set, drop fd.FD, ok bool) {
+	var pick []fd.FD
+	all := fd.DiscoverWitnessed(tbl).Slice()
+	for _, f := range all {
+		if f.LHS.Size() == size {
+			pick = append(pick, f)
+		}
+	}
+	if len(pick) == 0 {
+		return nil, drop, false
+	}
+	drop = pick[rng.Intn(len(pick))]
+	claimed = fd.NewSet()
+	for _, f := range all {
+		if f != drop {
+			claimed.Add(f)
+		}
+	}
+	return claimed, drop, !fd.Implies(claimed, drop)
 }
 
 // plantedTable is a random 4-column table whose last column is a
@@ -122,6 +163,24 @@ func plantedTable(rng *rand.Rand, rows, domain int) *relation.Table {
 			"b" + string(rune('0'+b)),
 			"c" + string(rune('0'+rng.Intn(domain))),
 			"d" + string(rune('0'+(a*7+b*3)%5)),
+		})
+	}
+	return tbl
+}
+
+// plantedTable3 is a random 5-column table whose last column is a
+// function of the first three, (4a+2b+c) mod 5 over binary A, B and C, in
+// which no two of them determine it: {A,B,C}→E is witnessed and minimal.
+func plantedTable3(rng *rand.Rand, rows int) *relation.Table {
+	tbl := relation.NewTable(relation.MustSchema("A", "B", "C", "D", "E"))
+	for r := 0; r < rows; r++ {
+		a, b, c := rng.Intn(2), rng.Intn(2), rng.Intn(2)
+		tbl.AppendRow([]string{
+			"a" + string(rune('0'+a)),
+			"b" + string(rune('0'+b)),
+			"c" + string(rune('0'+c)),
+			"d" + string(rune('0'+rng.Intn(3))),
+			"e" + string(rune('0'+(4*a+2*b+c)%5)),
 		})
 	}
 	return tbl
