@@ -86,7 +86,7 @@ func main() {
 
 	// Verify on plaintext: every proposed dependency really holds, so the
 	// decomposition is lossless.
-	plain := relation.Encode(table)
+	plain := partition.NewCache(relation.Encode(table))
 	for _, p := range proposals {
 		for _, a := range p.rhs.Attrs() {
 			if !fd.Holds(plain, fd.FD{LHS: p.lhs, RHS: a}) {

@@ -19,7 +19,7 @@ func RunAblations(ctx context.Context, o Options) ([]*Table, error) {
 	for _, f := range []func(context.Context, Options) (*Table, error){
 		ablationSplitFactor,
 		ablationSplitPoint,
-		ablationMASAlgorithm,
+		ablationMASSearch,
 		ablationPRF,
 		ablationSteps,
 	} {
@@ -61,10 +61,10 @@ func ablationSplitFactor(ctx context.Context, o Options) (*Table, error) {
 	return t, nil
 }
 
-// ablationMASAlgorithm compares the DUCC-style border search against the
+// ablationMASSearch compares the DUCC-style border search against the
 // levelwise Apriori sweep (§3.1 argues DUCC's cost tracks the border, not
 // the attribute count).
-func ablationMASAlgorithm(ctx context.Context, o Options) (*Table, error) {
+func ablationMASSearch(ctx context.Context, o Options) (*Table, error) {
 	t := &Table{
 		ID:     "ablation-mas",
 		Title:  "MAS discovery: DUCC border search vs levelwise sweep",

@@ -34,27 +34,6 @@ import (
 	"f2/internal/crypt"
 )
 
-// MASAlgorithm selects the Step-1 discovery strategy.
-type MASAlgorithm int
-
-const (
-	// MASDucc uses the DUCC-adapted random walk (the paper's choice).
-	MASDucc MASAlgorithm = iota
-	// MASLevelwise uses the bottom-up Apriori sweep (ablation baseline).
-	MASLevelwise
-)
-
-func (a MASAlgorithm) String() string {
-	switch a {
-	case MASDucc:
-		return "ducc"
-	case MASLevelwise:
-		return "levelwise"
-	default:
-		return fmt.Sprintf("mas(%d)", int(a))
-	}
-}
-
 // Config parameterizes F² encryption.
 type Config struct {
 	// Alpha is the α-security threshold in (0, 1]: an adversary armed with
@@ -71,9 +50,6 @@ type Config struct {
 
 	// PRF selects the pseudorandom function family (default AES-CTR).
 	PRF crypt.PRF
-
-	// MAS selects the Step-1 algorithm (default DUCC).
-	MAS MASAlgorithm
 
 	// MinInstanceFreq floors the homogenized ciphertext frequency of every
 	// grouped instance. The default (2) guarantees that every witnessed FD
@@ -107,14 +83,13 @@ type Config struct {
 }
 
 // DefaultConfig returns a Config with the paper's default shape: α = 0.2
-// (k = 5), ϖ = 2, AES-CTR PRF, DUCC MAS discovery.
+// (k = 5), ϖ = 2, AES-CTR PRF.
 func DefaultConfig(key crypt.Key) Config {
 	return Config{
 		Alpha:           0.2,
 		SplitFactor:     2,
 		Key:             key,
 		PRF:             crypt.PRFAESCTR,
-		MAS:             MASDucc,
 		MinInstanceFreq: 2,
 	}
 }

@@ -142,13 +142,7 @@ func (e *Encryptor) Encrypt(ctx context.Context, t *relation.Table) (*Result, er
 	// ---- Step 1: MAS discovery (MAX) ----
 	start := time.Now()
 	sctx, sp := obs.Start(ctx, "encrypt.step1.mas")
-	var disc *mas.Result
-	var err error
-	if e.cfg.MAS == MASLevelwise {
-		disc, err = mas.DiscoverLevelwiseCtx(sctx, t)
-	} else {
-		disc, err = mas.DiscoverCtx(sctx, t)
-	}
+	disc, err := mas.DiscoverCtx(sctx, t)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("core: encrypt: %w", err)

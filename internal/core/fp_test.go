@@ -234,15 +234,18 @@ func findViolation(coded *relation.Coded, rows []int, attrs relation.AttrSet, y 
 	cols := attrs.Attrs()
 	ycol := coded.Column(y)
 	seen := make(map[string]int, len(rows))
-	key := make([]byte, 0, 4*len(cols))
+	codes := make([]int32, len(cols))
 	for _, r := range rows {
-		key = coded.AppendKey(key[:0], r, cols)
-		if f, ok := seen[string(key)]; ok {
+		for i, a := range cols {
+			codes[i] = coded.Column(a)[r]
+		}
+		key := fmt.Sprint(codes)
+		if f, ok := seen[key]; ok {
 			if ycol[f] != ycol[r] {
 				return f, r, true
 			}
 		} else {
-			seen[string(key)] = r
+			seen[key] = r
 		}
 	}
 	return 0, 0, false

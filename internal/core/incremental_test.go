@@ -386,7 +386,7 @@ func TestIncrementalWitnessesNewViolations(t *testing.T) {
 		t.Fatalf("MASs = %v, want %v", res0.MASs, wantMAS)
 	}
 	ab := fd.FD{LHS: relation.NewAttrSet(0), RHS: 1}
-	if !fd.Holds(relation.Encode(tbl), ab) {
+	if !fd.Holds(partition.NewCache(relation.Encode(tbl)), ab) {
 		t.Fatal("A→B should hold initially")
 	}
 
@@ -406,10 +406,10 @@ func TestIncrementalWitnessesNewViolations(t *testing.T) {
 	if u.LastFlush != FlushModeIncremental {
 		t.Fatalf("flush took %q, want incremental", u.LastFlush)
 	}
-	if fd.Holds(relation.Encode(u.Current()), ab) {
+	if fd.Holds(partition.NewCache(relation.Encode(u.Current())), ab) {
 		t.Fatal("A→B should be violated after the append")
 	}
-	if fd.Holds(relation.Encode(res.Encrypted), ab) {
+	if fd.Holds(partition.NewCache(relation.Encode(res.Encrypted)), ab) {
 		t.Fatal("false positive: A→B holds on the ciphertext after the incremental flush")
 	}
 	if res.Report.FPRows <= res0.Report.FPRows-1 {

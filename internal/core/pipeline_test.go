@@ -8,6 +8,7 @@ import (
 	"f2/internal/crypt"
 	"f2/internal/fd"
 	"f2/internal/mas"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -62,10 +63,10 @@ func TestFigure3ConflictResolutionPreservesFD(t *testing.T) {
 		t.Fatalf("FDs differ after conflict resolution:\n plain: %v\n cipher: %v", want, got)
 	}
 	cb := fd.FD{LHS: relation.NewAttrSet(2), RHS: 1}
-	if !fd.Holds(relation.Encode(tbl), cb) {
+	if !fd.Holds(partition.NewCache(relation.Encode(tbl)), cb) {
 		t.Fatal("C→B should hold on the example table")
 	}
-	if !fd.Holds(relation.Encode(res.Encrypted), cb) {
+	if !fd.Holds(partition.NewCache(relation.Encode(res.Encrypted)), cb) {
 		t.Fatal("C→B broken on the ciphertext (naive-resolution bug)")
 	}
 }
@@ -87,7 +88,7 @@ func TestSkipConflictResolutionBreaksFDs(t *testing.T) {
 	cfg.SkipConflictResolution = true
 	res := encryptTable(t, tbl, cfg)
 	cb := fd.FD{LHS: relation.NewAttrSet(2), RHS: 1}
-	if fd.Holds(relation.Encode(res.Encrypted), cb) {
+	if fd.Holds(partition.NewCache(relation.Encode(res.Encrypted)), cb) {
 		t.Fatal("C→B survived without conflict resolution — ablation flag has no effect")
 	}
 }
@@ -112,19 +113,19 @@ func figure4Table() *relation.Table {
 func TestFigure4FalsePositiveEliminated(t *testing.T) {
 	tbl := figure4Table()
 	ab := fd.FD{LHS: relation.NewAttrSet(0), RHS: 1}
-	if fd.Holds(relation.Encode(tbl), ab) {
+	if fd.Holds(partition.NewCache(relation.Encode(tbl)), ab) {
 		t.Fatal("A→B should fail on Figure 4(a)")
 	}
 	// Without Step 4 the false positive appears (Example 3.1).
 	cfg := testConfig(1.0 / 3)
 	cfg.SkipFPElimination = true
 	res := encryptTable(t, tbl, cfg)
-	if !fd.Holds(relation.Encode(res.Encrypted), ab) {
+	if !fd.Holds(partition.NewCache(relation.Encode(res.Encrypted)), ab) {
 		t.Fatal("expected A→B to falsely hold without Step 4")
 	}
 	// With Step 4 it is eliminated.
 	res = encryptTable(t, tbl, testConfig(1.0/3))
-	if fd.Holds(relation.Encode(res.Encrypted), ab) {
+	if fd.Holds(partition.NewCache(relation.Encode(res.Encrypted)), ab) {
 		t.Fatal("A→B still falsely holds after Step 4")
 	}
 	// Theorem 3.6 lower bound: at least 2k artificial records.

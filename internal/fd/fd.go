@@ -42,26 +42,28 @@ func (f FD) Names(sch *relation.Schema) string {
 // Trivial reports whether RHS ∈ LHS.
 func (f FD) Trivial() bool { return f.LHS.Has(f.RHS) }
 
-// Holds reports whether the FD is valid on the coded table c: any two rows
-// agreeing on LHS agree on RHS. An FD with a unique (duplicate-free) LHS
-// holds vacuously. Callers testing many FDs encode the table once.
-func Holds(c *relation.Coded, f FD) bool {
+// Holds reports whether the FD is valid on the table plis partitions: any
+// two rows agreeing on LHS agree on RHS. An FD with a unique
+// (duplicate-free) LHS holds vacuously. Callers testing many FDs share one
+// cache, so LHS partitions are built from each other's.
+func Holds(plis *partition.Cache, f FD) bool {
 	if f.Trivial() {
 		return true
 	}
-	return partition.StrippedOf(c, f.LHS).RefinesAttr(c.Column(f.RHS))
+	return plis.Get(f.LHS).RefinesAttr(plis.Coded().Column(f.RHS))
 }
 
-// Witnessed reports whether the FD both holds on c and has at least one
-// witnessing pair: two distinct rows agreeing on LHS. Vacuously-true FDs
-// (unique LHS) hold but are not witnessed; see docs/DESIGN.md for why F²'s
-// preservation guarantees are stated over witnessed FDs.
-func Witnessed(c *relation.Coded, f FD) bool {
+// Witnessed reports whether the FD both holds on the table plis
+// partitions and has at least one witnessing pair: two distinct rows
+// agreeing on LHS. Vacuously-true FDs (unique LHS) hold but are not
+// witnessed; see docs/DESIGN.md for why F²'s preservation guarantees are
+// stated over witnessed FDs.
+func Witnessed(plis *partition.Cache, f FD) bool {
 	if f.Trivial() {
 		return false
 	}
-	s := partition.StrippedOf(c, f.LHS)
-	return s.HasDuplicate() && s.RefinesAttr(c.Column(f.RHS))
+	s := plis.Get(f.LHS)
+	return s.HasDuplicate() && s.RefinesAttr(plis.Coded().Column(f.RHS))
 }
 
 // Set is a canonical collection of FDs with set semantics.

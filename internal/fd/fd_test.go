@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"f2/internal/obs"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -21,7 +22,7 @@ func zipTable() *relation.Table {
 }
 
 func TestHoldsAndWitnessed(t *testing.T) {
-	tbl := relation.Encode(zipTable())
+	tbl := partition.NewCache(relation.Encode(zipTable()))
 	zipCity := FD{LHS: relation.NewAttrSet(0), RHS: 1}
 	cityZip := FD{LHS: relation.NewAttrSet(1), RHS: 0}
 	if !Holds(tbl, zipCity) {
@@ -45,6 +46,15 @@ func TestHoldsAndWitnessed(t *testing.T) {
 	triv := FD{LHS: relation.NewAttrSet(0, 1), RHS: 0}
 	if !Holds(tbl, triv) || Witnessed(tbl, triv) {
 		t.Error("trivial FD handling wrong")
+	}
+	// An empty LHS is checked on π_∅: ∅→City fails, and ∅→K holds, and is
+	// witnessed, on a constant column of two rows.
+	if Holds(tbl, FD{RHS: 1}) {
+		t.Error("∅→City should fail")
+	}
+	konst := partition.NewCache(relation.Encode(relation.MustFromRows(relation.MustSchema("K"), [][]string{{"k"}, {"k"}})))
+	if !Holds(konst, FD{RHS: 0}) || !Witnessed(konst, FD{RHS: 0}) {
+		t.Error("∅→K should hold and be witnessed on a constant column")
 	}
 }
 
@@ -86,8 +96,8 @@ func TestSliceDeterministic(t *testing.T) {
 // non-trivial X→A that valid accepts (Holds for all FDs, Witnessed for
 // the witnessed ones), found by enumerating each RHS's candidate LHSs by
 // ascending size. Exponential in the number of attributes.
-func bruteForce(t *relation.Table, valid func(*relation.Coded, FD) bool) *Set {
-	m, c := t.NumAttrs(), relation.Encode(t)
+func bruteForce(t *relation.Table, valid func(*partition.Cache, FD) bool) *Set {
+	m, c := t.NumAttrs(), partition.NewCache(relation.Encode(t))
 	out := NewSet()
 	for rhs := 0; rhs < m; rhs++ {
 		var found []relation.AttrSet

@@ -128,12 +128,13 @@ func (ta *TANE) run() error {
 	}
 	all := relation.FullAttrSet(ta.m)
 
-	// Level 1: single attributes, in ascending order. No dependency
-	// checks: that would test ∅→A (constant columns), which we
-	// deliberately exclude.
+	// Level 1: single attributes, in ascending order, each partition the
+	// product of π_∅ with its column. No dependency checks: that would
+	// test ∅→A (constant columns), which we deliberately exclude.
+	plis := partition.NewCache(ta.coded)
 	level := make([]node, ta.m)
 	for a := range level {
-		level[a] = node{x: relation.SingleAttr(a), cplus: all, part: partition.StrippedSingle(ta.coded, a)}
+		level[a] = node{x: relation.SingleAttr(a), cplus: all, part: plis.Get(relation.SingleAttr(a))}
 	}
 	ta.lattice = append(ta.lattice, level)
 	ta.prune(level)

@@ -5,13 +5,15 @@
 // complexity of the random walk depends on the size of the solution border
 // rather than on the number of attributes.
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //
 //   - Discover: a DUCC-style random walk over the column-combination
-//     lattice with upward/downward pruning (the default);
+//     lattice with upward/downward pruning (the encryptor's Step 1);
 //   - DiscoverLevelwise: a bottom-up Apriori-style sweep (simple, used as a
-//     cross-check and in ablation benchmarks);
-//   - BruteForce: exhaustive enumeration (test oracle for small schemas).
+//     cross-check and in the ablation benchmark).
+//
+// The tests hold a third, exhaustive enumeration, as the oracle for small
+// schemas.
 //
 // Non-uniqueness is downward closed: if X has a duplicate projection then
 // every subset of X does. The MASs form the positive border of that
@@ -121,18 +123,10 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 // non-unique level-ℓ sets all of whose immediate subsets are non-unique.
 // A set is maximal if no generated superset is non-unique.
 func DiscoverLevelwise(t *relation.Table) *Result {
-	//lint:ignore f2vet/ctxflow convenience wrapper; cancellable callers use DiscoverLevelwiseCtx
-	r, _ := DiscoverLevelwiseCtx(context.Background(), t)
-	return r
-}
-
-// DiscoverLevelwiseCtx is DiscoverLevelwise with cancellation, checked
-// once per lattice level.
-func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 	coded := relation.Encode(t)
 	r := &Result{Partitions: make(map[relation.AttrSet]*partition.Partition), Coded: coded}
 	if t.NumRows() < 2 {
-		return r, nil
+		return r
 	}
 	m := t.NumAttrs()
 	plis := partition.NewCache(coded)
@@ -149,9 +143,6 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 		candidates[x] = true
 	}
 	for len(level) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mas: discovery: %w", err)
-		}
 		inLevel := make(map[relation.AttrSet]bool, len(level))
 		for _, x := range level {
 			inLevel[x] = true
@@ -200,10 +191,7 @@ func DiscoverLevelwiseCtx(ctx context.Context, t *relation.Table) (*Result, erro
 	}
 	relation.SortAttrSets(r.Sets)
 	for _, x := range r.Sets {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mas: discovery: %w", err)
-		}
 		r.Partitions[x] = partition.OfCoded(coded, x)
 	}
-	return r, nil
+	return r
 }

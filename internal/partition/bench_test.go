@@ -17,9 +17,10 @@ func BenchmarkProduct(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := relation.Encode(tbl)
+	cache := NewCache(c)
 	singles := make([]*Stripped, tbl.NumAttrs())
 	for a := range singles {
-		singles[a] = StrippedSingle(c, a)
+		singles[a] = cache.Get(relation.SingleAttr(a))
 	}
 	ws := NewWorkspace()
 	b.ReportAllocs()

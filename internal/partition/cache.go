@@ -19,10 +19,12 @@ import (
 // how TANE (Huhtala et al., 1999) tests dependencies. A walk moves one
 // attribute at a time, so the PLI of X is built from the cached strict
 // subset of X with the fewest rows, one column per ProductColumn; each
-// step shrinks it, and sets that grow a unique subset cost nothing.
+// step shrinks it, and sets that grow a unique subset cost nothing. Every
+// chain starts at π_∅, one class of every row: the single-column PLIs are
+// its products with each column.
 //
-// Memory is bounded with no knob. The single-column PLIs take at most
-// 1.5·n·m int32 words for n rows and m columns; every other PLI is
+// Memory is bounded with no knob. π_∅ and the single-column PLIs take at
+// most n + 1.5·n·m int32 words for n rows and m columns; every other PLI is
 // charged its rows and ends plus a fixed bookkeeping share against a
 // budget of budgetTables·n·m words. When a new PLI does not fit, the
 // cache drops every entry it holds and starts over; one that does not fit
@@ -30,12 +32,13 @@ import (
 // lookup costs, never what it answers.
 //
 // A Cache is owned by one goroutine. Fork hands another goroutine an
-// empty cache over the same table that shares the single-column PLIs
-// (read-only) and the budget (an atomic counter), so concurrent walks
+// empty cache over the same table that shares π_∅ and the single-column
+// PLIs (read-only) and the budget (an atomic counter), so concurrent walks
 // need no lock and together stay within one budget.
 type Cache struct {
 	coded   *relation.Coded
-	singles []*Stripped // π_a for every column a; shared read-only by forks
+	whole   *Stripped   // π_∅; shared read-only by forks
+	singles []*Stripped // π_a for every column a; likewise
 	plis    map[relation.AttrSet]*Stripped
 	keys    []relation.AttrSet // the cached sets, for subset scans
 	held    int64              // budget words this cache holds
@@ -59,27 +62,31 @@ const (
 	entryWords   = 32
 )
 
-// NewCache builds the single-column PLIs of c and returns an empty cache
-// over them.
+// NewCache builds π_∅ and the single-column PLIs of c and returns an
+// empty cache over them.
 func NewCache(c *relation.Coded) *Cache {
-	singles := make([]*Stripped, c.NumAttrs())
-	for a := range singles {
-		singles[a] = StrippedSingle(c, a)
+	rows := make([]int32, c.NumRows())
+	for i := range rows {
+		rows[i] = int32(i)
 	}
 	free := new(atomic.Int64)
-	free.Store(budgetTables * int64(c.NumRows()) * int64(len(singles)))
-	return newCache(c, singles, free)
+	free.Store(budgetTables * int64(c.NumRows()) * int64(c.NumAttrs()))
+	cache := newCache(c, oneClass(rows, c.NumRows()), make([]*Stripped, c.NumAttrs()), free)
+	for a := range cache.singles {
+		cache.singles[a] = ProductColumn(cache.whole, c, a, cache.ws)
+	}
+	return cache
 }
 
-func newCache(c *relation.Coded, singles []*Stripped, free *atomic.Int64) *Cache {
-	return &Cache{coded: c, singles: singles, plis: make(map[relation.AttrSet]*Stripped), free: free, ws: NewWorkspace()}
+func newCache(c *relation.Coded, whole *Stripped, singles []*Stripped, free *atomic.Int64) *Cache {
+	return &Cache{coded: c, whole: whole, singles: singles, plis: make(map[relation.AttrSet]*Stripped), free: free, ws: NewWorkspace()}
 }
 
 // Fork returns an empty cache over the same table that shares c's
-// single-column PLIs and budget. c and its forks may each be used by a
-// different goroutine.
+// π_∅, single-column PLIs and budget. c and its forks may each be used
+// by a different goroutine.
 func (c *Cache) Fork() *Cache {
-	return newCache(c.coded, c.singles, c.free)
+	return newCache(c.coded, c.whole, c.singles, c.free)
 }
 
 // Release empties the cache and returns the budget its entries held to
@@ -95,11 +102,17 @@ func (c *Cache) Release() {
 // Stats returns the cache's counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// Get returns the stripped partition of the non-empty set x. Rows are
-// ascending within every class. The order of the classes depends on the
-// subset the PLI was built from, so callers must not depend on it.
+// Coded returns the table the cache partitions.
+func (c *Cache) Coded() *relation.Coded { return c.coded }
+
+// Get returns the stripped partition of x; for the empty set, π_∅. Rows
+// are ascending within every class. The order of the classes depends on
+// the subset the PLI was built from, so callers must not depend on it.
 func (c *Cache) Get(x relation.AttrSet) *Stripped {
-	if x.Size() == 1 {
+	switch x.Size() {
+	case 0:
+		return c.whole
+	case 1:
 		return c.singles[x.First()]
 	}
 	if s, ok := c.plis[x]; ok {

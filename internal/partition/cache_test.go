@@ -33,8 +33,8 @@ func cachePLIError(tbl *relation.Table, c *relation.Coded, s *Stripped, x relati
 	if want := tbl.HasDuplicateOn(x); s.HasDuplicate() != want {
 		return fmt.Errorf("Get(%v).HasDuplicate() = %v, Table.HasDuplicateOn = %v", x, !want, want)
 	}
-	if !sameStripped(s, StrippedOf(c, x)) {
-		return fmt.Errorf("Get(%v) = %v, want the classes of %v", x, classesOf(s), classesOf(StrippedOf(c, x)))
+	if want := modelPLI(tbl, x); !sameStripped(s, want) {
+		return fmt.Errorf("Get(%v) = %v, want the classes of %v", x, classesOf(s), classesOf(want))
 	}
 	for _, class := range classesOf(s) {
 		if !slices.IsSorted(class) {
@@ -165,18 +165,18 @@ func TestCacheForksConcurrently(t *testing.T) {
 	}
 }
 
-// violationModel is the witness rule by definition, over the full
-// partition: r is the smallest row whose Y code differs from that of the
-// first row of its X class, and f is that first row.
-func violationModel(c *relation.Coded, x relation.AttrSet, y int) (f, r int, violated bool) {
-	col := c.Column(y)
-	first := make([]int, c.NumRows())
-	for _, cl := range OfCoded(c, x).Classes {
-		for _, row := range cl.Rows {
-			first[row] = cl.Rows[0]
+// violationModel is the witness rule by definition, over the string-key
+// classes of X: r is the smallest row whose Y cell differs from that of
+// the first row of its X class, and f is that first row.
+func violationModel(tbl *relation.Table, x relation.AttrSet, y int) (f, r int, violated bool) {
+	col := tbl.Column(y)
+	first := make([]int, tbl.NumRows())
+	for _, cl := range stringKeyClasses(tbl, x) {
+		for _, row := range cl {
+			first[row] = cl[0]
 		}
 	}
-	for row := 0; row < c.NumRows(); row++ {
+	for row := 0; row < tbl.NumRows(); row++ {
 		if col[row] != col[first[row]] {
 			return first[row], row, true
 		}
@@ -204,11 +204,11 @@ func TestViolationIgnoresClassOrder(t *testing.T) {
 				continue
 			}
 			first, last := x.First(), bits.Len64(uint64(x))-1
-			wf, wr, want := violationModel(c, x, y)
+			wf, wr, want := violationModel(tbl, x, y)
 			for _, s := range []*Stripped{
 				cache.Get(x),
-				ProductColumn(StrippedOf(c, x.Remove(first)), c, first, ws),
-				ProductColumn(StrippedOf(c, x.Remove(last)), c, last, ws),
+				ProductColumn(modelPLI(tbl, x.Remove(first)), c, first, ws),
+				ProductColumn(modelPLI(tbl, x.Remove(last)), c, last, ws),
 			} {
 				if gf, gr, got := s.Violation(c.Column(y)); got != want || got && (gf != wf || gr != wr) {
 					t.Fatalf("trial %d: %v→%d witness (%d, %d, %v), want (%d, %d, %v)", trial, x, y, gf, gr, got, wf, wr, want)

@@ -4,8 +4,13 @@
 // (Huhtala et al., 1999). Partitions are the shared machinery behind FD
 // discovery, MAS discovery, and the F² encryptor itself.
 //
-// Partitions group rows by dictionary codes (relation.Coded), never by
-// cell strings. Invariants the rest of the system leans on:
+// Rows are grouped one way only: ProductColumn splits every class of a
+// stripped partition by the dictionary codes (relation.Coded) one column
+// gives its rows, never by cell strings or keys. Chains start at π_∅,
+// one class of every row. The Cache's single-column PLIs are π_∅ split by
+// each column, and Refine — hence OfCoded and Of — splits one class of
+// the old classes' first rows and the appended rows by X's columns.
+// Invariants the rest of the system leans on:
 //
 //   - within one class, Rows is ascending, and classes are ordered by
 //     their first row — the first-occurrence order of their projections;
@@ -16,9 +21,10 @@
 //     never changes, which is what makes it the incremental encryptor's
 //     stable member identity, and the positional old/new split
 //     (core.appendedSuffix) is correct only because of that ordering;
-//   - stripped partitions store row indices as int32, so they cover
-//     tables of at most math.MaxInt32 rows; the constructors panic past
-//     that bound and fd's TANE refuses such tables with an error.
+//   - stripped partitions store row indices as int32, so partitions
+//     cover tables of at most math.MaxInt32 rows; Refine, OfCoded and
+//     NewCache panic past that bound and fd's TANE refuses such tables
+//     with an error.
 package partition
 
 import (
@@ -53,8 +59,8 @@ func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
 	return OfCoded(relation.Encode(t), attrs)
 }
 
-// OfCoded computes π_X over the coded view c, grouping rows by their
-// packed codes over X: it is Refine applied to the empty partition.
+// OfCoded computes π_X over the coded view c: it is Refine applied to
+// the empty partition, so π_∅ split by each column of X.
 func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
 	p, _, _ := (&Partition{Attrs: attrs}).Refine(c, 0) // cannot fail: the empty partition covers 0 rows
 	return p

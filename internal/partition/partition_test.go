@@ -67,8 +67,8 @@ func TestNonSingletonSortedAscending(t *testing.T) {
 	}
 }
 
-func TestStrippedOf(t *testing.T) {
-	s := StrippedOf(relation.Encode(sampleTable()), relation.NewAttrSet(2))
+func TestStrippedColumn(t *testing.T) {
+	s := NewCache(relation.Encode(sampleTable())).Get(relation.NewAttrSet(2))
 	// c1 ×2, c2 ×1, c3 ×2 ⇒ two stripped classes.
 	if len(s.ends) != 2 {
 		t.Fatalf("stripped π_C has %d classes, want 2", len(s.ends))
@@ -84,15 +84,18 @@ func TestStrippedOf(t *testing.T) {
 	}
 }
 
+// TestStrippedSingleMatchesGeneric: each single-column PLI the cache
+// builds (π_∅ split by the column) is, class for class, the string-key
+// grouping of that column with its singletons dropped.
 func TestStrippedSingleMatchesGeneric(t *testing.T) {
 	tbl := sampleTable()
-	c := relation.Encode(tbl)
+	cache := NewCache(relation.Encode(tbl))
 	for a := 0; a < tbl.NumAttrs(); a++ {
-		s1 := StrippedSingle(c, a)
-		s2 := StrippedOf(c, relation.SingleAttr(a))
-		if len(s1.rows) != len(s2.rows) || len(s1.ends) != len(s2.ends) {
-			t.Errorf("attr %d: StrippedSingle %d/%d vs StrippedOf %d/%d",
-				a, len(s1.ends), len(s1.rows), len(s2.ends), len(s2.rows))
+		x := relation.SingleAttr(a)
+		s1, s2 := cache.Get(x), modelPLI(tbl, x)
+		if s1.Attrs != x || !sameStripped(s1, s2) {
+			t.Errorf("attr %d: cache PLI %v vs string-key grouping %v",
+				a, classesOf(s1), classesOf(s2))
 		}
 	}
 }
@@ -103,17 +106,18 @@ func TestProductMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ws := NewWorkspace()
 	for trial := 0; trial < 50; trial++ {
-		c := relation.Encode(randomTable(rng, 4, 30, 3))
+		tbl := randomTable(rng, 4, 30, 3)
+		c := relation.Encode(tbl)
 		x := relation.AttrSet(rng.Intn(15) + 1).Intersect(relation.FullAttrSet(4))
 		y := relation.AttrSet(rng.Intn(15) + 1).Intersect(relation.FullAttrSet(4))
 		if x.IsEmpty() || y.IsEmpty() {
 			continue
 		}
-		prod := StrippedOf(c, x)
+		prod := modelPLI(tbl, x)
 		for rest := y; !rest.IsEmpty(); rest = rest.Remove(rest.First()) {
 			prod = ProductColumn(prod, c, rest.First(), ws)
 		}
-		direct := StrippedOf(c, x.Union(y))
+		direct := modelPLI(tbl, x.Union(y))
 		if prod.Attrs != x.Union(y) || !sameStripped(prod, direct) {
 			t.Fatalf("trial %d: π_%v · π_%v ≠ direct\nprod: %v\ndirect: %v",
 				trial, x, y, classesOf(prod), classesOf(direct))
@@ -129,14 +133,15 @@ func TestProductColumnMatchesProduct(t *testing.T) {
 	ws := NewWorkspace()
 	for trial := 0; trial < 200; trial++ {
 		attrs := 2 + rng.Intn(4)
-		c := relation.Encode(randomTable(rng, attrs, rng.Intn(60), 1+rng.Intn(6)))
+		tbl := randomTable(rng, attrs, rng.Intn(60), 1+rng.Intn(6))
+		c := relation.Encode(tbl)
 		x := relation.AttrSet(rng.Int63()).Intersect(relation.FullAttrSet(attrs))
 		if x.IsEmpty() {
 			continue
 		}
-		px := StrippedOf(c, x)
+		px := modelPLI(tbl, x)
 		for a := 0; a < attrs; a++ {
-			prod, direct := ProductColumn(px, c, a, ws), StrippedOf(c, x.Add(a))
+			prod, direct := ProductColumn(px, c, a, ws), modelPLI(tbl, x.Add(a))
 			if prod.Attrs != x.Add(a) || !sameStripped(prod, direct) {
 				t.Fatalf("trial %d: ProductColumn(%v, %d) ≠ direct\nprod: %v\ndirect: %v",
 					trial, x, a, classesOf(prod), classesOf(direct))
@@ -149,27 +154,29 @@ func TestProductColumnMatchesProduct(t *testing.T) {
 // scratch left by a wider split must not leak into a narrower one.
 func TestProductWithWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := relation.Encode(randomTable(rng, 5, 60, 3))
+	tbl := randomTable(rng, 5, 60, 3)
+	c := relation.Encode(tbl)
 	ws := NewWorkspace()
 	for trial := 0; trial < 30; trial++ {
 		x := relation.AttrSet(rng.Intn(31) + 1)
-		p := StrippedSingle(c, x.First())
+		p := modelPLI(tbl, relation.SingleAttr(x.First()))
 		for rest := x.Remove(x.First()); !rest.IsEmpty(); rest = rest.Remove(rest.First()) {
 			p = ProductColumn(p, c, rest.First(), ws)
 		}
-		if !sameStripped(p, StrippedOf(c, x)) {
+		if !sameStripped(p, modelPLI(tbl, x)) {
 			t.Fatalf("trial %d: workspace reuse corrupted the product for %v", trial, x)
 		}
 	}
 }
 
 func TestRefinesAttr(t *testing.T) {
-	c := relation.Encode(sampleTable())
-	sab := StrippedOf(c, relation.NewAttrSet(0, 1))
+	tbl := sampleTable()
+	c := relation.Encode(tbl)
+	sab := modelPLI(tbl, relation.NewAttrSet(0, 1))
 	if !sab.RefinesAttr(c.Column(0)) {
 		t.Error("AB → A must hold")
 	}
-	sa := StrippedOf(c, relation.NewAttrSet(0))
+	sa := modelPLI(tbl, relation.NewAttrSet(0))
 	if sa.RefinesAttr(c.Column(1)) {
 		t.Error("A → B must fail")
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sort"
 
 	"f2/internal/relation"
 )
@@ -12,7 +13,8 @@ import (
 // slice (pre-existing classes keep their positions; born classes are
 // appended in first-occurrence order).
 type Delta struct {
-	// Grown lists classes that existed before the append and gained rows.
+	// Grown lists classes that existed before the append and gained rows,
+	// in the order of the first appended row each gained.
 	Grown []int
 	// Born lists classes created by appended rows. A born class of size ≥ 2
 	// means two appended rows share a projection the old table never had.
@@ -25,69 +27,100 @@ type Delta struct {
 // are shared by reference, grown classes are copied before their row lists
 // are extended), so a caller that aborts mid-update can keep using p.
 //
-// Cost is O(|classes|·|X| + Δ·|X|) time and O(Δ) allocations: the appended
-// rows are grouped by their packed codes over X, which allocates one key
-// per distinct appended projection, and each old class is then looked up
-// by the key of its first row, composed in a reused buffer — a lookup that
-// does not allocate. No old row is re-hashed.
+// The first row of every old class stands for its class, and the appended
+// rows follow: this ascending list is one class of π_∅, and splitting it
+// by X's columns with ProductColumn groups each appended row with the old
+// class it joins, or with the appended rows it shares a born class with.
+// A part that holds an old first row is that class, grown (two first rows
+// differ on X, so a part holds at most one); every other part, and every
+// appended row left alone, is born. Cost is O((|classes| + Δ)·|X|) time
+// and no old row but a class's first is read.
 func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, error) {
 	if p.numRows != oldRows {
 		return nil, Delta{}, fmt.Errorf("partition: refine: partition covers %d rows, caller says %d", p.numRows, oldRows)
 	}
-	if c.NumRows() < oldRows {
-		return nil, Delta{}, fmt.Errorf("partition: refine: table has %d rows, fewer than the %d already partitioned", c.NumRows(), oldRows)
+	n := c.NumRows()
+	if n < oldRows {
+		return nil, Delta{}, fmt.Errorf("partition: refine: table has %d rows, fewer than the %d already partitioned", n, oldRows)
 	}
-	out := &Partition{Attrs: p.Attrs, numRows: c.NumRows()}
-	out.Classes = append(make([]*EC, 0, len(p.Classes)), p.Classes...)
-	cols := p.Attrs.Attrs()
-	key := make([]byte, 0, 4*len(cols))
-
-	// Group the appended rows: group[i] is the group of row oldRows+i, in
-	// first-occurrence order.
-	index := make(map[string]int)
-	group := make([]int, c.NumRows()-oldRows)
-	for i := range group {
-		key = c.AppendKey(key[:0], oldRows+i, cols)
-		g, ok := index[string(key)]
-		if !ok {
-			g = len(index)
-			index[string(key)] = g
-		}
-		group[i] = g
+	list := make([]int32, 0, len(p.Classes)+n-oldRows)
+	for _, cl := range p.Classes {
+		list = append(list, int32(cl.Rows[0]))
 	}
-	// class[g] is the class group g joins: an old class with its key, or
-	// -1 until the group's first row founds a born class.
-	class := make([]int, len(index))
-	for g := range class {
-		class[g] = -1
+	for r := oldRows; r < n; r++ {
+		list = append(list, int32(r))
 	}
-	for ci, matched := 0, 0; ci < len(p.Classes) && matched < len(class); ci++ {
-		key = c.AppendKey(key[:0], p.Classes[ci].Rows[0], cols)
-		if g, ok := index[string(key)]; ok {
-			class[g] = ci
-			matched++
-		}
+	s := oneClass(list, n)
+	ws := NewWorkspace()
+	for _, a := range p.Attrs.Attrs() {
+		s = ProductColumn(s, c, a, ws)
 	}
 
+	// part[i] is the part of appended row oldRows+i, or -1 if it is alone;
+	// born counts the rows and classes of born parts and lone rows.
+	part := make([]int32, n-oldRows)
+	for i := range part {
+		part[i] = -1
+	}
+	bornRows, bornClasses := len(part), len(part)
+	start := int32(0)
+	for k, end := range s.ends {
+		rows := s.rows[start:end]
+		start = end
+		if rows[0] < int32(oldRows) { // an old class, grown
+			rows = rows[1:]
+			bornRows -= len(rows)
+			bornClasses -= len(rows)
+		} else {
+			bornClasses -= len(rows) - 1
+		}
+		for _, r := range rows {
+			part[int(r)-oldRows] = int32(k)
+		}
+	}
+
+	// Walk the appended rows in order: the first row met of each part
+	// builds its whole class, so Grown and Born come out in
+	// first-occurrence order. Born classes are carved from two exact-size
+	// blocks.
+	out := &Partition{Attrs: p.Attrs, numRows: n, Classes: make([]*EC, len(p.Classes), len(p.Classes)+bornClasses)}
+	copy(out.Classes, p.Classes)
+	ecs := make([]EC, bornClasses)
+	buf := make([]int, bornRows)
 	var d Delta
-	cloned := make(map[int]bool)
-	for i, g := range group {
-		r, ci := oldRows+i, class[g]
-		if ci < 0 {
-			ci = len(out.Classes)
-			class[g] = ci
-			out.Classes = append(out.Classes, &EC{Rows: []int{r}})
-			d.Born = append(d.Born, ci)
-			continue
+	done := make([]bool, len(s.ends))
+	for i, k := range part {
+		var rows []int32
+		if k >= 0 {
+			if done[k] {
+				continue
+			}
+			done[k] = true
+			lo := int32(0)
+			if k > 0 {
+				lo = s.ends[k-1]
+			}
+			rows = s.rows[lo:s.ends[k]]
+			if first := int(rows[0]); first < oldRows {
+				ci := sort.Search(len(p.Classes), func(j int) bool { return p.Classes[j].Rows[0] >= first })
+				grown := append(make([]int, 0, p.Classes[ci].Size()+len(rows)-1), p.Classes[ci].Rows...)
+				for _, r := range rows[1:] {
+					grown = append(grown, int(r))
+				}
+				out.Classes[ci] = &EC{Rows: grown}
+				d.Grown = append(d.Grown, ci)
+				continue
+			}
 		}
-		if ci < len(p.Classes) && !cloned[ci] {
-			old := p.Classes[ci].Rows
-			out.Classes[ci] = &EC{Rows: append(append(make([]int, 0, len(old)+1), old...), r)}
-			cloned[ci] = true
-			d.Grown = append(d.Grown, ci)
-			continue
+		size := max(len(rows), 1)
+		cl := &ecs[0]
+		cl.Rows, buf, ecs = buf[:size:size], buf[size:], ecs[1:]
+		cl.Rows[0] = oldRows + i
+		for j, r := range rows {
+			cl.Rows[j] = int(r)
 		}
-		out.Classes[ci].Rows = append(out.Classes[ci].Rows, r)
+		d.Born = append(d.Born, len(out.Classes))
+		out.Classes = append(out.Classes, cl)
 	}
 	return out, d, nil
 }

@@ -1,116 +1,168 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
 	"f2/internal/relation"
 )
 
-func randomRefineTable(rng *rand.Rand, attrs, rows, domain int) *relation.Table {
-	names := make([]string, attrs)
-	for i := range names {
-		names[i] = string(rune('A' + i))
-	}
-	tbl := relation.NewTable(relation.MustSchema(names...))
-	for r := 0; r < rows; r++ {
-		row := make([]string, attrs)
-		for a := range row {
-			row[a] = string(rune('a'+a)) + string(rune('0'+rng.Intn(domain)))
+// refineModel is Refine by definition, over the string-key classes of
+// attrs on t, whose first oldRows rows the refined partition covered. The
+// classes come in first-row order, which puts every old class first. The
+// Delta is read off them by walking the appended rows: the first appended
+// row met of a class grows it if the class holds an old row and bears it
+// otherwise.
+func refineModel(t *relation.Table, attrs relation.AttrSet, oldRows int) ([][]int, Delta) {
+	classes := stringKeyClasses(t, attrs)
+	of := make([]int, t.NumRows())
+	for ci, c := range classes {
+		for _, r := range c {
+			of[r] = ci
 		}
-		tbl.AppendRow(row)
 	}
-	return tbl
+	var d Delta
+	met := map[int]bool{}
+	for r := oldRows; r < t.NumRows(); r++ {
+		ci := of[r]
+		if met[ci] {
+			continue
+		}
+		met[ci] = true
+		if classes[ci][0] < oldRows {
+			d.Grown = append(d.Grown, ci)
+		} else {
+			d.Born = append(d.Born, ci)
+		}
+	}
+	return classes, d
 }
 
-// classSets renders a partition as a sorted set-of-sorted-row-sets so
-// refined and recomputed partitions compare independent of class order.
-func classSets(classes [][]int) [][]int {
-	out := make([][]int, 0, len(classes))
-	for _, c := range classes {
-		s := append([]int(nil), c...)
-		sort.Ints(s)
-		out = append(out, s)
+// rowsOf copies the classes of p out, in order.
+func rowsOf(p *Partition) [][]int {
+	var out [][]int
+	for _, c := range p.Classes {
+		out = append(out, append([]int(nil), c.Rows...))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
-func fullClassSets(p *Partition) [][]int {
-	rows := make([][]int, 0, len(p.Classes))
-	for _, c := range p.Classes {
-		rows = append(rows, c.Rows)
+// refineError checks one Refine of p, which covers the first oldRows rows
+// of t, against refineModel: the classes in order and the exact Delta.
+func refineError(t *relation.Table, p *Partition, oldRows int) (*Partition, Delta, error) {
+	np, d, err := p.Refine(relation.Encode(t), oldRows)
+	if err != nil {
+		return nil, Delta{}, err
 	}
-	return classSets(rows)
+	want, wantDelta := refineModel(t, p.Attrs, oldRows)
+	if got := rowsOf(np); !reflect.DeepEqual(got, want) {
+		return nil, Delta{}, fmt.Errorf("refined %v over %d+%d rows = %v, want %v", p.Attrs, oldRows, t.NumRows()-oldRows, got, want)
+	}
+	if !reflect.DeepEqual(d, wantDelta) {
+		return nil, Delta{}, fmt.Errorf("refined %v over %d+%d rows: delta %+v, want %+v", p.Attrs, oldRows, t.NumRows()-oldRows, d, wantDelta)
+	}
+	if np.numRows != t.NumRows() {
+		return nil, Delta{}, fmt.Errorf("refined partition covers %d rows, want %d", np.numRows, t.NumRows())
+	}
+	return np, d, nil
 }
 
+// TestPartitionRefineMatchesRecompute refines partitions through streams
+// of appends, including the empty attribute set and tables that start
+// empty, and checks every step against the string-key model. The streams
+// must grow classes, promote singletons, and coin born classes of one row
+// and of several; the source partition must come out untouched.
 func TestPartitionRefineMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	var grew, promoted, bornSingle, bornShared int
 	for trial := 0; trial < 200; trial++ {
 		attrs := 1 + rng.Intn(4)
-		tbl := randomRefineTable(rng, attrs, 3+rng.Intn(25), 1+rng.Intn(3))
+		tbl := randomTable(rng, attrs, rng.Intn(25), 1+rng.Intn(3))
 		set := relation.AttrSet(rng.Intn(1 << attrs))
-		if set.IsEmpty() {
-			set = relation.SingleAttr(0)
-		}
-		old := tbl.NumRows()
 		p := Of(tbl, set)
-		extra := randomRefineTable(rng, attrs, 1+rng.Intn(5), 1+rng.Intn(3))
-		for i := 0; i < extra.NumRows(); i++ {
-			tbl.AppendRow(extra.Row(i))
-		}
-		np, d, err := p.Refine(relation.Encode(tbl), old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Of(tbl, set)
-		if !reflect.DeepEqual(fullClassSets(np), fullClassSets(want)) {
-			t.Fatalf("trial %d: refined ≠ recomputed for %v\n got: %v\nwant: %v",
-				trial, set, fullClassSets(np), fullClassSets(want))
-		}
-		if np.numRows != tbl.NumRows() {
-			t.Fatalf("trial %d: refined covers %d rows, want %d", trial, np.numRows, tbl.NumRows())
-		}
-		// Copy-on-write: the original partition is untouched.
-		if p.numRows != old {
-			t.Fatalf("trial %d: Refine mutated the source partition", trial)
-		}
-		total := 0
-		for _, c := range p.Classes {
-			total += c.Size()
-			for _, r := range c.Rows {
-				if r >= old {
-					t.Fatalf("trial %d: appended row %d leaked into the source partition", trial, r)
+		for step := 0; step < 4; step++ {
+			old := tbl.NumRows()
+			extra := randomTable(rng, attrs, rng.Intn(6), 1+rng.Intn(4))
+			for i := 0; i < extra.NumRows(); i++ {
+				tbl.AppendRow(extra.Row(i))
+			}
+			before := rowsOf(p)
+			np, d, err := refineError(tbl, p, old)
+			if err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			if !reflect.DeepEqual(rowsOf(p), before) || p.numRows != old {
+				t.Fatalf("trial %d step %d: Refine mutated the source partition", trial, step)
+			}
+			for _, ci := range d.Grown {
+				if p.Classes[ci].Size() == 1 {
+					promoted++
+				} else {
+					grew++
 				}
 			}
-		}
-		if total != old {
-			t.Fatalf("trial %d: source partition now covers %d rows", trial, total)
-		}
-		// Delta indices point at real changes.
-		for _, ci := range d.Grown {
-			if ci >= len(p.Classes) || np.Classes[ci].Size() <= p.Classes[ci].Size() {
-				t.Fatalf("trial %d: grown class %d did not grow", trial, ci)
-			}
-		}
-		for _, ci := range d.Born {
-			if ci < len(p.Classes) {
-				t.Fatalf("trial %d: born class %d overlaps pre-existing classes", trial, ci)
-			}
-			for _, r := range np.Classes[ci].Rows {
-				if r < old {
-					t.Fatalf("trial %d: born class %d contains old row %d", trial, ci, r)
+			for _, ci := range d.Born {
+				if np.Classes[ci].Size() == 1 {
+					bornSingle++
+				} else {
+					bornShared++
 				}
 			}
+			p = np
 		}
 	}
+	if grew == 0 || promoted == 0 || bornSingle == 0 || bornShared == 0 {
+		t.Fatalf("streams grew %d classes, promoted %d singletons, bore %d single and %d shared classes: want each",
+			grew, promoted, bornSingle, bornShared)
+	}
+}
+
+// FuzzRefine decodes a table of up to four columns and 64 rows, an
+// attribute set and a split row from the input, and refines the prefix's
+// partition by the rest against the string-key model.
+func FuzzRefine(f *testing.F) {
+	f.Add([]byte{1, 3, 4, 0, 1, 0, 1, 2, 2, 0, 0, 1, 1, 3, 4})
+	f.Add([]byte{0, 0, 0, 7})
+	f.Add([]byte{2, 5, 3, 1, 1, 1, 2, 2, 2, 1, 1, 1, 3, 0, 3, 1, 2, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		m := 1 + int(data[0])%4
+		set := relation.AttrSet(data[1]).Intersect(relation.FullAttrSet(m))
+		cells := data[3:]
+		names := make([]string, m)
+		for a := range names {
+			names[a] = fmt.Sprint("A", a)
+		}
+		tbl := relation.NewTable(relation.MustSchema(names...))
+		for r := 0; r < min(len(cells)/m, 64); r++ {
+			row := make([]string, m)
+			for a := range row {
+				row[a] = fmt.Sprint(cells[r*m+a] % 5)
+			}
+			tbl.AppendRow(row)
+		}
+		old := int(data[2]) % (tbl.NumRows() + 1)
+		prefix := relation.NewTable(tbl.Schema())
+		for r := 0; r < old; r++ {
+			prefix.AppendRow(tbl.Row(r))
+		}
+		p := Of(prefix, set)
+		if got, want := rowsOf(p), stringKeyClasses(prefix, set); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Of(%v) = %v, want %v", set, got, want)
+		}
+		if _, _, err := refineError(tbl, p, old); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestRefineRejectsMismatchedRowCount(t *testing.T) {
-	tbl := randomRefineTable(rand.New(rand.NewSource(1)), 2, 6, 2)
+	tbl := randomTable(rand.New(rand.NewSource(1)), 2, 6, 2)
 	p := Of(tbl, relation.SingleAttr(0))
 	if _, _, err := p.Refine(relation.Encode(tbl), 4); err == nil {
 		t.Error("Partition.Refine accepted a wrong oldRows")
@@ -124,7 +176,7 @@ func TestRefineRejectsMismatchedRowCount(t *testing.T) {
 // and the receiver must keep its classes.
 func TestRefineIsPure(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	base := randomRefineTable(rng, 3, 200, 3)
+	base := randomTable(rng, 3, 200, 3)
 	set := relation.NewAttrSet(0, 2)
 	p := Of(base, set)
 	before := make([]*EC, len(p.Classes))
@@ -134,7 +186,7 @@ func TestRefineIsPure(t *testing.T) {
 	var tables [2]*relation.Table
 	for g := range tables {
 		tables[g] = base.Clone()
-		extra := randomRefineTable(rng, 3, 50, 4)
+		extra := randomTable(rng, 3, 50, 4)
 		for i := 0; i < extra.NumRows(); i++ {
 			tables[g].AppendRow(extra.Row(i))
 		}
@@ -154,7 +206,7 @@ func TestRefineIsPure(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatal(errs[g])
 		}
-		if want := Of(tables[g], set); !reflect.DeepEqual(got[g].Classes, want.Classes) {
+		if want := stringKeyClasses(tables[g], set); !reflect.DeepEqual(rowsOf(got[g]), want) {
 			t.Errorf("refine %d: classes differ from grouping the whole table", g)
 		}
 	}

@@ -28,68 +28,15 @@ type Stripped struct {
 	numRows int
 }
 
-// StrippedOf computes the stripped partition of the coded view c under
-// attrs.
-func StrippedOf(c *relation.Coded, attrs relation.AttrSet) *Stripped {
-	return StripPartition(OfCoded(c, attrs))
-}
-
-// StripPartition converts a full partition into stripped form, keeping
-// the order of its classes and of the rows within each.
-func StripPartition(p *Partition) *Stripped {
-	checkRows(p.numRows)
-	n, k := 0, 0
-	for _, c := range p.Classes {
-		if c.Size() > 1 {
-			n += c.Size()
-			k++
-		}
-	}
-	s := &Stripped{Attrs: p.Attrs, numRows: p.numRows, rows: make([]int32, 0, n), ends: make([]int32, 0, k)}
-	for _, c := range p.Classes {
-		if c.Size() > 1 {
-			for _, r := range c.Rows {
-				s.rows = append(s.rows, int32(r))
-			}
-			s.ends = append(s.ends, int32(len(s.rows)))
-		}
+// oneClass returns rows as a stripped partition of a single class, over
+// a table of numRows rows: π_∅ when rows lists every row.
+func oneClass(rows []int32, numRows int) *Stripped {
+	checkRows(numRows)
+	s := &Stripped{numRows: numRows}
+	if len(rows) > 1 {
+		s.rows, s.ends = rows, []int32{int32(len(rows))}
 	}
 	return s
-}
-
-// StrippedSingle computes the stripped partition of a single column without
-// materializing a full Partition, as TANE does at level 1: the column's
-// codes are counted and each row is placed at its class's next free slot.
-// Codes are in first-occurrence order, so classes come out in
-// first-occurrence order with ascending rows, exactly as StrippedOf orders
-// them.
-func StrippedSingle(c *relation.Coded, a int) *Stripped {
-	checkRows(c.NumRows())
-	codes := c.Column(a)
-	count := make([]int32, c.Cardinality(a)) // count[code] = rows holding it
-	for _, code := range codes {
-		count[code]++
-	}
-	// Turn counts into start offsets; -1 marks a singleton value.
-	var ends []int32
-	off := int32(0)
-	for code, n := range count {
-		if n < 2 {
-			count[code] = -1
-			continue
-		}
-		count[code] = off
-		off += n
-		ends = append(ends, off)
-	}
-	rows := make([]int32, off)
-	for i, code := range codes {
-		if p := count[code]; p >= 0 {
-			rows[p] = int32(i)
-			count[code]++
-		}
-	}
-	return &Stripped{Attrs: relation.SingleAttr(a), rows: rows, ends: ends, numRows: c.NumRows()}
 }
 
 // checkRows panics if a table is too large for int32 row indices.

@@ -9,22 +9,33 @@ import (
 	"f2/internal/relation"
 )
 
-// strippedModel strips the Of-derived partition of attrs by filtering its
-// classes: the order StripPartition, StrippedOf and StrippedSingle must
-// reproduce exactly.
+// strippedModel is the string-key grouping of attrs (stringKeyClasses)
+// with its singleton classes dropped: the classes, in first-row order,
+// that π_∅ and the level-1 PLIs must reproduce exactly.
 func strippedModel(t *relation.Table, attrs relation.AttrSet) [][]int32 {
 	out := [][]int32{}
-	for _, c := range Of(t, attrs).Classes {
-		if c.Size() < 2 {
+	for _, c := range stringKeyClasses(t, attrs) {
+		if len(c) < 2 {
 			continue
 		}
-		rows := make([]int32, len(c.Rows))
-		for i, r := range c.Rows {
+		rows := make([]int32, len(c))
+		for i, r := range c {
 			rows[i] = int32(r)
 		}
 		out = append(out, rows)
 	}
 	return out
+}
+
+// modelPLI lays strippedModel out as a stripped partition: a reference
+// that shares no code with ProductColumn.
+func modelPLI(t *relation.Table, attrs relation.AttrSet) *Stripped {
+	s := &Stripped{Attrs: attrs, numRows: t.NumRows()}
+	for _, c := range strippedModel(t, attrs) {
+		s.rows = append(s.rows, c...)
+		s.ends = append(s.ends, int32(len(s.rows)))
+	}
+	return s
 }
 
 // productModel is TANE's PRODUCT written plainly over class lists with a
@@ -94,24 +105,28 @@ func stringKeyClasses(t *relation.Table, attrs relation.AttrSet) [][]int {
 	return out
 }
 
-// TestStrippedKernelMatchesOf checks the flat-layout constructors and
-// ProductColumn against the Of-derived stripped partition over random
-// tables, including the empty table, constant and all-unique columns, and
-// Of itself against grouping by projection strings. Every call shares one
-// empty workspace, and tables grow through the run, so the workspace is
-// refitted both for more rows and for a column with more codes than any
-// earlier call.
+// TestStrippedKernelMatchesOf checks π_∅, the level-1 PLIs (π_∅ split by
+// each column), ProductColumn and Of against grouping by projection
+// strings over random tables, including the empty table, constant and
+// all-unique columns. Every product shares one empty workspace, and
+// tables grow through the run, so the workspace is refitted both for more
+// rows and for a column with more codes than any earlier call.
 func TestStrippedKernelMatchesOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ws := NewWorkspace()
 	for trial := 0; trial < 120; trial++ {
 		tbl := kernelTable(rng, trial/2, 1+rng.Intn(3), 1+rng.Intn(8))
 		c := relation.Encode(tbl)
+		cache := NewCache(c)
 		full := relation.FullAttrSet(tbl.NumAttrs())
-		for a := 0; a < tbl.NumAttrs(); a++ {
-			want := strippedModel(tbl, relation.SingleAttr(a))
-			if got := classesOf(StrippedSingle(c, a)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: StrippedSingle(%d) = %v, want %v", trial, a, got, want)
+		for a := -1; a < tbl.NumAttrs(); a++ {
+			x := relation.AttrSet(0)
+			if a >= 0 {
+				x = relation.SingleAttr(a)
+			}
+			want := strippedModel(tbl, x)
+			if got := classesOf(cache.Get(x)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Get(%v) = %v, want %v", trial, x, got, want)
 			}
 		}
 		for k := 0; k < 8; k++ {
@@ -127,19 +142,13 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 			if want := stringKeyClasses(tbl, x); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Of(%v) = %v, string-key grouping %v", trial, x, got, want)
 			}
-			px, py := StripPartition(OfCoded(c, x)), StrippedOf(c, y)
-			if got, want := classesOf(px), strippedModel(tbl, x); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: StripPartition(%v) = %v, want %v", trial, x, got, want)
-			}
-			if got, want := classesOf(py), strippedModel(tbl, y); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: StrippedOf(%v) = %v, want %v", trial, y, got, want)
-			}
+			px := modelPLI(tbl, x)
 			a := y.First()
 			prod := ProductColumn(px, c, a, ws)
 			if got, want := classesOf(prod), productModel(px, c.Column(a)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: ProductColumn(%v, %d) = %v, want %v", trial, x, a, got, want)
 			}
-			if !sameStripped(prod, StrippedOf(c, x.Add(a))) {
+			if !sameStripped(prod, modelPLI(tbl, x.Add(a))) {
 				t.Fatalf("trial %d: ProductColumn(%v, %d) ≠ π of the union", trial, x, a)
 			}
 			if prod.Attrs != x.Add(a) || prod.numRows != tbl.NumRows() {
@@ -164,7 +173,7 @@ func TestStrippedKernelMatchesOf(t *testing.T) {
 func TestProductAllocs(t *testing.T) {
 	tbl := kernelTable(rand.New(rand.NewSource(5)), 400, 3, 4)
 	c := relation.Encode(tbl)
-	x := StrippedSingle(c, 3)
+	x := NewCache(c).Get(relation.SingleAttr(3))
 	ws := NewWorkspace()
 	ProductColumn(x, c, 4, ws)
 	if n := testing.AllocsPerRun(50, func() { ProductColumn(x, c, 4, ws) }); n > 2 {

@@ -12,11 +12,13 @@
 //
 // Invariants:
 //
-//   - at most as many tasks as the pool has workers execute concurrently,
-//     however many Run/ForEach calls are in flight;
-//   - a Pool with one worker executes ForEach bodies inline on the
-//     calling goroutine, in index order — the serial pipeline is
-//     literally the parallel pipeline at width 1;
+//   - a pool of two or more workers executes at most as many tasks
+//     concurrently as it has workers, however many Run/ForEach calls are
+//     in flight;
+//   - a Pool with one worker starts no goroutine and bounds nothing: Run
+//     and ForEach execute on each calling goroutine, ForEach bodies in
+//     index order, so concurrent callers run their tasks concurrently.
+//     The serial pipeline is literally the parallel pipeline at width 1;
 //   - ForEach never returns before every started task has finished, so
 //     callers may hand tasks shared, index-partitioned state without
 //     further synchronization.
@@ -53,7 +55,8 @@ type job struct {
 
 // New starts a pool with the given number of workers (minimum 1). A
 // one-worker pool spawns no goroutines at all: work runs inline on the
-// submitting goroutine.
+// submitting goroutine, so it does not limit how many callers run tasks
+// at once.
 func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "slices"
 
 // Coded is a dictionary-encoded view of a table: every column's values are
 // mapped to dense int32 codes, and it is the one place in the system where
@@ -141,14 +138,3 @@ func (c *Coded) Cardinality(a int) int { return c.cards[a] }
 // Column returns the dictionary codes of column a. Callers must not
 // modify the returned slice.
 func (c *Coded) Column(a int) []int32 { return c.cols[a] }
-
-// AppendKey appends row's codes over cols to key as little-endian int32s
-// and returns the extended slice: two rows get equal keys iff they agree
-// on every column of cols. It is the map key of every grouping over
-// codes; a lookup as m[string(key)] does not allocate.
-func (c *Coded) AppendKey(key []byte, row int, cols []int) []byte {
-	for _, a := range cols {
-		key = binary.LittleEndian.AppendUint32(key, uint32(c.cols[a][row]))
-	}
-	return key
-}

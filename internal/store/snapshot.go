@@ -23,7 +23,6 @@ type configFile struct {
 	Alpha                  float64 `json:"alpha"`
 	SplitFactor            int     `json:"splitFactor"`
 	PRF                    int     `json:"prf"`
-	MAS                    int     `json:"mas"`
 	MinInstanceFreq        int     `json:"minInstanceFreq"`
 	NaiveSplitPoint        bool    `json:"naiveSplitPoint,omitempty"`
 	SkipFPElimination      bool    `json:"skipFPElimination,omitempty"`
@@ -40,7 +39,6 @@ func configToFile(cfg core.Config) configFile {
 		Alpha:                  cfg.Alpha,
 		SplitFactor:            cfg.SplitFactor,
 		PRF:                    int(cfg.PRF),
-		MAS:                    int(cfg.MAS),
 		MinInstanceFreq:        cfg.MinInstanceFreq,
 		NaiveSplitPoint:        cfg.NaiveSplitPoint,
 		SkipFPElimination:      cfg.SkipFPElimination,
@@ -55,7 +53,6 @@ func (c configFile) config(key crypt.Key) core.Config {
 		SplitFactor:            c.SplitFactor,
 		Key:                    key,
 		PRF:                    crypt.PRF(c.PRF),
-		MAS:                    core.MASAlgorithm(c.MAS),
 		MinInstanceFreq:        c.MinInstanceFreq,
 		NaiveSplitPoint:        c.NaiveSplitPoint,
 		SkipFPElimination:      c.SkipFPElimination,

@@ -113,7 +113,9 @@ type Store struct {
 
 	// chunks runs every chunk job of every rotation and hydration, so
 	// concurrent saves and loads of different datasets share one bound
-	// (GOMAXPROCS workers). Tests may swap in a pool of another width.
+	// of GOMAXPROCS workers. At GOMAXPROCS 1 the pool runs each job on
+	// its caller and bounds nothing. Tests may swap in a pool of another
+	// width.
 	chunks    *pool.Pool
 	closeOnce sync.Once
 

@@ -125,35 +125,51 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen from scratch, as a restarted process would.
-	s2, err := Open(dir)
+	// The index as written, and as an older build wrote it: with the
+	// config's since-removed MAS algorithm field, which must be ignored.
+	path := filepath.Join(dir, datasetsDir, "ds_aaaaaaaaaaaa", snapshotName)
+	written, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	loaded := loadOnly(t, s2)
-	if len(loaded) != 1 {
-		t.Fatalf("loaded %d datasets, want 1", len(loaded))
+	withMAS := strings.Replace(string(written), `"config":{`, `"config":{"mas":0,`, 1)
+	if withMAS == string(written) {
+		t.Fatal("index has no config object")
 	}
-	l := loaded[0]
-	if l.ID != "ds_aaaaaaaaaaaa" || l.Name != "t-ds_aaaaaaaaaaaa" || len(l.Tail) != 0 {
-		t.Fatalf("loaded record: %+v", l.Record)
-	}
-	if l.Config.Key != cfg.Key || l.Config.Alpha != cfg.Alpha || l.Config.PRF != cfg.PRF {
-		t.Fatal("config did not round-trip")
-	}
-	if l.Updater != nil || l.Stats == nil {
-		t.Fatalf("snapshot should load lazily: updater=%v stats=%v", l.Updater != nil, l.Stats != nil)
-	}
-	if l.Stats.Rows != upd.Rows() || l.Stats.EncryptedRows != upd.Result().Encrypted.NumRows() {
-		t.Fatalf("index stats %+v do not match the dataset", l.Stats)
-	}
-	back, err := core.RestoreUpdater(l.Config, hydrated(t, s2, l))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decryptRows(t, cfg, back), decryptRows(t, cfg, upd)) {
-		t.Fatal("restored dataset decrypts differently")
+	for _, index := range []string{string(written), withMAS} {
+		if err := os.WriteFile(path, []byte(index), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		// Reopen from scratch, as a restarted process would.
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		loaded := loadOnly(t, s2)
+		if len(loaded) != 1 {
+			t.Fatalf("loaded %d datasets, want 1", len(loaded))
+		}
+		l := loaded[0]
+		if l.ID != "ds_aaaaaaaaaaaa" || l.Name != "t-ds_aaaaaaaaaaaa" || len(l.Tail) != 0 {
+			t.Fatalf("loaded record: %+v", l.Record)
+		}
+		if l.Config.Key != cfg.Key || l.Config.Alpha != cfg.Alpha || l.Config.PRF != cfg.PRF {
+			t.Fatal("config did not round-trip")
+		}
+		if l.Updater != nil || l.Stats == nil {
+			t.Fatalf("snapshot should load lazily: updater=%v stats=%v", l.Updater != nil, l.Stats != nil)
+		}
+		if l.Stats.Rows != upd.Rows() || l.Stats.EncryptedRows != upd.Result().Encrypted.NumRows() {
+			t.Fatalf("index stats %+v do not match the dataset", l.Stats)
+		}
+		back, err := core.RestoreUpdater(l.Config, hydrated(t, s2, l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(decryptRows(t, cfg, back), decryptRows(t, cfg, upd)) {
+			t.Fatal("restored dataset decrypts differently")
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"f2/internal/fd"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -224,7 +225,7 @@ func TestWitnessedClaimsVacuousFDNotRequired(t *testing.T) {
 		t.Fatalf("witnessed claim flagged for vacuous FDs: missed=%v", v.Missed)
 	}
 	vacuous := fd.FD{LHS: relation.NewAttrSet(2), RHS: 0} // Name→Zip, unique LHS
-	if fd.Witnessed(relation.Encode(tbl), vacuous) {
+	if fd.Witnessed(partition.NewCache(relation.Encode(tbl)), vacuous) {
 		t.Fatal("test premise broken: Name→Zip should be unwitnessed")
 	}
 	claimed.Add(vacuous)

@@ -7,6 +7,7 @@ import (
 
 	"f2/internal/fd"
 	"f2/internal/mas"
+	"f2/internal/partition"
 	"f2/internal/relation"
 )
 
@@ -43,7 +44,7 @@ func TestOrdersShape(t *testing.T) {
 	}
 	// Planted FDs hold and are witnessed.
 	sch := tbl.Schema()
-	coded := relation.Encode(tbl)
+	coded := partition.NewCache(relation.Encode(tbl))
 	date := relation.NewAttrSet(sch.Lookup("O_ORDERDATE"))
 	prio := relation.NewAttrSet(sch.Lookup("O_ORDERPRIORITY"))
 	if !fd.Witnessed(coded, fd.FD{LHS: date, RHS: sch.Lookup("O_ORDERSTATUS")}) {
@@ -66,7 +67,7 @@ func TestCustomerShape(t *testing.T) {
 		t.Fatalf("Customer has %d attrs, want 21 (Table 1)", tbl.NumAttrs())
 	}
 	sch := tbl.Schema()
-	coded := relation.Encode(tbl)
+	coded := partition.NewCache(relation.Encode(tbl))
 	zip := relation.NewAttrSet(sch.Lookup("C_ZIP"))
 	city := relation.NewAttrSet(sch.Lookup("C_CITY"))
 	if !fd.Witnessed(coded, fd.FD{LHS: zip, RHS: sch.Lookup("C_CITY")}) {
@@ -131,7 +132,7 @@ func TestSyntheticGroundTruthMASs(t *testing.T) {
 }
 
 func TestSyntheticPlantedFDs(t *testing.T) {
-	coded := relation.Encode(Synthetic(SyntheticMinRows, 4))
+	coded := partition.NewCache(relation.Encode(Synthetic(SyntheticMinRows, 4)))
 	// The two column groups are internally bijective.
 	for _, f := range []fd.FD{
 		{LHS: relation.NewAttrSet(0), RHS: 1},
