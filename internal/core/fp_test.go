@@ -260,7 +260,7 @@ func checkWitnesses(t *testing.T, rng *rand.Rand, coded *relation.Coded, cache *
 	if len(attrs) < 2 {
 		return
 	}
-	reps := firstRows(partition.OfCoded(coded, m))
+	reps := firstRows(partition.OfCoded(coded, m, partition.NewWorkspace()))
 	for i := 0; i < nodes; i++ {
 		y := attrs[rng.Intn(len(attrs))]
 		x := relation.AttrSet(rng.Int63()).Intersect(m).Remove(y)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -15,13 +16,23 @@ import (
 // tables travel as *relation.Table, so the store encodes straight from
 // their columns and hydrates straight into them.
 //
+// A restored state may defer its result. F²'s four steps read only the
+// plaintext, so appends and flushes need the plaintext, the buffer and
+// the small metadata, never the ciphertext or provenance (the bulk of a
+// snapshot). The store therefore hands those two back as a ResultLoader,
+// and the restored Updater runs it on the first read of its result
+// (Updater.LoadResult). A result that is still deferred is captured as
+// deferred, never as empty: State carries the loader forward, and
+// Materialize runs it before anything is written.
+//
 // The retained incremental plan (Result.state — MAS partitions, ECG
 // instance assignments, Step-4 node set, fresh-minter position) is
 // deliberately NOT part of the durable state: it is a dense web of
 // interior pointers whose serialization would dwarf the data it
 // accelerates. A restored Result therefore carries no plan state, so the
 // first flush after a restore falls back to a full rebuild (which
-// repopulates the plan); every later flush is incremental again.
+// repopulates the plan and replaces a deferred result unread); every
+// later flush is incremental again.
 
 // UpdaterState is the serializable form of an Updater: configuration
 // knobs, flush accounting, the owner-side plaintext copy, the pending
@@ -46,7 +57,15 @@ type ResultState struct {
 	Origins   []RowOrigin        `json:"origins"`
 	MASs      []relation.AttrSet `json:"mass"`
 	Report    Report             `json:"report"`
+	// Load is set on a deferred result, whose Encrypted and Origins are
+	// nil until it runs. It is runtime state, never serialized.
+	Load ResultLoader `json:"-"`
 }
+
+// ResultLoader reads a deferred result's ciphertext and provenance. A
+// persistence layer returns one in their place, so a restored updater
+// can append and flush before anything reads them.
+type ResultLoader func(ctx context.Context) (*relation.Table, []RowOrigin, error)
 
 // State captures the updater's durable state without copying a cell: the
 // tables are Views and Origins a capacity-clipped slice of the live
@@ -55,7 +74,8 @@ type ResultState struct {
 // the newer rows to its own buffer), so nothing the updater does later
 // writes inside what the capture covers, and a snapshot taken between
 // operations stays consistent while the updater moves on. Callers must
-// not write into the captured tables.
+// not write into the captured tables. A result that is still deferred
+// is captured with its loader (see Materialize).
 func (u *Updater) State() *UpdaterState {
 	return &UpdaterState{
 		Strategy:           u.Strategy.String(),
@@ -66,8 +86,67 @@ func (u *Updater) State() *UpdaterState {
 		LastFlush:          string(u.LastFlush),
 		Current:            u.current.View(),
 		Buffer:             u.buffer.View(),
-		Result:             u.last.State(),
+		Result:             u.resultState(),
 	}
+}
+
+// resultState captures the latest result, or its loader while it is
+// deferred.
+func (u *Updater) resultState() *ResultState {
+	if u.load == nil {
+		return u.last.State()
+	}
+	return &ResultState{
+		MASs:   append([]relation.AttrSet(nil), u.last.MASs...),
+		Report: u.last.Report,
+		Load:   u.load,
+	}
+}
+
+// Materialize returns st with a deferred result loaded and checked the
+// way RestoreUpdater checks one held in memory. A state whose result is
+// in memory comes back as is; st itself is never modified.
+func (st *UpdaterState) Materialize(ctx context.Context) (*UpdaterState, error) {
+	if st == nil || st.Current == nil || st.Result == nil || st.Result.Encrypted != nil || st.Result.Load == nil {
+		return st, nil
+	}
+	enc, origins, err := loadResult(ctx, st.Result.Load, st.Current.NumAttrs())
+	if err != nil {
+		return nil, err
+	}
+	out, res := *st, *st.Result
+	res.Encrypted, res.Origins, res.Load = enc, origins, nil
+	out.Result = &res
+	return &out, nil
+}
+
+// loadResult runs a deferred result's loader and checks what it read
+// against the plaintext's width.
+func loadResult(ctx context.Context, load ResultLoader, width int) (*relation.Table, []RowOrigin, error) {
+	enc, origins, err := load(ctx)
+	if err == nil {
+		err = checkResult(enc, origins, width)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: loading result: %w", err)
+	}
+	return enc, origins, nil
+}
+
+// checkResult is the structural check of a result's ciphertext and
+// provenance: one encrypted column per plaintext column, one origin per
+// encrypted row.
+func checkResult(enc *relation.Table, origins []RowOrigin, width int) error {
+	if enc == nil {
+		return fmt.Errorf("no encrypted table")
+	}
+	if enc.NumAttrs() != width {
+		return fmt.Errorf("encrypted table has %d attributes, plaintext has %d", enc.NumAttrs(), width)
+	}
+	if len(origins) != enc.NumRows() {
+		return fmt.Errorf("%d origins for %d encrypted rows", len(origins), enc.NumRows())
+	}
+	return nil
 }
 
 // State captures the result's serializable slice (the retained
@@ -76,7 +155,7 @@ func (u *Updater) State() *UpdaterState {
 func (r *Result) State() *ResultState {
 	return &ResultState{
 		Encrypted: r.Encrypted.View(),
-		Origins:   r.Origins[:len(r.Origins):len(r.Origins)],
+		Origins:   clipOrigins(r.Origins),
 		MASs:      append([]relation.AttrSet(nil), r.MASs...),
 		Report:    r.Report,
 	}
@@ -110,10 +189,14 @@ type StateSections struct {
 	Encrypted *relation.Table
 	Origins   []RowOrigin
 	Buffer    *relation.Table
+	// Load, on the read side, stands in for Encrypted and Origins: the
+	// result they form is deferred until a reader needs it.
+	Load ResultLoader
 }
 
-// Sections decomposes the state. The returned sections alias the state's
-// slices (no copying); callers that mutate them must clone first.
+// Sections decomposes the state, whose result must be in memory (see
+// Materialize). The returned sections alias the state's slices (no
+// copying); callers that mutate them must clone first.
 func (st *UpdaterState) Sections() *StateSections {
 	if st == nil || st.Result == nil {
 		return nil
@@ -137,11 +220,13 @@ func (st *UpdaterState) Sections() *StateSections {
 }
 
 // AssembleState inverts Sections. Structural validation is left to
-// RestoreUpdater — assembly only checks that every section is present,
-// so a persistence layer that lost a chunk fails here, loudly, instead
-// of restoring a dataset with silently missing rows.
+// RestoreUpdater, or to the load of a deferred result — assembly only
+// checks that every section is present (Encrypted and Origins, or a
+// Load that reads them), so a persistence layer that lost a chunk fails
+// here, loudly, instead of restoring a dataset with silently missing
+// rows.
 func AssembleState(sec *StateSections) (*UpdaterState, error) {
-	if sec == nil || sec.Meta == nil || sec.Current == nil || sec.Encrypted == nil {
+	if sec == nil || sec.Meta == nil || sec.Current == nil || (sec.Encrypted == nil && sec.Load == nil) {
 		return nil, fmt.Errorf("core: assemble: incomplete state sections")
 	}
 	if sec.Buffer == nil {
@@ -161,6 +246,7 @@ func AssembleState(sec *StateSections) (*UpdaterState, error) {
 			Origins:   sec.Origins,
 			MASs:      sec.Meta.MASs,
 			Report:    sec.Meta.Report,
+			Load:      sec.Load,
 		},
 	}, nil
 }
@@ -192,9 +278,10 @@ func ParseFlushMode(s string) (FlushMode, error) {
 // mode names); cfg must carry the same key the state was encrypted under,
 // or later decryptions will produce garbage. The tables are taken as
 // they are, through Views, so the restored updater's appends never write
-// into the state's storage.
+// into the state's storage. A deferred result stays deferred: its
+// ciphertext and provenance are checked when LoadResult loads them.
 func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
-	if st == nil || st.Current == nil || st.Buffer == nil || st.Result == nil || st.Result.Encrypted == nil {
+	if st == nil || st.Current == nil || st.Buffer == nil || st.Result == nil || (st.Result.Encrypted == nil && st.Result.Load == nil) {
 		return nil, fmt.Errorf("core: restore: incomplete updater state")
 	}
 	enc, err := NewEncryptor(cfg)
@@ -209,31 +296,31 @@ func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	current, buffer, encrypted := st.Current.View(), st.Buffer.View(), st.Result.Encrypted.View()
+	current, buffer := st.Current.View(), st.Buffer.View()
 	if !slices.Equal(buffer.Schema().Names(), current.Schema().Names()) {
 		return nil, fmt.Errorf("core: restore: buffer columns %v, plaintext has %v",
 			buffer.Schema().Names(), current.Schema().Names())
 	}
-	if encrypted.NumAttrs() != current.NumAttrs() {
-		return nil, fmt.Errorf("core: restore: encrypted table has %d attributes, plaintext has %d",
-			encrypted.NumAttrs(), current.NumAttrs())
-	}
-	if len(st.Result.Origins) != encrypted.NumRows() {
-		return nil, fmt.Errorf("core: restore: %d origins for %d encrypted rows",
-			len(st.Result.Origins), encrypted.NumRows())
-	}
 	last := &Result{
-		Encrypted: encrypted,
-		Origins:   st.Result.Origins[:len(st.Result.Origins):len(st.Result.Origins)],
-		MASs:      append([]relation.AttrSet(nil), st.Result.MASs...),
-		Report:    st.Result.Report,
+		MASs:   append([]relation.AttrSet(nil), st.Result.MASs...),
+		Report: st.Result.Report,
 		// state stays nil: the first flush rebuilds and repopulates it.
+	}
+	var load ResultLoader
+	if st.Result.Encrypted == nil {
+		load = st.Result.Load
+	} else {
+		if err := checkResult(st.Result.Encrypted, st.Result.Origins, current.NumAttrs()); err != nil {
+			return nil, fmt.Errorf("core: restore: %w", err)
+		}
+		last.Encrypted, last.Origins = st.Result.Encrypted.View(), clipOrigins(st.Result.Origins)
 	}
 	return &Updater{
 		enc:                enc,
 		current:            current,
 		buffer:             buffer,
 		last:               last,
+		load:               load,
 		Strategy:           strategy,
 		FlushFraction:      st.FlushFraction,
 		MinFlushRows:       st.MinFlushRows,
@@ -242,3 +329,7 @@ func RestoreUpdater(cfg Config, st *UpdaterState) (*Updater, error) {
 		LastFlush:          lastFlush,
 	}, nil
 }
+
+// clipOrigins clips a provenance slice's capacity to its length, so an
+// append to it reallocates instead of writing into shared spare capacity.
+func clipOrigins(o []RowOrigin) []RowOrigin { return o[:len(o):len(o)] }

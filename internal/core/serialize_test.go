@@ -251,3 +251,88 @@ func TestStateIsolation(t *testing.T) {
 		t.Fatal("State shares storage with the live updater")
 	}
 }
+
+// TestDeferredResult: a state whose result is a loader restores without
+// running it. LoadResult runs it and checks what it read as
+// RestoreUpdater checks an eager state — a failed load leaves the result
+// deferred for a retry — State carries a deferred result forward and
+// Materialize turns it back into the eager state, and a flush replaces a
+// deferred result without ever loading it.
+func TestDeferredResult(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(13))
+	cfg := testConfig(0.5)
+	u, _, err := NewUpdater(ctx, cfg, appendStreamTable(rng, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := u.State()
+	want, err := json.Marshal(eager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred := func(calls *int, fail func(int) bool) *UpdaterState {
+		st := *eager
+		res := *eager.Result
+		res.Encrypted, res.Origins = nil, nil
+		res.Load = func(context.Context) (*relation.Table, []RowOrigin, error) {
+			*calls++
+			if fail(*calls) {
+				return eager.Result.Encrypted, eager.Result.Origins[1:], nil
+			}
+			return eager.Result.Encrypted, eager.Result.Origins, nil
+		}
+		st.Result = &res
+		return &st
+	}
+
+	calls := 0
+	back, err := RestoreUpdater(cfg, deferred(&calls, func(n int) bool { return n == 1 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 || back.Result().Encrypted != nil {
+		t.Fatal("RestoreUpdater loaded a deferred result")
+	}
+	if _, err := back.LoadResult(ctx); err == nil {
+		t.Fatal("a load with one origin short was accepted")
+	}
+	if back.Result().Encrypted != nil {
+		t.Fatal("a failed load left a result behind")
+	}
+	m, err := back.State().Materialize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(m); err != nil || string(got) != string(want) {
+		t.Fatalf("materialized capture differs from the eager state (%v)", err)
+	}
+	res, err := back.LoadResult(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Encrypted.SortedRows(), u.Result().Encrypted.SortedRows()) {
+		t.Fatal("loaded ciphertext differs")
+	}
+	if calls != 3 {
+		t.Fatalf("loader ran %d times, want 3", calls)
+	}
+	if _, err := back.LoadResult(ctx); err != nil || calls != 3 {
+		t.Fatalf("a loaded result was loaded again (%d calls, %v)", calls, err)
+	}
+
+	calls = 0
+	lazy, err := RestoreUpdater(cfg, deferred(&calls, func(int) bool { return true }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Buffer([][]string{borderStableRow(lazy.Current(), lazy.Result().MASs[0], rng, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lazy.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := lazy.LoadResult(ctx); err != nil || calls != 0 || res.Encrypted.NumRows() != res.Report.EncryptedRows {
+		t.Fatalf("after a flush: %d loads, %v", calls, err)
+	}
+}

@@ -90,6 +90,9 @@ type Updater struct {
 	buffer   *relation.Table // rows appended but not yet flushed
 	last     *Result
 	flushing bool // a FlushPlan is in flight (BeginFlush .. Complete/Abort)
+	// load reads last's ciphertext and provenance while a restored
+	// updater defers them (see LoadResult); nil once they are in memory.
+	load ResultLoader
 
 	// Strategy selects the flush path (default UpdateIncremental).
 	Strategy UpdateStrategy
@@ -138,7 +141,29 @@ func NewUpdater(ctx context.Context, cfg Config, initial *relation.Table) (*Upda
 }
 
 // Result returns the latest encryption result (what the server holds).
+// On a restored updater whose result is still deferred, its MASs and
+// Report are set but Encrypted and Origins are nil; readers of those use
+// LoadResult.
 func (u *Updater) Result() *Result { return u.last }
+
+// LoadResult returns the latest encryption result with its ciphertext
+// and provenance in memory. A restored updater defers them: appends and
+// flushes never read them (the first flush after a restore rebuilds and
+// replaces them unread), so they load here, on the first read, checked
+// as RestoreUpdater checks a state that holds them. A failed load leaves
+// the result deferred, and the next call tries again.
+func (u *Updater) LoadResult(ctx context.Context) (*Result, error) {
+	if u.load == nil {
+		return u.last, nil
+	}
+	enc, origins, err := loadResult(ctx, u.load, u.current.NumAttrs())
+	if err != nil {
+		return nil, err
+	}
+	u.last = &Result{Encrypted: enc.View(), Origins: clipOrigins(origins), MASs: u.last.MASs, Report: u.last.Report}
+	u.load = nil
+	return u.last, nil
+}
 
 // Pending returns the number of buffered rows not yet outsourced.
 func (u *Updater) Pending() int { return u.buffer.NumRows() }
@@ -296,7 +321,7 @@ func (u *Updater) CompleteFlush(p *FlushPlan) (*Result, error) {
 		return nil, errors.New("core: flush plan was not run")
 	}
 	u.current = p.combined
-	u.last = p.res
+	u.last, u.load = p.res, nil
 	switch p.mode {
 	case FlushModeIncremental:
 		u.IncrementalFlushes++
@@ -329,14 +354,15 @@ func (u *Updater) AbortFlush(p *FlushPlan) {
 // Flush applies the buffered rows to the outsourced ciphertext and resets
 // the buffer, running the whole plan synchronously. A failed (e.g.
 // cancelled) flush leaves the updater unchanged: the buffered rows stay
-// pending and a later Flush retries them.
+// pending and a later Flush retries them. With nothing pending it returns
+// the latest result as LoadResult does, loading a deferred one.
 func (u *Updater) Flush(ctx context.Context) (*Result, error) {
 	plan, err := u.BeginFlush()
 	if err != nil {
 		return nil, err
 	}
 	if plan == nil {
-		return u.last, nil
+		return u.LoadResult(ctx)
 	}
 	if err := plan.Run(ctx); err != nil {
 		u.AbortFlush(plan)

@@ -236,12 +236,13 @@ func MaintainBorder(ctx context.Context, prev *Result, t *relation.Table, oldRow
 		idx.rows = i + 1
 	}
 	ref.Result.postings = idx
+	ws := partition.NewWorkspace()
 	for _, mas := range prev.Sets {
 		p, ok := prev.Partitions[mas]
 		if !ok {
 			return nil, false, fmt.Errorf("mas: maintain: no cached partition for %v", mas)
 		}
-		np, d, err := p.Refine(coded, oldRows)
+		np, d, err := p.RefineIn(coded, oldRows, ws)
 		if err != nil {
 			return nil, false, fmt.Errorf("mas: maintain: %w", err)
 		}

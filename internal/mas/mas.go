@@ -109,11 +109,12 @@ func DiscoverCtx(ctx context.Context, t *relation.Table) (*Result, error) {
 	r.Checked = stats.Checks
 	r.Border = stats
 	r.PLIs = plis.Stats()
+	ws := partition.NewWorkspace()
 	for _, x := range r.Sets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mas: discovery: %w", err)
 		}
-		r.Partitions[x] = partition.OfCoded(coded, x)
+		r.Partitions[x] = partition.OfCoded(coded, x, ws)
 	}
 	return r, nil
 }
@@ -190,8 +191,9 @@ func DiscoverLevelwise(t *relation.Table) *Result {
 		}
 	}
 	relation.SortAttrSets(r.Sets)
+	ws := partition.NewWorkspace()
 	for _, x := range r.Sets {
-		r.Partitions[x] = partition.OfCoded(coded, x)
+		r.Partitions[x] = partition.OfCoded(coded, x, ws)
 	}
 	return r
 }

@@ -56,13 +56,15 @@ type Partition struct {
 //
 //lint:ignore f2vet/deadexport benchmark/upload.go, in the separate benchmark module, times it in the upload probe
 func Of(t *relation.Table, attrs relation.AttrSet) *Partition {
-	return OfCoded(relation.Encode(t), attrs)
+	p, _, _ := (&Partition{Attrs: attrs}).Refine(relation.Encode(t), 0) // cannot fail, as in OfCoded
+	return p
 }
 
-// OfCoded computes π_X over the coded view c: it is Refine applied to
-// the empty partition, so π_∅ split by each column of X.
-func OfCoded(c *relation.Coded, attrs relation.AttrSet) *Partition {
-	p, _, _ := (&Partition{Attrs: attrs}).Refine(c, 0) // cannot fail: the empty partition covers 0 rows
+// OfCoded computes π_X over the coded view c, with its scratch space in
+// ws (see RefineIn): it is Refine applied to the empty partition, so π_∅
+// split by each column of X.
+func OfCoded(c *relation.Coded, attrs relation.AttrSet, ws *Workspace) *Partition {
+	p, _, _ := (&Partition{Attrs: attrs}).RefineIn(c, 0, ws) // cannot fail: the empty partition covers 0 rows
 	return p
 }
 

@@ -36,6 +36,14 @@ type Delta struct {
 // appended row left alone, is born. Cost is O((|classes| + Δ)·|X|) time
 // and no old row but a class's first is read.
 func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, error) {
+	return p.RefineIn(c, oldRows, NewWorkspace())
+}
+
+// RefineIn is Refine with the scratch space of its splits in ws, so a
+// caller refining many partitions in turn (one per MAS) reuses one
+// workspace instead of sizing a fresh one to every column each time. A
+// workspace serves one goroutine at a time.
+func (p *Partition) RefineIn(c *relation.Coded, oldRows int, ws *Workspace) (*Partition, Delta, error) {
 	if p.numRows != oldRows {
 		return nil, Delta{}, fmt.Errorf("partition: refine: partition covers %d rows, caller says %d", p.numRows, oldRows)
 	}
@@ -51,7 +59,6 @@ func (p *Partition) Refine(c *relation.Coded, oldRows int) (*Partition, Delta, e
 		list = append(list, int32(r))
 	}
 	s := oneClass(list, n)
-	ws := NewWorkspace()
 	for _, a := range p.Attrs.Attrs() {
 		s = ProductColumn(s, c, a, ws)
 	}

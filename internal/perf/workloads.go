@@ -74,7 +74,7 @@ func DefaultWorkloads() *Registry {
 		storeSnapshotWorkload("store/snapshot-cold", true,
 			"first snapshot under a fresh dataset id (encode + compress + chunk fsync + index) + Delete"),
 		storeRecoverWorkload("store/recover", storeRows, false,
-			"boot recovery: snapshot hydrate + WAL tail replay + updater restore"),
+			"boot recovery: plaintext + buffer hydrate + WAL tail replay + updater restore (result deferred)"),
 		storeBootIndexWorkload("store/boot-index", storeRows, false,
 			"time to first request: open store + load snapshot index only (no chunk hydration)"),
 		storeRecoverWorkload("store/recover-100x", storeRowsHeavy, true,
@@ -427,10 +427,12 @@ func bootLoad(dir string) (*store.Store, *store.Loaded, error) {
 	return s2, loaded[0], nil
 }
 
-// storeRecoverWorkload measures the full boot-recovery path: open the
-// store, load the snapshot index, hydrate the chunked state, CRC-walk
-// the WAL tail, restore the updater, and replay the tail through it —
-// what f2served does on the first state-touching request after boot.
+// storeRecoverWorkload measures the boot-recovery path: open the store,
+// load the snapshot index, hydrate the plaintext and buffer sections,
+// CRC-walk the WAL tail, restore the updater, and replay the tail
+// through it — what f2served does on the first state-touching request
+// after boot. The ciphertext and provenance stay deferred: they load on
+// the first read of the result, which this workload does not make.
 func storeRecoverWorkload(name string, baseRows int, heavy bool, desc string) Workload {
 	return Workload{
 		Name:  name,

@@ -463,18 +463,18 @@ func (s *Server) handleDecrypt(w http.ResponseWriter, r *http.Request) {
 	// mutates) the updater's Result, so the heavy decryption can run
 	// without blocking appends to this dataset.
 	ds.Lock()
-	if err := s.hydrateLocked(r.Context(), ds); err != nil {
+	res, err := s.resultLocked(r.Context(), ds)
+	if err != nil {
 		ds.Unlock()
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	res := ds.upd.Result()
 	pending := ds.upd.Pending()
 	ds.Unlock()
 	var recovered *relation.JSONTable
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err = s.pool.Run(jobCtx, func(ctx context.Context) error {
 		dec, err := core.NewDecryptor(ds.cfg)
 		if err != nil {
 			return err
@@ -512,17 +512,17 @@ func (s *Server) handleFDs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds.Lock()
-	if err := s.hydrateLocked(r.Context(), ds); err != nil {
-		ds.Unlock()
+	res, err := s.resultLocked(r.Context(), ds)
+	ds.Unlock()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	enc := ds.upd.Result().Encrypted // immutable snapshot: Flush replaces, never mutates
-	ds.Unlock()
+	enc := res.Encrypted // immutable snapshot: Flush replaces, never mutates
 	fds := []fdJSON{}
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err = s.pool.Run(jobCtx, func(ctx context.Context) error {
 		sch := enc.Schema()
 		claimed, err := fd.DiscoverWitnessedCtx(ctx, enc)
 		if err != nil {
@@ -594,18 +594,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// lock; both are replaced — never mutated — by a flush, so the
 	// multi-second audit runs without blocking appends.
 	ds.Lock()
-	if err := s.hydrateLocked(r.Context(), ds); err != nil {
+	res, err := s.resultLocked(r.Context(), ds)
+	if err != nil {
 		ds.Unlock()
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	plain := ds.upd.Current()
-	res := ds.upd.Result()
 	ds.Unlock()
 	var payload map[string]any
 	jobCtx, cancel := s.jobContext(r.Context())
 	defer cancel()
-	err := s.pool.Run(jobCtx, func(ctx context.Context) error {
+	err = s.pool.Run(jobCtx, func(ctx context.Context) error {
 		cipher, err := crypt.NewProbCipher(ds.cfg.Key, ds.cfg.PRF)
 		if err != nil {
 			return err

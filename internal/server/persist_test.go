@@ -460,6 +460,23 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 	if !reflect.DeepEqual(sortedRows(t, columns, decRows), sortedRows(t, []string{"G", "ID"}, all)) {
 		t.Fatal("recovered dataset decrypts to different rows")
 	}
+
+	// Hydration has two stages: the first append loads the plaintext it
+	// needs and leaves the result — ciphertext and provenance — deferred
+	// until a reader asks for it. One row stays under the flush floor.
+	srv3, ts3 := newDurableServer(t, dir, 2)
+	last := [][]string{{"g1", "id9"}}
+	resp, body = doJSON(t, http.MethodPost, ts3.URL+"/v1/datasets/"+id+"/rows", map[string]any{"rows": last})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first append after restart: status %d, body %s", resp.StatusCode, body)
+	}
+	if !resultDeferred(t, srv3, id) {
+		t.Fatal("the first append did not hydrate the plaintext, or loaded the ciphertext too")
+	}
+	columns, decRows, pending = decryptRows(t, ts3.URL, id)
+	if pending != 1 || !reflect.DeepEqual(sortedRows(t, columns, decRows), sortedRows(t, []string{"G", "ID"}, all)) {
+		t.Fatalf("decrypt after the first append: %d rows, %d pending; want %d rows, 1 pending", len(decRows), pending, len(all))
+	}
 }
 
 // errorRecords returns the messages of every ERROR-level record in a

@@ -28,8 +28,10 @@ type Dataset struct {
 	cfg core.Config
 	// upd is nil for a lazily restored dataset whose state still lives in
 	// the store's chunked snapshot; Server.hydrateLocked materializes it on
-	// the first request that needs the tables. Metadata reads (list, get,
-	// flush-job polls) run off the cached Summary and never force it.
+	// the first request that needs the tables, with its result deferred
+	// until a reader of the ciphertext asks (Server.resultLocked).
+	// Metadata reads (list, get, flush-job polls) run off the cached
+	// Summary and never force either.
 	upd *core.Updater
 
 	// lazyTail is the WAL tail retained by a lazy restore: acknowledged
@@ -121,7 +123,7 @@ func (d *Dataset) refreshSummaryLocked() Summary {
 		Created:            d.Created,
 		Rows:               d.upd.Rows(),
 		PendingRows:        d.upd.Pending(),
-		EncryptedRows:      res.Encrypted.NumRows(),
+		EncryptedRows:      res.Report.EncryptedRows, // set while the result is deferred, too
 		Alpha:              d.cfg.Alpha,
 		SplitFactor:        d.cfg.SplitFactor,
 		MASCount:           len(res.MASs),

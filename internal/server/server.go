@@ -377,8 +377,9 @@ func (s *Server) recover() error {
 }
 
 // hydrateLocked materializes a lazily restored dataset: read and verify
-// the chunked state from the store, rebuild the updater, and replay the
-// retained WAL tail. The caller holds ds.mu, so concurrent requests
+// the plaintext and buffer sections from the store, rebuild the updater
+// (its result deferred, see resultLocked), and replay the retained WAL
+// tail. The caller holds ds.mu, so concurrent requests
 // hydrate exactly once; already-live datasets (and in-memory servers)
 // return immediately. On error the dataset stays lazy and the request
 // fails — a later request retries the hydration.
@@ -412,6 +413,23 @@ func (s *Server) hydrateLocked(ctx context.Context, ds *Dataset) error {
 	ds.hydrated.Store(true)
 	ds.refreshSummaryLocked()
 	return nil
+}
+
+// resultLocked returns the dataset's latest result with its ciphertext
+// and provenance in memory: the second hydration stage, which only
+// readers of the ciphertext (/decrypt, /fds, /report) ask for. Appends
+// and flushes stop at hydrateLocked; the first flush after a restart
+// rebuilds and replaces a deferred result unread. The caller holds
+// ds.mu. On error the result stays deferred and a later reader retries.
+func (s *Server) resultLocked(ctx context.Context, ds *Dataset) (*core.Result, error) {
+	if err := s.hydrateLocked(ctx, ds); err != nil {
+		return nil, err
+	}
+	res, err := ds.upd.LoadResult(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("loading dataset %s result: %w", ds.ID, err)
+	}
+	return res, nil
 }
 
 // Handler returns the root handler for use with http.Server or httptest.

@@ -286,7 +286,7 @@ func TestChunkedVsNeverRestartedEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			state := hydrated(t, s, l)
-			got, err := json.Marshal(state)
+			got, err := json.Marshal(materialized(t, state))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestChunkedVsNeverRestartedEquivalence(t *testing.T) {
 			if want, err = json.Marshal(upd.State()); err != nil {
 				t.Fatal(err)
 			}
-			if got, err = json.Marshal(back.State()); err != nil {
+			if got, err = json.Marshal(materialized(t, back.State())); err != nil {
 				t.Fatal(err)
 			}
 			if string(got) != string(want) {
@@ -550,7 +550,7 @@ func TestRotationBytesIndependentOfWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state, err = json.Marshal(st); err != nil {
+		if state, err = json.Marshal(materialized(t, st)); err != nil {
 			t.Fatal(err)
 		}
 		return chunks, index, state
@@ -741,6 +741,7 @@ func TestCapturedStateImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	back = materialized(t, back)
 	loaded := []tableCopy{copyTable(back.Current), copyTable(back.Result.Encrypted), copyTable(back.Buffer)}
 	if !reflect.DeepEqual(loaded, want) || !reflect.DeepEqual(back.Result.Origins, wantOrigins) {
 		t.Fatal("the snapshot of the captured state does not hydrate to it")
@@ -783,7 +784,7 @@ func TestOddCellsRoundTripExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := upd.State(), back.State()
+	want, got := upd.State(), materialized(t, back.State())
 	for _, pair := range []struct {
 		name      string
 		want, got *relation.Table
@@ -834,5 +835,85 @@ func TestV2IndexSkipped(t *testing.T) {
 	}
 	if len(loaded) != 0 || len(skipped) != 1 || !strings.Contains(skipped[0], "version 2") {
 		t.Fatalf("loaded %d, skipped %q: want the v2 dataset skipped", len(loaded), skipped)
+	}
+}
+
+// TestResultLoadsOnDemand: LoadState reads the plaintext and buffer and
+// defers the encrypted and origins sections behind a loader. A corrupt
+// encrypted chunk therefore fails the load, naming the chunk, not
+// LoadState; a save of the still-deferred capture fails the same way
+// instead of writing an empty result; and with the chunk intact, that
+// save re-links the very chunks it read.
+func TestResultLoadsOnDemand(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{ChunkRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const id = "ds_bbbbbbbbbbbb"
+	cfg := testConfig("deferred")
+	upd := newUpdater(t, cfg, testTable(rand.New(rand.NewSource(43)), 60))
+	if err := s.SaveSnapshot(ctx, record(id, cfg, upd, 0)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, datasetsDir, id, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := parseIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := idx.Encrypted.Chunks[len(idx.Encrypted.Chunks)-1].Name
+	chunkPath := filepath.Join(dir, datasetsDir, id, chunksDirName, name)
+	orig, err := os.ReadFile(chunkPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), orig...)
+	bad[len(bad)-1] ^= 0xff
+	if err := os.WriteFile(chunkPath, bad, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := s.LoadState(ctx, id)
+	if err != nil {
+		t.Fatalf("LoadState read the encrypted section: %v", err)
+	}
+	if st.Result.Encrypted != nil || st.Result.Origins != nil || st.Result.Load == nil {
+		t.Fatal("LoadState did not defer the result")
+	}
+	back, err := core.RestoreUpdater(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.LoadResult(ctx); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("loading over a corrupt chunk: %v, want an error naming %s", err, name)
+	}
+	written := s.SnapshotStats().ChunksWritten
+	if err := s.SaveSnapshot(ctx, record(id, cfg, back, 0)); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("saving a deferred capture over a corrupt chunk: %v, want an error naming %s", err, name)
+	}
+	if got := s.SnapshotStats().ChunksWritten; got != written {
+		t.Fatalf("a failed save wrote %d chunks", got-written)
+	}
+
+	if err := os.WriteFile(chunkPath, orig, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot(ctx, record(id, cfg, back, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SnapshotStats().ChunksWritten; got != written {
+		t.Fatalf("saving the deferred capture rewrote %d chunks, want all re-linked", got-written)
+	}
+	res, err := back.LoadResult(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(copyTable(res.Encrypted), copyTable(upd.Result().Encrypted)) || !reflect.DeepEqual(res.Origins, upd.Result().Origins) {
+		t.Fatal("the loaded result differs from the saved one")
 	}
 }

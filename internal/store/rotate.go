@@ -286,11 +286,14 @@ func gcChunks(cs ChunkStore, idx *indexFile, crash func(string) error) error {
 	return nil
 }
 
-// LoadState hydrates one dataset's full updater state from its snapshot,
-// reading and verifying every chunk. Boot (LoadAll) returns index-level
-// facts only; the server calls this on the first request that actually
-// needs the tables. Held shared against the rotation lock, so a
-// concurrent rotation's GC cannot unlink chunks mid-read.
+// LoadState hydrates what one dataset's appends and flushes need: the
+// plaintext and buffer sections, read and verified chunk by chunk, plus
+// the index's metadata. The encrypted and origins sections stay on disk
+// behind the state's deferred result (core.ResultLoader), which reads
+// them when something first reads the ciphertext. Boot (LoadAll) returns
+// index-level facts only; the server calls this on the first request
+// that actually needs the tables. Held shared against the rotation lock,
+// so a concurrent rotation's GC cannot unlink chunks mid-read.
 func (s *Store) LoadState(ctx context.Context, id string) (*core.UpdaterState, error) {
 	ctx, sp := obs.Start(ctx, "snapshot.hydrate")
 	defer sp.End()
@@ -316,14 +319,6 @@ func (s *Store) readState(ctx context.Context, id string) (*core.UpdaterState, e
 	if err != nil {
 		return nil, err
 	}
-	enc, err := readTableSection(ctx, s, cs, idx.Encrypted, "encrypted")
-	if err != nil {
-		return nil, err
-	}
-	origins, err := readSection[core.RowOrigin](ctx, s, cs, idx.Origins, "origins")
-	if err != nil {
-		return nil, err
-	}
 	// The buffer holds pending plaintext rows: the current section's
 	// schema, so the index records it once.
 	buffer, err := readTableSection(ctx, s, cs, tableManifest{
@@ -333,12 +328,46 @@ func (s *Store) readState(ctx context.Context, id string) (*core.UpdaterState, e
 		return nil, err
 	}
 	return core.AssembleState(&core.StateSections{
-		Meta:      idx.Meta,
-		Current:   cur,
-		Encrypted: enc,
-		Origins:   slices.Concat(origins...),
-		Buffer:    buffer,
+		Meta:    idx.Meta,
+		Current: cur,
+		Buffer:  buffer,
+		Load:    s.resultLoader(id, cs, idx.Encrypted, idx.Origins),
 	})
+}
+
+// resultLoader returns the deferred read of one index generation's
+// encrypted and origins sections. It is bound to that generation's
+// manifests and reads like LoadState: every chunk verified, under the
+// rotation read-lock, on the store's pool. The chunks it names stay live
+// while the result is deferred: the server rotates only after a flush,
+// which replaces the deferred result unread, and a save of a deferred
+// capture loads it first and so re-links the very same chunks.
+func (s *Store) resultLoader(id string, cs ByteSource, enc tableManifest, origins sectionManifest) core.ResultLoader {
+	return func(ctx context.Context) (*relation.Table, []core.RowOrigin, error) {
+		ctx, sp := obs.Start(ctx, "snapshot.hydrate_result")
+		defer sp.End()
+		sp.SetAttr("rows", enc.Rows)
+		sp.SetAttr("chunks", len(enc.Chunks)+len(origins.Chunks))
+		rl := s.rot(id)
+		rl.RLock()
+		t, o, err := s.readResult(ctx, cs, enc, origins)
+		rl.RUnlock()
+		return t, o, err
+	}
+}
+
+// readResult reads the encrypted and origins sections. The caller holds
+// the dataset's rotation lock shared.
+func (s *Store) readResult(ctx context.Context, cs ByteSource, enc tableManifest, origins sectionManifest) (*relation.Table, []core.RowOrigin, error) {
+	t, err := readTableSection(ctx, s, cs, enc, "encrypted")
+	if err != nil {
+		return nil, nil, err
+	}
+	parts, err := readSection[core.RowOrigin](ctx, s, cs, origins, "origins")
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, slices.Concat(parts...), nil
 }
 
 // readChunkPayload fetches one chunk and verifies it end to end: frame

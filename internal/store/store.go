@@ -18,7 +18,10 @@
 // chunk it references is durable, so a crash at any point leaves the
 // previous snapshot fully readable; a rotation-time GC then unlinks
 // chunks the new index no longer references. Boot reads only the index
-// (LoadAll); the full state hydrates on demand (LoadState). A snapshot in
+// (LoadAll). The state hydrates on demand in two stages: LoadState reads
+// the plaintext and buffer sections that appends and flushes need, and
+// the encrypted and origins sections load when something first reads the
+// ciphertext (the deferred result LoadState hands back). A snapshot in
 // any other format version — including the pre-chunking monolithic v1 —
 // is rejected like any other unreadable dataset.
 //
@@ -93,8 +96,8 @@ type DatasetStats struct {
 // which the caller must replay through the updater.
 //
 // Boot is lazy: Record.Updater is nil on load, Stats carries the
-// index-level numbers, and the caller hydrates the full state later via
-// LoadState (then replays Tail).
+// index-level numbers, and the caller hydrates the state later via
+// LoadState (then replays Tail); its result loads when first read.
 type Loaded struct {
 	Record
 	Tail  []Batch
@@ -277,7 +280,15 @@ func (s *Store) SaveSnapshot(ctx context.Context, rec *Record) error {
 	if err != nil {
 		return err
 	}
-	sec := rec.Updater.Sections()
+	// A capture whose result is still deferred loads it first: the new
+	// index must name real ciphertext, never an empty result. The load
+	// takes the rotation lock shared, so it runs before the exclusive
+	// hold below.
+	st, err := rec.Updater.Materialize(sctx)
+	if err != nil {
+		return err
+	}
+	sec := st.Sections()
 	if sec == nil {
 		return errors.New("store: record has no updater state")
 	}

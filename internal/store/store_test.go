@@ -61,7 +61,11 @@ func decryptRows(t *testing.T, cfg core.Config, upd *core.Updater) [][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := dec.Recover(context.Background(), upd.Result())
+	res, err := upd.LoadResult(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := dec.Recover(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +101,17 @@ func hydrated(t *testing.T, s *Store, l *Loaded) *core.UpdaterState {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// materialized loads a state's deferred result, so comparisons see the
+// ciphertext and provenance the store holds rather than a loader.
+func materialized(t *testing.T, st *core.UpdaterState) *core.UpdaterState {
+	t.Helper()
+	m, err := st.Materialize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func loadOnly(t *testing.T, s *Store) []*Loaded {

@@ -3,9 +3,11 @@
 #
 # Starts f2served with a temp data dir, creates a dataset, appends rows
 # (flushed and pending), SIGTERMs the process, restarts it over the same
-# directory, and verifies the dataset survived: the decrypt round-trips
-# every acknowledged row, appends still work, and DELETE removes the
-# dataset from the registry, the metrics gauge, and the store directory.
+# directory, and verifies the dataset survived: before the first flush
+# the decrypt returns the flushed rows and the FDs equal those served
+# before the restart; after it the decrypt round-trips every
+# acknowledged row, appends still work, and DELETE removes the dataset
+# from the registry, the metrics gauge, and the store directory.
 #
 # Needs: go, curl. Used by CI; runnable locally from the repo root.
 set -euo pipefail
@@ -153,6 +155,14 @@ echo "   dataset $ID"
 
 # This batch crosses the auto-flush threshold; the next row stays pending.
 curl -fs "$BASE/v1/datasets/$ID/rows" -d '{"rows":[["g1","id6"],["g2","id7"]]}' >/dev/null
+# Wait out the background flush, so the FDs captured below are the ones
+# of the snapshot the restart recovers.
+for _ in $(seq 1 100); do
+  curl -fs "$BASE/v1/datasets/$ID" | grep -q '"rows":7' && break
+  sleep 0.1
+done
+curl -fs "$BASE/v1/datasets/$ID" | grep -q '"rows":7' || die "auto-flush of id6,id7 never committed"
+FDS_BEFORE="$(curl -fs "$BASE/v1/datasets/$ID/fds")"
 curl -fs "$BASE/v1/datasets/$ID/rows" -d '{"rows":[["g1","id8"]]}' >/dev/null
 
 echo "== SIGTERM + restart"
@@ -163,6 +173,17 @@ echo "== verify recovery"
 GET_RESP="$(curl -fs "$BASE/v1/datasets/$ID")"
 printf '%s' "$GET_RESP" | grep -q '"rows":7' || die "recovered dataset rows != 7: $GET_RESP"
 printf '%s' "$GET_RESP" | grep -q '"pendingRows":1' || die "recovered pending != 1: $GET_RESP"
+
+# Before the first flush the ciphertext loads on demand: the readers
+# must see exactly what the server held before the restart.
+DECRYPT="$(curl -fs -X POST "$BASE/v1/datasets/$ID/decrypt")"
+for rowid in id1 id2 id3 id4 id5 id6 id7; do
+  printf '%s' "$DECRYPT" | grep -q "\"$rowid\"" || die "row $rowid missing from the pre-flush decrypt: $DECRYPT"
+done
+printf '%s' "$DECRYPT" | grep -q '"id8"' && die "pending row id8 decrypted before its flush: $DECRYPT"
+printf '%s' "$DECRYPT" | grep -q '"pendingRows":1' || die "pre-flush decrypt pending != 1: $DECRYPT"
+FDS_AFTER="$(curl -fs "$BASE/v1/datasets/$ID/fds")"
+[ "$FDS_AFTER" = "$FDS_BEFORE" ] || die "FDs changed across the restart: before $FDS_BEFORE, after $FDS_AFTER"
 
 curl -fs -X POST "$BASE/v1/datasets/$ID/flush?wait=1" >/dev/null
 DECRYPT="$(curl -fs -X POST "$BASE/v1/datasets/$ID/decrypt")"
